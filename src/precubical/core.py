@@ -232,11 +232,14 @@ def validate(K: PrecubicalSet) -> list[Violation]:
     target has the wrong dimension, and each failed instance of the identity
     face(face(c, j, b), i, a) == face(face(c, i, a), j - 1, b) for i < j.
     Identity instances are only checked when all four lookups land, since
-    the holes involved are already reported.
+    the holes involved are already reported; so only pairs of recorded faces
+    of the right dimension are visited, and a declared cube with few
+    recorded faces costs little whatever its dimension.
     """
     out: list[Violation] = []
     for cube in K.cubes():
         c, n = cube.name, cube.dim
+        facets: dict[tuple[int, int], str] = {}
         for i in range(1, n + 1):
             for alpha in (0, 1):
                 t = K.face_or_none(c, i, alpha)
@@ -250,17 +253,19 @@ def validate(K: PrecubicalSet) -> list[Violation]:
                             (i, alpha, t, n - 1, K.dim_of(t)),
                         )
                     )
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
+                else:
+                    facets[(i, alpha)] = t
+        axes = sorted({i for i, _ in facets})
+        for a, i in enumerate(axes):
+            for j in axes[a + 1 :]:
                 for alpha in (0, 1):
                     for beta in (0, 1):
-                        lhs = rhs = None
-                        t = K.face_or_none(c, j, beta)
-                        if t is not None and K.dim_of(t) == n - 1:
-                            lhs = K.face_or_none(t, i, alpha)
-                        u = K.face_or_none(c, i, alpha)
-                        if u is not None and K.dim_of(u) == n - 1:
-                            rhs = K.face_or_none(u, j - 1, beta)
+                        t = facets.get((j, beta))
+                        u = facets.get((i, alpha))
+                        if t is None or u is None:
+                            continue
+                        lhs = K.face_or_none(t, i, alpha)
+                        rhs = K.face_or_none(u, j - 1, beta)
                         if lhs is not None and rhs is not None and lhs != rhs:
                             out.append(
                                 Violation("identity", c, (i, j, alpha, beta, lhs, rhs))
@@ -339,12 +344,22 @@ def extremal_vertex(K: PrecubicalSet, name: str, side: str = MINUS) -> str:
     """The initial (side '-') or final (side '+') vertex of a cube.
 
     Computed by iterating face(-, 1, end); the precubical identities make
-    any other descent through faces land on the same vertex.
+    any other descent through faces land on the same vertex.  Each step
+    must drop the dimension, or PcsError is raised: a complex loaded
+    without validation may have a face that does not.
     """
     check_side(side)
     alpha = 0 if side == MINUS else 1
-    while K.dim_of(name) > 0:
-        name = K.face(name, 1, alpha)
+    d = K.dim_of(name)
+    while d > 0:
+        face = K.face(name, 1, alpha)
+        face_dim = K.dim_of(face)
+        if face_dim >= d:
+            raise PcsError(
+                f"face (1, {side}) of {name!r} is {face!r} of dimension "
+                f"{face_dim}, not below {d}"
+            )
+        name, d = face, face_dim
     return name
 
 

@@ -10,8 +10,11 @@ The graded group of a complex K is assembled per vertex:
 
 Degrees 0 and 1 only ever produce free groups; from degree 2 on, torsion
 from the per-vertex complexes survives into the total group, so no
-vanishing is assumed anywhere.  All computations run over the integers via
-Smith normal form with unbounded Python ints; `rational_rank` provides a
+vanishing is assumed anywhere.  All computations run over the integers with
+unbounded Python ints.  Boundary matrices are kept as sparse columns and
+reduced by eliminating every +-1 pivot first; only a leftover block without
+unit entries, if any, goes to the dense `smith_normal_form`, which also
+stays the reference route in the tests.  `rational_rank` provides a
 deliberately separate elimination-over-Fraction route so tests can check
 ranks without trusting the normal form code.
 """
@@ -23,7 +26,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .complexes import SemiSimplicialSet, assemble_all
-from .core import MINUS, PLUS, PrecubicalSet, check_side, final_states, time_reverse
+from .core import MINUS, PLUS, PrecubicalSet, check_side, time_reverse
 
 
 class Matrix:
@@ -316,34 +319,128 @@ def direct_sum(a: GradedAbelianGroup, b: GradedAbelianGroup) -> GradedAbelianGro
     return GradedAbelianGroup(out)
 
 
+# A sparse matrix column: row index -> nonzero coefficient.
+Column = dict[int, int]
+
+
+def smith_diagonal(columns: Sequence[Column], rows: int) -> list[int]:
+    """The nonzero diagonal entries of the Smith normal form of a matrix given
+    by sparse columns with `rows` rows, up to order.
+
+    Every +-1 pivot is eliminated first: adding multiples of the pivot column
+    clears the pivot's row, after which the pivot row and column split off as
+    a diagonal 1 (the row operations clearing the column touch nothing else).
+    A row -> columns index finds the columns each pivot touches; among the
+    unit entries of a column, the row with the fewest entries is taken, to
+    keep fill-in low.  Columns left without unit entries form a block that
+    goes to the dense `smith_normal_form`, which supplies the rest of the
+    diagonal, torsion included.
+    """
+    cols = [dict(c) for c in columns]
+    where: dict[int, set[int]] = {}
+    for j, col in enumerate(cols):
+        for i in col:
+            where.setdefault(i, set()).add(j)
+    units = 0
+    pending = list(range(len(cols) - 1, -1, -1))
+    stuck: set[int] = set()
+    while pending:
+        j = pending.pop()
+        col = cols[j]
+        pivot = min(
+            (i for i, x in col.items() if x == 1 or x == -1),
+            key=lambda i: len(where[i]),
+            default=None,
+        )
+        if pivot is None:
+            if col:
+                stuck.add(j)
+            continue
+        units += 1
+        cols[j] = {}
+        for i in col:
+            where[i].discard(j)
+        sign = col.pop(pivot)
+        for k in where.pop(pivot):
+            other = cols[k]
+            f = other.pop(pivot) * sign
+            for i, x in col.items():
+                y = other.get(i, 0) - f * x
+                if y:
+                    if i not in other:
+                        where[i].add(k)
+                    other[i] = y
+                else:
+                    del other[i]
+                    where[i].discard(k)
+            if k in stuck:
+                stuck.discard(k)
+                pending.append(k)
+    diagonal = [1] * units
+    if stuck:
+        order = sorted(stuck)
+        used = sorted({i for j in order for i in cols[j]})
+        block = [[cols[j].get(i, 0) for j in order] for i in used]
+        D, _, _ = smith_normal_form(Matrix(len(used), len(order), block))
+        diagonal.extend(d for d in D.diagonal() if d)
+    return diagonal
+
+
 class ChainComplex:
     """Free integer chain complex with named basis elements per degree.
 
-    boundaries[k], for 1 <= k <= top, is the matrix of the boundary
-    C_k -> C_(k-1) (rows indexed by bases[k-1], columns by bases[k]).
-    Consecutive boundaries must compose to zero.
+    boundaries[k - 1], for 1 <= k <= top, is the boundary C_k -> C_(k-1)
+    (rows indexed by bases[k-1], columns by bases[k]), given either as a
+    `Matrix` or as one sparse `{row: coeff}` column per basis element of
+    degree k; it is stored as columns.  Consecutive boundaries must compose
+    to zero.
     """
 
-    def __init__(self, bases: Sequence[Sequence[str]], boundaries: Sequence[Matrix]):
+    def __init__(
+        self,
+        bases: Sequence[Sequence[str]],
+        boundaries: Sequence[Matrix | Sequence[Column]],
+    ):
         self.bases = tuple(tuple(b) for b in bases)
-        self.boundaries = tuple(boundaries)
-        if len(self.boundaries) != max(0, len(self.bases) - 1):
+        boundaries = tuple(boundaries)
+        if len(boundaries) != max(0, len(self.bases) - 1):
             raise ValueError("need exactly one boundary matrix per positive degree")
-        for k, M in enumerate(self.boundaries, start=1):
-            if (M.rows, M.cols) != (len(self.bases[k - 1]), len(self.bases[k])):
+        columns = []
+        for k, M in enumerate(boundaries, start=1):
+            rows, width = len(self.bases[k - 1]), len(self.bases[k])
+            if isinstance(M, Matrix):
+                if (M.rows, M.cols) != (rows, width):
+                    raise ValueError(f"boundary {k} has the wrong shape")
+                M = [{i: row[j] for i, row in enumerate(M.data)} for j in range(width)]
+            cols = tuple({i: x for i, x in c.items() if x} for c in M)
+            if len(cols) != width or any(not 0 <= i < rows for c in cols for i in c):
                 raise ValueError(f"boundary {k} has the wrong shape")
+            columns.append(cols)
+        self.columns = tuple(columns)
         for k in range(2, len(self.bases)):
-            if not (self.boundaries[k - 2] @ self.boundaries[k - 1]).is_zero():
-                raise ValueError(f"boundary of boundary is nonzero in degree {k}")
+            lower = self.columns[k - 2]
+            for col in self.columns[k - 1]:
+                image: dict[int, int] = {}
+                for i, x in col.items():
+                    for r, y in lower[i].items():
+                        image[r] = image.get(r, 0) + x * y
+                if any(image.values()):
+                    raise ValueError(f"boundary of boundary is nonzero in degree {k}")
 
     @property
     def top_degree(self) -> int:
         return len(self.bases) - 1
 
     def boundary(self, k: int) -> Matrix:
-        """The boundary out of degree k; zero maps off the ends."""
+        """The boundary out of degree k as a dense matrix; zero maps off the
+        ends."""
         if 1 <= k <= self.top_degree:
-            return self.boundaries[k - 1]
+            columns = self.columns[k - 1]
+            data = [[0] * len(columns) for _ in self.bases[k - 1]]
+            for j, col in enumerate(columns):
+                for i, x in col.items():
+                    data[i][j] = x
+            return Matrix(len(data), len(columns), data)
         if k == 0 and self.bases:
             return Matrix(0, len(self.bases[0]))
         if k == self.top_degree + 1 and self.bases:
@@ -360,30 +457,33 @@ def chain_complex(S: SemiSimplicialSet) -> ChainComplex:
     boundaries = []
     for k in range(1, top + 1):
         index = {name: i for i, name in enumerate(bases[k - 1])}
-        M = [[0] * len(bases[k]) for _ in bases[k - 1]]
-        for j, name in enumerate(bases[k]):
+        columns = []
+        for name in bases[k]:
+            col: Column = {}
             for i in range(k + 1):
-                M[index[S.face(name, i)]][j] += (-1) ** i
-        boundaries.append(Matrix(len(bases[k - 1]), len(bases[k]), M))
+                row = index[S.face(name, i)]
+                col[row] = col.get(row, 0) + (-1) ** i
+            columns.append(col)
+        boundaries.append(columns)
     return ChainComplex(bases, boundaries)
 
 
 def homology_of(C: ChainComplex) -> GradedAbelianGroup:
-    """Integral homology of a chain complex via Smith normal form.
+    """Integral homology of a chain complex from the Smith diagonals of its
+    boundaries.
 
     rank H_k = dim C_k - rank d_k - rank d_(k+1); the torsion of H_k is the
-    set of diagonal entries of SNF(d_(k+1)) exceeding 1.
+    set of Smith diagonal entries of d_(k+1) exceeding 1.
     """
     if not C.bases:
         return GradedAbelianGroup([])
-    diags = {}
-    for k in range(1, C.top_degree + 1):
-        D, _, _ = smith_normal_form(C.boundary(k))
-        diags[k] = D.diagonal()
-    rank_of = {k: sum(1 for d in diags.get(k, ()) if d) for k in range(C.top_degree + 2)}
+    diags = {
+        k: smith_diagonal(C.columns[k - 1], len(C.bases[k - 1]))
+        for k in range(1, C.top_degree + 1)
+    }
     out = []
     for k in range(C.top_degree + 1):
-        rank = len(C.bases[k]) - rank_of[k] - rank_of.get(k + 1, 0)
+        rank = len(C.bases[k]) - len(diags.get(k, ())) - len(diags.get(k + 1, ()))
         torsion = invariant_factors(diags.get(k + 1, ()))
         out.append((rank, torsion))
     return GradedAbelianGroup(out)
@@ -397,10 +497,13 @@ def branching_homology(K: PrecubicalSet, side: str = MINUS) -> GradedAbelianGrou
     """
     check_side(side)
     R = time_reverse(K) if side == PLUS else K
-    degree0 = len(final_states(R))
+    degree0 = 0
     degree1 = 0
     higher: list[tuple[int, tuple[int, ...]]] = []
     for B in assemble_all(R).values():
+        if len(B) == 0:  # no cube starts here: a final state
+            degree0 += 1
+            continue
         parts = B.components()
         degree1 += max(0, len(parts) - 1)
         if B.dim < 1:

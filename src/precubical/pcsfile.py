@@ -18,7 +18,7 @@ holes or broken identities, e.g. to inspect it with `core.validate`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import NAME_RE, PcsError, PrecubicalSet
 from .core import validate as validate_complex
@@ -83,13 +83,12 @@ class FaceLine:
 
 @dataclass(frozen=True)
 class PcsDocument:
-    """A scanned PCS file: version tag, declarations in file order, and
-    comments.  Syntax is checked; cross-references are not."""
+    """A scanned PCS file: version tag and declarations in file order.
+    Syntax is checked; cross-references are not."""
 
     version: int
     cubes: tuple[CubeLine, ...]
     faces: tuple[FaceLine, ...]
-    comments: tuple[tuple[int, str], ...] = field(default=(), repr=False)
 
 
 def scan_pcs(text: str) -> PcsDocument:
@@ -100,11 +99,6 @@ def scan_pcs(text: str) -> PcsDocument:
     or face ends.  Duplicates and unresolved references are left to
     `parse_pcs`.
     """
-    comments = tuple(
-        (line_no, raw[raw.find("#") + 1 :].strip())
-        for line_no, raw in enumerate(text.splitlines(), start=1)
-        if "#" in raw
-    )
     lines = list(_tokenize(text))
     if not lines:
         raise ParseError("missing header line 'pcs 1'")
@@ -153,7 +147,7 @@ def scan_pcs(text: str) -> PcsDocument:
             )
         else:
             raise ParseError(f"unknown directive {directive!r}", line_no, col0)
-    return PcsDocument(1, tuple(cubes), tuple(faces), comments)
+    return PcsDocument(1, tuple(cubes), tuple(faces))
 
 
 def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:

@@ -1,6 +1,7 @@
 """Core precubical-set machinery: construction, faces, validation."""
 import itertools
 import random
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ from precubical.core import (
     validate,
     word_face,
 )
+from precubical.pcsfile import parse_pcs
 
 
 def binom(n, k):
@@ -148,6 +150,16 @@ def test_extremal_vertex_frozen():
     assert extremal_vertex(K, "x1", "-") == "01"
     assert extremal_vertex(K, "x1", "+") == "11"
     assert extremal_vertex(K, "00", "-") == "00"
+
+
+def test_extremal_vertex_raises_when_a_face_keeps_the_dimension():
+    # loaded without validation, the edge is its own start face; the
+    # descent used to loop forever
+    K = parse_pcs("pcs 1\ncube a 1\nface a 1 - a\n", validate=False)
+    with pytest.raises(PcsError, match="not below 1"):
+        extremal_vertex(K, "a")
+    with pytest.raises(PcsError):
+        extremal_cubes(PrecubicalSet({"a": 1, "v": 0}, {("a", 1, 0): "a"}), "v")
 
 
 def test_extremal_cubes_frozen():
@@ -294,3 +306,18 @@ def test_validate_clean_empty_and_vertex():
         dims, faces = standard_cube(1).as_tables()
         del faces[("x", 1, 0)]
         PrecubicalSet(dims, faces).face("x", 1, 0)
+
+
+def test_validate_declared_cube_without_faces_is_fast():
+    # the identity check used to visit all i < j pairs of a cube even with
+    # no face recorded, quadratic in its dimension
+    K = parse_pcs("pcs 1\ncube a 3000\n", validate=False)
+    start = time.perf_counter()
+    found = validate(K)
+    assert time.perf_counter() - start < 1.0
+    assert len(found) == 6000
+    assert found[:2] == [
+        Violation("missing-face", "a", (1, 0)),
+        Violation("missing-face", "a", (1, 1)),
+    ]
+    assert found[-1] == Violation("missing-face", "a", (3000, 1))

@@ -22,8 +22,10 @@ from precubical.homology import (
     merging_homology,
     rational_det_is_unit,
     rational_rank,
+    smith_diagonal,
     smith_normal_form,
 )
+from precubical import homology
 
 
 def snf_is_sound(M):
@@ -72,6 +74,53 @@ def test_snf_random_matrices():
     for _ in range(5):
         M = Matrix(3, 3, [[rng.randint(-10**12, 10**12) for _ in range(3)] for _ in range(3)])
         snf_is_sound(M)
+
+
+def columns(M):
+    return [{i: M.data[i][j] for i in range(M.rows) if M.data[i][j]} for j in range(M.cols)]
+
+
+def test_smith_diagonal_matches_dense_smith_form(monkeypatch):
+    # sparse columns, unit pivots first, leftover through the dense form:
+    # the rank and invariant factors must be the dense normal form's
+    leftovers = []
+    dense = homology.smith_normal_form
+
+    def counted(M):
+        leftovers.append(M)
+        return dense(M)
+
+    monkeypatch.setattr(homology, "smith_normal_form", counted)
+    rng = random.Random(2001)
+    pools = [
+        (0, 0, 0, 1, -1),
+        (0, 0, 1, -1, 2, -2, 3),
+        (0, 2, -2, 4, 6, -3, 1),
+        (0, 0, 0, 2, 3, -4, 5, -6, 9),
+    ]
+    for trial in range(600):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        pool = pools[trial % len(pools)]
+        M = Matrix(m, n, [[rng.choice(pool) for _ in range(n)] for _ in range(m)])
+        diag = smith_diagonal(columns(M), m)
+        D, _, _ = smith_normal_form(M)
+        want = [d for d in D.diagonal() if d]
+        assert len(diag) == len(want) == rational_rank(M)
+        assert invariant_factors(diag) == invariant_factors(want)
+        assert all(d > 0 for d in diag)
+    assert len(leftovers) > 100
+    assert any(M.rows > 1 and M.cols > 1 for M in leftovers)
+
+
+def test_smith_diagonal_frozen():
+    assert smith_diagonal([], 3) == []
+    assert smith_diagonal([{}, {}], 2) == []
+    assert smith_diagonal([{0: -1}], 1) == [1]
+    assert sorted(smith_diagonal([{0: 2}, {1: 3}], 2)) == [1, 6]
+    # input columns are left as they were
+    cols = [{0: 1, 1: 1}, {0: 1, 1: -1}]
+    assert sorted(smith_diagonal(cols, 2)) == [1, 2]
+    assert cols == [{0: 1, 1: 1}, {0: 1, 1: -1}]
 
 
 def test_rational_rank_frozen():
@@ -159,6 +208,22 @@ def test_chain_complex_boundary_squares_to_zero():
             [["a"], ["b"], ["c"]],
             [Matrix(1, 1, [[1]]), Matrix(1, 1, [[1]])],
         )
+
+
+def test_chain_complex_from_sparse_columns():
+    # the boundary of an edge and of a triangle, given as columns
+    C = ChainComplex(
+        [["a", "b", "c"], ["ab", "ac", "bc"], ["abc"]],
+        [[{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}], [{0: 1, 1: -1, 2: 1}]],
+    )
+    assert C.boundary(1) == Matrix(3, 3, [[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
+    assert homology_of(C) == GradedAbelianGroup.free(1)
+    with pytest.raises(ValueError, match="wrong shape"):
+        ChainComplex([["a"], ["b"]], [[{1: 1}]])
+    with pytest.raises(ValueError, match="wrong shape"):
+        ChainComplex([["a"], ["b"]], [[{0: 1}, {0: 1}]])
+    with pytest.raises(ValueError, match="boundary of boundary is nonzero"):
+        ChainComplex([["a"], ["b"], ["c"]], [[{0: 1}], [{0: 1}]])
 
 
 def test_homology_of_spheres_and_disks():
