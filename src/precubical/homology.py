@@ -29,22 +29,62 @@ from .complexes import SemiSimplicialSet, assemble_all
 from .core import MINUS, PLUS, PrecubicalSet, check_side, time_reverse
 
 
-class Matrix:
-    """A dense integer matrix with explicit shape (rows may be zero)."""
+# A sparse matrix column: row index -> nonzero coefficient.
+Column = dict[int, int]
 
-    __slots__ = ("rows", "cols", "data")
+
+class Matrix:
+    """An integer matrix with explicit shape (rows may be zero).
+
+    It is given either densely, as rows, or by sparse `{row: coeff}`
+    columns (`Matrix.from_columns`); the other form is built on first use of
+    `data` or `columns`.  Neither form is to be mutated.
+    """
+
+    __slots__ = ("rows", "cols", "_data", "_columns")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence[int]] | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative shape")
         self.rows = rows
         self.cols = cols
+        self._columns = None
         if data is None:
-            self.data = tuple((0,) * cols for _ in range(rows))
+            self._data = tuple((0,) * cols for _ in range(rows))
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("shape mismatch")
-            self.data = tuple(tuple(int(x) for x in r) for r in data)
+            self._data = tuple(tuple(int(x) for x in r) for r in data)
+
+    @classmethod
+    def from_columns(cls, rows: int, columns: Sequence[Column]) -> "Matrix":
+        """The matrix whose j-th column has entry x in row i for each i: x
+        of columns[j]; zero entries are dropped."""
+        cols = tuple({i: int(x) for i, x in c.items() if x} for c in columns)
+        if rows < 0 or any(not 0 <= i < rows for c in cols for i in c):
+            raise ValueError("shape mismatch")
+        M = cls.__new__(cls)
+        M.rows, M.cols, M._data, M._columns = rows, len(cols), None, cols
+        return M
+
+    @property
+    def data(self) -> tuple[tuple[int, ...], ...]:
+        if self._data is None:
+            rows = [[0] * self.cols for _ in range(self.rows)]
+            for j, col in enumerate(self._columns):
+                for i, x in col.items():
+                    rows[i][j] = x
+            self._data = tuple(tuple(r) for r in rows)
+        return self._data
+
+    @property
+    def columns(self) -> tuple[Column, ...]:
+        if self._columns is None:
+            self._columns = tuple(
+                {i: row[j] for i, row in enumerate(self._data) if row[j]}
+                for j in range(self.cols)
+            )
+        return self._columns
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -64,33 +104,53 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
+        left, right = self.data, other.data
         out = []
         for i in range(self.rows):
-            row = self.data[i]
+            row = left[i]
             out.append(
                 [
-                    sum(row[k] * other.data[k][j] for k in range(self.cols))
+                    sum(row[k] * right[k][j] for k in range(self.cols))
                     for j in range(other.cols)
                 ]
             )
         return Matrix(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        if self._data is None:
+            return not any(self._columns)
+        return all(x == 0 for row in self._data for x in row)
 
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
+        n = min(self.rows, self.cols)
+        if self._data is None:
+            return tuple(self._columns[j].get(j, 0) for j in range(n))
+        return tuple(self._data[i][i] for i in range(n))
 
 
-def smith_normal_form(M: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+def smith_normal_form(
+    M: Matrix, transforms: bool = True
+) -> tuple[Matrix, Matrix | None, Matrix | None]:
     """Diagonalize M over the integers: returns (D, U, V) with U @ M @ V == D,
     U and V unimodular, D nonnegative diagonal with each entry dividing the
     next.
 
     Pivots are chosen by minimal absolute value, which keeps intermediate
     entries small on the sparse boundary matrices this package produces.
+
+    With transforms=False only D is computed, as a sparse matrix, and U and V
+    come back as None: `smith_diagonal` runs on the columns of M, so the
+    dense steps below see only its leftover block.  This is the route
+    `homology_of` takes.
     """
     m, n = M.rows, M.cols
+    if not transforms:
+        diagonal = sorted(smith_diagonal(M.columns, m))
+        # sorted, the units come first and the leftover's own chain
+        # follows, so the diagonal divides down the line
+        columns = [{j: d} for j, d in enumerate(diagonal)]
+        columns.extend({} for _ in range(n - len(diagonal)))
+        return Matrix.from_columns(m, columns), None, None
     D = [list(row) for row in M.data]
     U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -319,10 +379,6 @@ def direct_sum(a: GradedAbelianGroup, b: GradedAbelianGroup) -> GradedAbelianGro
     return GradedAbelianGroup(out)
 
 
-# A sparse matrix column: row index -> nonzero coefficient.
-Column = dict[int, int]
-
-
 def smith_diagonal(columns: Sequence[Column], rows: int) -> list[int]:
     """The nonzero diagonal entries of the Smith normal form of a matrix given
     by sparse columns with `rows` rows, up to order.
@@ -392,8 +448,8 @@ class ChainComplex:
     boundaries[k - 1], for 1 <= k <= top, is the boundary C_k -> C_(k-1)
     (rows indexed by bases[k-1], columns by bases[k]), given either as a
     `Matrix` or as one sparse `{row: coeff}` column per basis element of
-    degree k; it is stored as columns.  Consecutive boundaries must compose
-    to zero.
+    degree k, which is kept as a sparse `Matrix`.  Consecutive boundaries
+    must compose to zero.
     """
 
     def __init__(
@@ -405,21 +461,23 @@ class ChainComplex:
         boundaries = tuple(boundaries)
         if len(boundaries) != max(0, len(self.bases) - 1):
             raise ValueError("need exactly one boundary matrix per positive degree")
-        columns = []
+        matrices = []
         for k, M in enumerate(boundaries, start=1):
             rows, width = len(self.bases[k - 1]), len(self.bases[k])
-            if isinstance(M, Matrix):
-                if (M.rows, M.cols) != (rows, width):
+            if not isinstance(M, Matrix):
+                if len(M) != width:
                     raise ValueError(f"boundary {k} has the wrong shape")
-                M = [{i: row[j] for i, row in enumerate(M.data)} for j in range(width)]
-            cols = tuple({i: x for i, x in c.items() if x} for c in M)
-            if len(cols) != width or any(not 0 <= i < rows for c in cols for i in c):
+                try:
+                    M = Matrix.from_columns(rows, M)
+                except ValueError:
+                    raise ValueError(f"boundary {k} has the wrong shape") from None
+            if (M.rows, M.cols) != (rows, width):
                 raise ValueError(f"boundary {k} has the wrong shape")
-            columns.append(cols)
-        self.columns = tuple(columns)
+            matrices.append(M)
+        self.matrices = tuple(matrices)
         for k in range(2, len(self.bases)):
-            lower = self.columns[k - 2]
-            for col in self.columns[k - 1]:
+            lower = self.matrices[k - 2].columns
+            for col in self.matrices[k - 1].columns:
                 image: dict[int, int] = {}
                 for i, x in col.items():
                     for r, y in lower[i].items():
@@ -432,15 +490,9 @@ class ChainComplex:
         return len(self.bases) - 1
 
     def boundary(self, k: int) -> Matrix:
-        """The boundary out of degree k as a dense matrix; zero maps off the
-        ends."""
+        """The boundary out of degree k; zero maps off the ends."""
         if 1 <= k <= self.top_degree:
-            columns = self.columns[k - 1]
-            data = [[0] * len(columns) for _ in self.bases[k - 1]]
-            for j, col in enumerate(columns):
-                for i, x in col.items():
-                    data[i][j] = x
-            return Matrix(len(data), len(columns), data)
+            return self.matrices[k - 1]
         if k == 0 and self.bases:
             return Matrix(0, len(self.bases[0]))
         if k == self.top_degree + 1 and self.bases:
@@ -477,10 +529,10 @@ def homology_of(C: ChainComplex) -> GradedAbelianGroup:
     """
     if not C.bases:
         return GradedAbelianGroup([])
-    diags = {
-        k: smith_diagonal(C.columns[k - 1], len(C.bases[k - 1]))
-        for k in range(1, C.top_degree + 1)
-    }
+    diags = {}
+    for k in range(1, C.top_degree + 1):
+        D, _, _ = smith_normal_form(C.boundary(k), transforms=False)
+        diags[k] = [d for d in D.diagonal() if d]
     out = []
     for k in range(C.top_degree + 1):
         rank = len(C.bases[k]) - len(diags.get(k, ())) - len(diags.get(k + 1, ()))

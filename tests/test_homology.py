@@ -123,6 +123,31 @@ def test_smith_diagonal_frozen():
     assert cols == [{0: 1, 1: 1}, {0: 1, 1: -1}]
 
 
+def test_smith_normal_form_without_transforms_matches_dense():
+    # the sparse route returns the same D, with no U or V
+    rng = random.Random(2002)
+    for trial in range(300):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        pool = (0, 0, 1, -1, 2, -3) if trial % 2 else (0, 0, 0, 1, -1)
+        M = Matrix(m, n, [[rng.choice(pool) for _ in range(n)] for _ in range(m)])
+        D, U, V = smith_normal_form(M, transforms=False)
+        assert U is None and V is None
+        assert D == smith_normal_form(M)[0]
+        assert D.diagonal() == smith_normal_form(M)[0].diagonal()
+
+
+def test_matrix_from_columns():
+    M = Matrix.from_columns(3, [{0: -1, 2: 1}, {}, {1: 2, 2: 0}])
+    assert (M.rows, M.cols) == (3, 3)
+    assert M == Matrix(3, 3, [[-1, 0, 0], [0, 0, 2], [1, 0, 0]])
+    assert M.diagonal() == (-1, 0, 0)
+    assert M.columns == ({0: -1, 2: 1}, {}, {1: 2})
+    assert Matrix(2, 1, [[0], [5]]).columns == ({1: 5},)
+    assert Matrix.from_columns(2, [{}, {}]).is_zero()
+    with pytest.raises(ValueError):
+        Matrix.from_columns(2, [{2: 1}])
+
+
 def test_rational_rank_frozen():
     assert rational_rank(Matrix(2, 2, [[1, 2], [2, 4]])) == 1
     assert rational_rank(Matrix(3, 3, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 2
