@@ -1,13 +1,16 @@
 """Independent oracle routes used by the tests.
 
-Everything here recomputes library results along a different path: ranks by
-fraction elimination instead of Smith normal form, merging homology built
-directly from finish faces instead of time reversal, and the low degrees
-from an explicit augmentation matrix.  Tests compare these against the
+Everything here recomputes library results along a different path: the
+Smith diagonal from determinantal divisors instead of elimination, ranks by
+fraction elimination, boundary composites by a dense product instead of
+sparse columns, merging homology built directly from finish faces instead
+of time reversal, and the low degrees from an explicit augmentation matrix.  Tests compare these against the
 library's own answers, so nothing in this file may call the function it is
 checking.
 """
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from precubical.complexes import SemiSimplicialSet, UnionFind, pi0_components
 from precubical.core import extremal_cubes, initial_states, time_reverse
@@ -100,3 +103,43 @@ def fraction_solve_is_consistent(M: Matrix, rhs: list[int]) -> bool:
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         rank += 1
     return all(row[-1] == 0 for row in a[rank:])
+
+
+def smith_diagonal_by_minors(rows) -> tuple[int, ...]:
+    """The nonzero Smith diagonal of the integer matrix with the given rows,
+    from determinantal divisors: d_1 * ... * d_k is the gcd of all k x k
+    minors.  Minors come from Laplace expansion along their first row, each
+    built from the (k-1) x (k-1) minors, so no division is ever made."""
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    minors = {((), ()): 1}
+    diagonal: list[int] = []
+    product = 1
+    for k in range(1, min(m, n) + 1):
+        g = 0
+        for R in combinations(range(m), k):
+            top = rows[R[0]]
+            for C in combinations(range(n), k):
+                det = sum(
+                    (-1) ** t * top[c] * minors[R[1:], C[:t] + C[t + 1 :]]
+                    for t, c in enumerate(C)
+                )
+                minors[R, C] = det
+                g = gcd(g, det)
+        if g == 0:  # every larger minor expands into these
+            break
+        diagonal.append(g // product)
+        product = g
+    return tuple(diagonal)
+
+
+def composite_is_zero(A: Matrix, B: Matrix) -> bool:
+    """Whether the dense product A B of two matrices vanishes."""
+    if A.cols != B.rows:
+        raise ValueError("shape mismatch in product")
+    left, right = A.data, B.data
+    return all(
+        sum(row[k] * right[k][j] for k in range(A.cols)) == 0
+        for row in left
+        for j in range(B.cols)
+    )
