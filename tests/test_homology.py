@@ -106,6 +106,53 @@ def test_smith_normal_form_matches_determinantal_divisors(monkeypatch):
     assert any(m > 1 and n > 1 for m, n in leftovers)
 
 
+def test_smith_diagonal_matches_dense_smith_form(monkeypatch):
+    # sparse columns, unit pivots first, leftover through the dense reducer:
+    # the diagonal must be the one the dense reducer gives for the whole matrix
+    leftovers = []
+    dense = homology._block_diagonal
+
+    def counted(D):
+        leftovers.append((len(D), len(D[0])))
+        return dense(D)
+
+    monkeypatch.setattr(homology, "_block_diagonal", counted)
+    rng = random.Random(2001)
+    pools = [
+        (0, 0, 0, 1, -1),
+        (0, 0, 1, -1, 2, -2, 3),
+        (0, 2, -2, 4, 6, -3, 1),
+        (0, 0, 0, 2, 3, -4, 5, -6, 9),
+    ]
+    for trial in range(600):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        pool = pools[trial % len(pools)]
+        rows = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+        M = Matrix(m, n, rows)
+        diag = smith_normal_form(M)
+        want = dense([list(r) for r in rows])
+        assert diag == want
+        assert len(diag) == rational_rank(M)
+        assert all(d > 0 for d in diag)
+    assert len(leftovers) > 100
+    assert any(m > 1 and n > 1 for m, n in leftovers)
+
+
+def test_smith_normal_form_without_transforms_matches_dense():
+    # the kernel returns the diagonal alone, the same from a dense-built and
+    # a column-built matrix, and the same as the dense reducer's
+    rng = random.Random(2002)
+    for trial in range(300):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        pool = (0, 0, 1, -1, 2, -3) if trial % 2 else (0, 0, 0, 1, -1)
+        rows = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+        M = Matrix(m, n, rows)
+        diag = smith_normal_form(M)
+        assert isinstance(diag, tuple)
+        assert diag == smith_normal_form(Matrix.from_columns(m, M.columns))
+        assert diag == homology._block_diagonal([list(r) for r in rows])
+
+
 def test_smith_normal_form_sparse_frozen():
     assert smith_normal_form(Matrix.from_columns(3, [])) == ()
     assert smith_normal_form(Matrix.from_columns(2, [{}, {}])) == ()
