@@ -48,9 +48,37 @@ from .pcsfile import ParseError, emit_pcs, parse_pcs
 from .subdivision import subdivide
 
 
-def _read_complex(path: str, *, strict: bool = True) -> PrecubicalSet:
+def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
-        return parse_pcs(handle.read(), validate=strict)
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_complex(path: str, *, strict: bool = True) -> PrecubicalSet:
+    return parse_pcs(_read_text(path), validate=strict)
+
+
+def _natural(text: str) -> int:
+    """argparse type: a whole number >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return n
+
+
+def _fraction(text: str) -> Fraction:
+    """argparse type: an exact rational such as 1/2 or 0.25."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational number, got {text!r}"
+        ) from None
 
 
 def _write_text(text: str, out, dest: str | None) -> None:
@@ -66,9 +94,7 @@ def _side_name(merging: bool) -> str:
 
 
 def _cmd_validate(args, out, err) -> int:
-    with open(args.file, encoding="utf-8") as handle:
-        text = handle.read()
-    K = parse_pcs(text, validate=False)
+    K = _read_complex(args.file, strict=False)
     problems = validate(K)
     if problems:
         for v in problems:
@@ -186,7 +212,7 @@ def _cmd_reverse(args, out, err) -> int:
 
 
 def _cmd_demo_no_germs(args, out, err) -> int:
-    eps = Fraction(args.epsilon)
+    eps = args.epsilon
     if not 0 < eps < 1:
         raise PathError(f"epsilon must be in (0, 1), got {eps}")
     first = int(1 / eps) + 1
@@ -275,12 +301,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_check_sub)
 
     p = sub.add_parser("std-cube", help="emit the standard n-cube")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_natural)
     p.add_argument("-o", "--output", help="write here instead of stdout")
     p.set_defaults(handler=_cmd_std_cube)
 
     p = sub.add_parser("boundary", help="emit the boundary of the n-cube")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_natural)
     p.add_argument("-o", "--output", help="write here instead of stdout")
     p.set_defaults(handler=_cmd_boundary)
 
@@ -294,7 +320,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the boundary-hugging family converging to the diagonal",
     )
     p.add_argument(
-        "--epsilon", default="1/2", help="natural length (rational, default 1/2)"
+        "--epsilon",
+        type=_fraction,
+        default="1/2",
+        help="natural length (rational, default 1/2)",
     )
     p.add_argument(
         "--steps", type=int, default=16, help="largest m in the table"
@@ -324,9 +353,6 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         print(f"error: {exc}", file=err)
         return 2
     except OSError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=err)
         return 2
 

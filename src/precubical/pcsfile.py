@@ -8,8 +8,15 @@ header `pcs 1`.  After it, in any order:
     face <name> <i> <-|+> <target>
 
 declare a cube and a face entry; <i> is the 1-based axis, '-' is the start
-end and '+' the finish end, and names match [A-Za-z0-9_.-]+.  Forward
-references are fine; duplicate declarations are errors.
+end and '+' the finish end, and names match [A-Za-z0-9_.-]+.  Dimensions and
+axes are ASCII decimal digits only: other Unicode digits such as '²' or '٣'
+are errors.  Tokens are separated by any whitespace.  Forward references
+are fine; duplicate declarations are errors.
+
+`parse_pcs` reads a file in two passes: a syntax pass over every line, then
+duplicates and references in file order, so the first error reported is the
+first syntax error if there is one.  Each ParseError carries the 1-based
+line and column of the offending token.
 
 `parse_pcs` is strict by default (the complex must satisfy the precubical
 axioms); pass validate=False to accept structurally well-formed input with
@@ -18,12 +25,12 @@ holes or broken identities, e.g. to inspect it with `core.validate`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import NAME_RE, PcsError, PrecubicalSet
 from .core import validate as validate_complex
 
 _TOKEN_RE = re.compile(r"\S+")
+_ENDS = {"-": 0, "+": 1}
 
 
 class ParseError(PcsError):
@@ -41,113 +48,9 @@ class ParseError(PcsError):
         return self.message
 
 
-def _tokenize(text: str):
-    """Yield (line_no, [(col, token), ...]) for significant lines."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        hash_at = raw.find("#")
-        if hash_at >= 0:
-            raw = raw[:hash_at]
-        tokens = [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(raw)]
-        if tokens:
-            yield line_no, tokens
-
-
-def _check_name(tok: str, line: int, col: int) -> str:
-    if not NAME_RE.match(tok):
-        raise ParseError(f"bad name {tok!r}", line, col)
-    return tok
-
-
-@dataclass(frozen=True)
-class CubeLine:
-    """A `cube` declaration with its source position."""
-
-    name: str
-    dim: int
-    line: int = 0
-    col: int = 0
-
-
-@dataclass(frozen=True)
-class FaceLine:
-    """A `face` declaration with its source position; `end` is 0 for '-'."""
-
-    cube: str
-    axis: int
-    end: int
-    target: str
-    line: int = 0
-    col: int = 0
-    target_col: int = 0
-
-
-@dataclass(frozen=True)
-class PcsDocument:
-    """A scanned PCS file: version tag and declarations in file order.
-    Syntax is checked; cross-references are not."""
-
-    version: int
-    cubes: tuple[CubeLine, ...]
-    faces: tuple[FaceLine, ...]
-
-
-def scan_pcs(text: str) -> PcsDocument:
-    """Scan PCS text into its declarations.
-
-    Raises ParseError on malformed lines: missing or unsupported header,
-    unknown directives, wrong argument counts, bad names, dimensions, axes
-    or face ends.  Duplicates and unresolved references are left to
-    `parse_pcs`.
-    """
-    lines = list(_tokenize(text))
-    if not lines:
-        raise ParseError("missing header line 'pcs 1'")
-    line_no, tokens = lines[0]
-    if [t for _, t in tokens] != ["pcs", "1"]:
-        if tokens[0][1] != "pcs":
-            raise ParseError("first line must be the header 'pcs 1'", line_no, tokens[0][0])
-        raise ParseError(
-            f"unsupported format version {' '.join(t for _, t in tokens[1:])!r}",
-            line_no,
-            tokens[0][0],
-        )
-
-    cubes: list[CubeLine] = []
-    faces: list[FaceLine] = []
-    for line_no, tokens in lines[1:]:
-        col0, directive = tokens[0]
-        if directive == "cube":
-            if len(tokens) != 3:
-                raise ParseError("cube takes 2 arguments: name dim", line_no, col0)
-            (ncol, name), (dcol, dtok) = tokens[1], tokens[2]
-            _check_name(name, line_no, ncol)
-            if not dtok.isdigit():
-                raise ParseError(f"bad dimension {dtok!r}", line_no, dcol)
-            cubes.append(CubeLine(name, int(dtok), line_no, ncol))
-        elif directive == "face":
-            if len(tokens) != 5:
-                raise ParseError(
-                    "face takes 4 arguments: name i -|+ target", line_no, col0
-                )
-            (ccol, cname), (icol, itok), (scol, sign), (tcol, tname) = tokens[1:]
-            _check_name(cname, line_no, ccol)
-            _check_name(tname, line_no, tcol)
-            if not itok.isdigit():
-                raise ParseError(f"bad face axis {itok!r}", line_no, icol)
-            if sign == "-":
-                alpha = 0
-            elif sign == "+":
-                alpha = 1
-            else:
-                raise ParseError(
-                    f"face end must be '-' or '+', got {sign!r}", line_no, scol
-                )
-            faces.append(
-                FaceLine(cname, int(itok), alpha, tname, line_no, ccol, tcol)
-            )
-        else:
-            raise ParseError(f"unknown directive {directive!r}", line_no, col0)
-    return PcsDocument(1, tuple(cubes), tuple(faces))
+def _col(line_text: str, k: int) -> int:
+    """1-based column of the k-th token (0-based k) of a line."""
+    return [match.start() + 1 for match in _TOKEN_RE.finditer(line_text)][k]
 
 
 def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
@@ -157,42 +60,93 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
     out-of-range face axes, and (unless validate=False) on complexes that
     fail the precubical axioms.
     """
-    doc = scan_pcs(text)
+    lines = text.splitlines()
 
-    dims: dict[str, int] = {}
-    for decl in doc.cubes:
-        if decl.name in dims:
-            raise ParseError(f"duplicate cube {decl.name!r}", decl.line, decl.col)
-        dims[decl.name] = decl.dim
+    def error(message: str, line_no: int, k: int) -> ParseError:
+        return ParseError(message, line_no, _col(lines[line_no - 1], k))
 
-    faces: dict[tuple[str, int, int], str] = {}
-    for decl in doc.faces:
-        if decl.cube not in dims:
-            raise ParseError(
-                f"face on unknown cube {decl.cube!r}", decl.line, decl.col
-            )
-        if decl.target not in dims:
-            raise ParseError(
-                f"face targets unknown cube {decl.target!r}", decl.line, decl.target_col
-            )
-        if not 1 <= decl.axis <= dims[decl.cube]:
-            raise ParseError(
-                f"face axis {decl.axis} out of range 1..{dims[decl.cube]} "
-                f"on cube {decl.cube!r}",
-                decl.line,
-                decl.col,
-            )
-        key = (decl.cube, decl.axis, decl.end)
-        if key in faces:
-            sign = "-" if decl.end == 0 else "+"
-            raise ParseError(
-                f"duplicate face ({decl.axis}, {sign}) on cube {decl.cube!r}",
-                decl.line,
-                decl.col,
-            )
-        faces[key] = decl.target
+    numbered = enumerate(lines, start=1)
+    for line_no, raw in numbered:
+        tokens = raw.partition("#")[0].split()
+        if tokens:
+            break
+    else:
+        raise ParseError("missing header line 'pcs 1'")
+    if tokens != ["pcs", "1"]:
+        if tokens[0] != "pcs":
+            raise error("first line must be the header 'pcs 1'", line_no, 0)
+        version = " ".join(tokens[1:])
+        raise error(f"unsupported format version {version!r}", line_no, 0)
 
-    K = PrecubicalSet(dims, faces)
+    # Syntax pass: (name, dim, line) and (cube, axis, end, target, line).
+    cubes: list[tuple[str, int, int]] = []
+    faces: list[tuple[str, int, int, str, int]] = []
+    names: set[str] = set()
+    for line_no, raw in numbered:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
+            continue
+        directive = tokens[0]
+        if directive == "face":
+            if len(tokens) != 5:
+                raise error("face takes 4 arguments: name i -|+ target", line_no, 0)
+            _, cube, axis, sign, target = tokens
+            if cube not in names:
+                if not NAME_RE.match(cube):
+                    raise error(f"bad name {cube!r}", line_no, 1)
+                names.add(cube)
+            if target not in names:
+                if not NAME_RE.match(target):
+                    raise error(f"bad name {target!r}", line_no, 4)
+                names.add(target)
+            if not (axis.isascii() and axis.isdigit()):
+                raise error(f"bad face axis {axis!r}", line_no, 2)
+            end = _ENDS.get(sign)
+            if end is None:
+                raise error(f"face end must be '-' or '+', got {sign!r}", line_no, 3)
+            faces.append((cube, int(axis), end, target, line_no))
+        elif directive == "cube":
+            if len(tokens) != 3:
+                raise error("cube takes 2 arguments: name dim", line_no, 0)
+            _, name, dim = tokens
+            if name not in names:
+                if not NAME_RE.match(name):
+                    raise error(f"bad name {name!r}", line_no, 1)
+                names.add(name)
+            if not (dim.isascii() and dim.isdigit()):
+                raise error(f"bad dimension {dim!r}", line_no, 2)
+            cubes.append((name, int(dim), line_no))
+        else:
+            raise error(f"unknown directive {directive!r}", line_no, 0)
+
+    dims = {name: dim for name, dim, _ in cubes}
+    if len(dims) != len(cubes):
+        seen: set[str] = set()
+        for name, _, line_no in cubes:
+            if name in seen:
+                raise error(f"duplicate cube {name!r}", line_no, 1)
+            seen.add(name)
+
+    table: dict[tuple[str, int, int], str] = {}
+    for cube, axis, end, target, line_no in faces:
+        dim = dims.get(cube)
+        if dim is None:
+            raise error(f"face on unknown cube {cube!r}", line_no, 1)
+        if target not in dims:
+            raise error(f"face targets unknown cube {target!r}", line_no, 4)
+        if not 1 <= axis <= dim:
+            raise error(
+                f"face axis {axis} out of range 1..{dim} on cube {cube!r}", line_no, 1
+            )
+        key = (cube, axis, end)
+        if key in table:
+            sign = "-" if end == 0 else "+"
+            raise error(
+                f"duplicate face ({axis}, {sign}) on cube {cube!r}", line_no, 1
+            )
+        table[key] = target
+
+    K = PrecubicalSet(dims, table)
     if validate:
         violations = validate_complex(K)
         if violations:

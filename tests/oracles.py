@@ -4,10 +4,12 @@ Everything here recomputes library results along a different path: the
 Smith diagonal from determinantal divisors instead of elimination, ranks by
 fraction elimination, boundary composites by a dense product instead of
 sparse columns, merging homology built directly from finish faces instead
-of time reversal, and the low degrees from an explicit augmentation matrix.  Tests compare these against the
-library's own answers, so nothing in this file may call the function it is
-checking.
+of time reversal, the low degrees from an explicit augmentation matrix, and
+PCS text through a regex tokenizer that records every token's column.
+Tests compare these against the library's own answers, so nothing in this
+file may call the function it is checking.
 """
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -143,3 +145,96 @@ def composite_is_zero(A: Matrix, B: Matrix) -> bool:
         for row in left
         for j in range(B.cols)
     )
+
+
+_TOKEN = re.compile(r"\S+")
+_NAME = re.compile(r"[A-Za-z0-9_.\-]+\Z")
+
+
+class _Reject(Exception):
+    pass
+
+
+def parse_reference(text: str):
+    """PCS text to `(dims, faces)` tables, or the first error as
+    `(message, line, col)`; no axiom check.  Every significant line becomes
+    a list of (column, token) pairs, the declarations are scanned into
+    records in file order, then duplicates and references are resolved."""
+    try:
+        return _resolve(*_scan(text))
+    except _Reject as reject:
+        return reject.args
+
+
+def _scan(text):
+    lines = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = [(m.start() + 1, m.group()) for m in _TOKEN.finditer(raw.split("#")[0])]
+        if tokens:
+            lines.append((line_no, tokens))
+    if not lines:
+        raise _Reject("missing header line 'pcs 1'", 0, 0)
+    line_no, tokens = lines[0]
+    words = [t for _, t in tokens]
+    if words != ["pcs", "1"]:
+        if words[0] != "pcs":
+            raise _Reject("first line must be the header 'pcs 1'", line_no, tokens[0][0])
+        version = " ".join(words[1:])
+        raise _Reject(f"unsupported format version {version!r}", line_no, tokens[0][0])
+
+    def name(col, tok, line_no):
+        if not _NAME.match(tok):
+            raise _Reject(f"bad name {tok!r}", line_no, col)
+        return tok
+
+    def number(col, tok, line_no, what):
+        if not (tok.isascii() and tok.isdigit()):
+            raise _Reject(f"bad {what} {tok!r}", line_no, col)
+        return int(tok)
+
+    cubes, faces = [], []
+    for line_no, tokens in lines[1:]:
+        col0, directive = tokens[0]
+        if directive == "cube":
+            if len(tokens) != 3:
+                raise _Reject("cube takes 2 arguments: name dim", line_no, col0)
+            (ncol, n), (dcol, d) = tokens[1:]
+            name(ncol, n, line_no)
+            cubes.append((n, number(dcol, d, line_no, "dimension"), line_no, ncol))
+        elif directive == "face":
+            if len(tokens) != 5:
+                raise _Reject("face takes 4 arguments: name i -|+ target", line_no, col0)
+            (ccol, c), (icol, i), (scol, sign), (tcol, t) = tokens[1:]
+            name(ccol, c, line_no)
+            name(tcol, t, line_no)
+            axis = number(icol, i, line_no, "face axis")
+            if sign not in ("-", "+"):
+                raise _Reject(f"face end must be '-' or '+', got {sign!r}", line_no, scol)
+            faces.append((c, axis, "-+".index(sign), t, line_no, ccol, tcol))
+        else:
+            raise _Reject(f"unknown directive {directive!r}", line_no, col0)
+    return cubes, faces
+
+
+def _resolve(cubes, faces):
+    dims = {}
+    for n, d, line_no, col in cubes:
+        if n in dims:
+            raise _Reject(f"duplicate cube {n!r}", line_no, col)
+        dims[n] = d
+    table = {}
+    for c, axis, end, t, line_no, ccol, tcol in faces:
+        if c not in dims:
+            raise _Reject(f"face on unknown cube {c!r}", line_no, ccol)
+        if t not in dims:
+            raise _Reject(f"face targets unknown cube {t!r}", line_no, tcol)
+        if not 1 <= axis <= dims[c]:
+            raise _Reject(
+                f"face axis {axis} out of range 1..{dims[c]} on cube {c!r}", line_no, ccol
+            )
+        if (c, axis, end) in table:
+            raise _Reject(
+                f"duplicate face ({axis}, {'-+'[end]}) on cube {c!r}", line_no, ccol
+            )
+        table[(c, axis, end)] = t
+    return dims, table

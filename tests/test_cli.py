@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from precubical import cli
 from precubical.cli import run_command
 from precubical.core import standard_cube, time_reverse
 from precubical.pcsfile import emit_pcs, parse_pcs
@@ -157,6 +160,10 @@ def test_std_cube_and_boundary():
     assert out == "pcs 1\n"
     code, out, err = run("std-cube", "-1")
     assert code == 2
+    code, out, err = run("boundary", "-3")
+    assert code == 2 and "integer >= 0" in err
+    code, out, err = run("std-cube", "two")
+    assert code == 2 and "integer >= 0" in err
 
 
 def test_reverse_involution(tmp_path):
@@ -186,6 +193,24 @@ def test_demo_no_germs_options():
     assert code == 2
     code, out, err = run("demo-no-germs", "--epsilon", "zzz")
     assert code == 2
+    code, out, err = run("demo-no-germs", "--epsilon", "1/0")
+    assert code == 2 and "rational" in err
+
+
+def test_library_errors_are_not_bad_input(monkeypatch):
+    def broken(K):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "branching_homology", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        run("homology", str(DATA / "square.pcs"))
+
+
+def test_non_utf8_file_is_bad_input(tmp_path):
+    bad = tmp_path / "bad.pcs"
+    bad.write_bytes(b"pcs 1\ncube \xff 0\n")
+    code, out, err = run("validate", str(bad))
+    assert code == 2 and "not UTF-8" in err
 
 
 def test_bad_usage():

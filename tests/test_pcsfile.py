@@ -1,8 +1,15 @@
 """PCS text format: round trips and diagnostics."""
+import random
+import re
+from pathlib import Path
+
 import pytest
 
+from oracles import parse_reference
 from precubical.core import EMPTY, PrecubicalSet, boundary_cube, standard_cube, validate
 from precubical.pcsfile import ParseError, emit_pcs, parse_pcs
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 SQUARE = """\
 # a solid square
@@ -92,6 +99,9 @@ def test_error_arg_counts():
 
 def test_error_bad_tokens():
     assert "bad name" in str(err("pcs 1\ncube a* 0\n"))
+    # a face before any declaration: both of its names are new
+    e = err("pcs 1\nface a 1 - b*\ncube a 1\n")
+    assert (e.message, e.line, e.col) == ("bad name 'b*'", 2, 12)
     assert "bad dimension" in str(err("pcs 1\ncube a -1\n"))
     assert "bad dimension" in str(err("pcs 1\ncube a one\n"))
     assert "bad face axis" in str(err("pcs 1\ncube a 1\ncube b 0\nface a x - b\n"))
@@ -133,3 +143,95 @@ def test_lenient_accepts_broken_identity():
         parse_pcs(text)
     K = parse_pcs(text, validate=False)
     assert any(v.kind == "identity" for v in validate(K))
+
+
+def test_unicode_digits_are_not_numbers():
+    # '²' and '¹' pass str.isdigit() but not int(); '٣' passes both
+    e = err("pcs 1\ncube a \u00b2\n")
+    assert (e.message, e.line, e.col) == ("bad dimension '\u00b2'", 2, 8)
+    e = err("pcs 1\ncube a \u0663\n")
+    assert (e.message, e.line, e.col) == ("bad dimension '\u0663'", 2, 8)
+    e = err("pcs 1\ncube a 1\ncube b 0\nface a \u00b9 - b\n")
+    assert (e.message, e.line, e.col) == ("bad face axis '\u00b9'", 4, 8)
+    e = err("pcs 1\ncube a 1\ncube b 0\nface  a\t\uff11 - b\n")
+    assert (e.message, e.line, e.col) == ("bad face axis '\uff11'", 4, 9)
+    assert parse_pcs("pcs 1\ncube a 007\n", validate=False).dim_of("a") == 7
+
+
+def test_error_columns_count_whitespace_and_skip_comments():
+    e = err("pcs 1  # header\n\tcube   a 0 # c\n  cube a 0\n")
+    assert (e.message, e.line, e.col) == ("duplicate cube 'a'", 3, 8)
+    e = err("pcs 1\ncube a 1\n  face\ta 1 -   zz#x\n")
+    assert (e.message, e.line, e.col) == ("face targets unknown cube 'zz'", 3, 16)
+    e = err("\n# x\n  pcs 2 # y\n")
+    assert (e.message, e.line, e.col) == ("unsupported format version '2'", 3, 3)
+
+
+def test_positions_at_scale():
+    text = emit_pcs(standard_cube(6))
+    assert parse_pcs(text) == standard_cube(6)
+    lines = text.splitlines()
+    last = len(lines)
+    face, cube, axis, sign, target = lines[-1].split()
+    head = f"{face} {cube} "
+    cases = [
+        (f"{head}x {sign} {target}", "bad face axis 'x'", len(head) + 1),
+        (f"{head}{axis} = {target}", "face end must be '-' or '+', got '='",
+         len(head) + len(axis) + 2),
+        (f"{head}{axis} {sign} {target}*", f"bad name '{target}*'",
+         len(head) + len(axis) + 4),
+        (f"{head}{axis} {sign} zz", "face targets unknown cube 'zz'",
+         len(head) + len(axis) + 4),
+        (f"{head}9 {sign} {target}", "face axis 9 out of range 1..6 on cube "
+         f"'{cube}'", len(face) + 2),
+    ]
+    for line, message, col in cases:
+        e = err("\n".join(lines[:-1] + [line]) + "\n")
+        assert (e.message, e.line, e.col) == (message, last, col)
+
+
+POOL = ["#", "\t", "\x0c", "\r", "\u00b2", "a*", "pcs 2", "cube", "face", "-", "+", "9"]
+
+
+def _mutate(rng, lines):
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("drop", "duplicate", "swap", "replace", "insert"))
+        k = rng.randrange(len(lines))
+        if op == "drop" and len(lines) > 1:
+            del lines[k]
+        elif op == "duplicate":
+            lines.insert(rng.randrange(len(lines) + 1), lines[k])
+        elif op == "swap":
+            j = rng.randrange(len(lines))
+            lines[k], lines[j] = lines[j], lines[k]
+        elif op in ("replace", "insert"):
+            parts = lines[k].split(" ")
+            at = rng.randrange(len(parts) + (op == "insert"))
+            if op == "replace":
+                parts[at] = rng.choice(POOL)
+            else:
+                parts.insert(at, rng.choice(POOL))
+            lines[k] = " ".join(parts)
+    return "\n".join(lines) + rng.choice(("", "\n"))
+
+
+def test_parse_matches_reference_on_mutations():
+    sources = [p.read_text() for p in sorted(DATA.glob("*.pcs"))]
+    sources.append(emit_pcs(boundary_cube(4)))
+    rng = random.Random(20251018)
+    outcomes = {"tables": 0, "errors": set()}
+    for n in range(1200):
+        text = _mutate(rng, sources[n % len(sources)].splitlines())
+        expected = parse_reference(text)
+        try:
+            got = parse_pcs(text, validate=False).as_tables()
+        except ParseError as e:
+            got = (e.message, e.line, e.col)
+            outcomes["errors"].add(re.split("[0-9']", e.message)[0])
+        else:
+            outcomes["tables"] += 1
+        assert got == expected, text
+    # the corpus reaches both parse results and a spread of error kinds
+    assert outcomes["tables"] > 50
+    assert len(outcomes["errors"]) >= 12
