@@ -15,13 +15,10 @@ unbounded Python ints.  Boundary matrices are sparse integer columns, and
 `smith_normal_form` is the one elimination route: it eliminates every +-1
 pivot first and reduces only a leftover block without unit entries, if
 any, densely, computing the Smith diagonal and nothing else.
-`rational_rank` provides a deliberately separate elimination-over-Fraction
-route so tests can check ranks without trusting the normal form code.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -208,32 +205,6 @@ def _block_diagonal(D: list[list[int]]) -> tuple[int, ...]:
             D[t] = [x + y for x, y in zip(D[t], D[bad])]
         diagonal.append(abs(D[t][t]))
     return tuple(diagonal)
-
-
-def rational_rank(M: Matrix) -> int:
-    """Rank over the rationals by fraction Gaussian elimination.
-
-    Kept free of any code shared with smith_normal_form on purpose: it is
-    the cross-check route for every rank this package computes.
-    """
-    a = [[Fraction(x) for x in row] for row in M.data]
-    rank = 0
-    col = 0
-    while rank < M.rows and col < M.cols:
-        pivot_row = next((i for i in range(rank, M.rows) if a[i][col]), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(M.rows):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def invariant_factors(values: Iterable[int]) -> tuple[int, ...]:

@@ -1,162 +1,88 @@
 """Cubical subdivision: slice every cube into a p x ... x p grid.
 
-A cell of the subdivided standard n-cube picks, per axis, either a unit
-interval [a, a+1] of the order-p grid or one of its points.  Faces replace
-an interval by its endpoints.  For a general complex, a cell is a pair
-(base cube of K, cell of the subdivided standard cube); pairs whose cell
-touches the outer boundary of the base cube are identified with pairs over
-the base's faces, so the normal form keeps only interior points.  With the
-points 0 and p excluded per axis, each base cube of dimension d contributes
-exactly (2p - 1)^d named cells.
+A grid coordinate is one int, its code: 2a for the point a and 2a+1 for the
+interval [a, a+1].  A grid cell is a tuple of codes, one per axis, named by
+its codes joined with dots ("0-1.1"; "e" when empty).  Its dimension is the
+number of odd codes, and its face (j, alpha) adds -1 (alpha = 0) or +1
+(alpha = 1) to the j-th odd code.
 
-Subdividing by 1 changes nothing (up to the renaming isomorphism), and
-subdividing twice composes: `sub_compose_iso` returns the isomorphism from
-the p-fold subdivision of the q-fold subdivision onto the pq-fold one.
+A cell of the subdivided complex is a pair (base cube of K, codes in the
+order-p grid, one per base axis).  The codes 0 and 2p are the outer
+boundary: a pair touching it is identified with a pair over the base's face
+on that side, so normal forms use only the codes 1 .. 2p - 1 and a base
+d-cube contributes exactly (2p - 1)^d cells.  Subdividing by 1 changes
+nothing, and `sub_compose_iso` maps Sub_p(Sub_q(K)) onto Sub_pq(K).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
-from .core import CubeId, PcsError, PcsMorphism, PrecubicalSet, standard_cube
+from .core import CubeId, PcsError, PcsMorphism, PrecubicalSet
 
-
-@dataclass(frozen=True)
-class Interval:
-    """The grid interval [a, a+1]."""
-
-    a: int
+Codes = tuple[int, ...]
+Pair = tuple[str, Codes]
 
 
-@dataclass(frozen=True)
-class Point:
-    """The grid point a."""
-
-    a: int
+def _label(code: int) -> str:
+    a = code // 2
+    return f"{a}-{a + 1}" if code % 2 else f"{a}"
 
 
-Entry = Interval | Point
+def _faces(codes: Codes) -> Iterator[tuple[int, int, Codes]]:
+    """Every face (j, alpha, face codes) of a cell."""
+    j = 0
+    for pos, c in enumerate(codes):
+        if c % 2:
+            j += 1
+            for alpha in (0, 1):
+                yield j, alpha, codes[:pos] + (c - 1 + 2 * alpha,) + codes[pos + 1 :]
 
 
-def entry_str(e: Entry) -> str:
-    return f"{e.a}-{e.a + 1}" if isinstance(e, Interval) else f"{e.a}"
-
-
-@dataclass(frozen=True)
-class SubCube:
-    """One cell of the order-`grid` subdivision of a standard cube: an
-    Interval or Point per axis.  Dimension is the number of intervals."""
-
-    entries: tuple[Entry, ...]
-    grid: int
-
-    def __post_init__(self) -> None:
-        if self.grid < 1:
-            raise PcsError(f"grid order must be >= 1, got {self.grid}")
-        for e in self.entries:
-            if isinstance(e, Interval):
-                if not 0 <= e.a < self.grid:
-                    raise PcsError(f"interval {e.a} out of range for grid {self.grid}")
-            elif isinstance(e, Point):
-                if not 0 <= e.a <= self.grid:
-                    raise PcsError(f"point {e.a} out of range for grid {self.grid}")
-            else:
-                raise PcsError(f"bad cell entry {e!r}")
-
-    @property
-    def dim(self) -> int:
-        return sum(1 for e in self.entries if isinstance(e, Interval))
-
-    def face(self, j: int, alpha: int) -> "SubCube":
-        """Replace the j-th interval (1-based) by its end alpha."""
-        seen = 0
-        for pos, e in enumerate(self.entries):
-            if isinstance(e, Interval):
-                seen += 1
-                if seen == j:
-                    new = self.entries[:pos] + (Point(e.a + alpha),) + self.entries[pos + 1 :]
-                    return SubCube(new, self.grid)
-        raise PcsError(f"cell has no axis {j}")
-
-    def __str__(self) -> str:
-        return ".".join(entry_str(e) for e in self.entries) if self.entries else "e"
-
-
-@dataclass(frozen=True)
-class SubPair:
-    """A cell of the subdivided complex: a base cube of the original complex
-    together with a cell of its subdivided standard cube.  Normal form: the
-    cell has one entry per base axis and no boundary points (0 or grid)."""
-
-    base: str
-    cell: SubCube
-
-    def name(self) -> str:
-        if not self.cell.entries:
-            return self.base
-        return self.base + "." + str(self.cell)
-
-
-def _is_normal(cell: SubCube) -> bool:
-    return all(
-        isinstance(e, Interval) or 0 < e.a < cell.grid for e in cell.entries
-    )
-
-
-def normalize_pair(K: PrecubicalSet, base: str, cell: SubCube) -> SubPair:
-    """Rewrite a pair to normal form: each boundary point of the cell pairs
-    the base with the face of the original cube on that side.
+def normalize_pair(K: PrecubicalSet, base: str, codes: Codes, p: int) -> Pair:
+    """Rewrite a pair to normal form: each boundary code (0 or 2p) pairs the
+    base with the face of the original cube on that side.
 
     The result does not depend on the rewriting order (the precubical
     identities of K make the deletions commute).
     """
-    if len(cell.entries) != K.dim_of(base):
+    if len(codes) != K.dim_of(base):
         raise PcsError(
-            f"cell has {len(cell.entries)} entries for base {base!r} "
+            f"cell has {len(codes)} entries for base {base!r} "
             f"of dimension {K.dim_of(base)}"
         )
-    entries = list(cell.entries)
-    while True:
-        hit = next(
-            (
-                pos
-                for pos, e in enumerate(entries)
-                if isinstance(e, Point) and e.a in (0, cell.grid)
-            ),
-            None,
-        )
-        if hit is None:
-            return SubPair(base, SubCube(tuple(entries), cell.grid))
-        alpha = 0 if entries[hit].a == 0 else 1
-        base = K.face(base, hit + 1, alpha)
-        del entries[hit]
+    if not all(0 <= c <= 2 * p for c in codes):
+        raise PcsError(f"cell codes {codes} out of range for grid {p}")
+    kept: list[int] = []
+    for c in codes:
+        if c in (0, 2 * p):
+            base = K.face(base, len(kept) + 1, int(c > 0))
+        else:
+            kept.append(c)
+    return base, tuple(kept)
 
 
+@dataclass(eq=False)
 class Subdivision:
     """The result of subdividing: the new complex plus the pair decomposition
     of its cells.
 
-    `pairs` maps each cell name of `complex` to its SubPair; `names` is the
-    inverse.  Cell names are "<base>.<e1>.<e2>..." with intervals rendered
-    "a-b" and points "a"; cells over a base vertex keep the bare base name,
-    so the original vertices keep their names.
+    `pairs` maps each cell name of `complex` to its (base, codes) pair;
+    `names` is the inverse.  Cell names are "<base>.<e1>.<e2>..." with
+    intervals rendered "a-b" and points "a"; cells over a base vertex keep
+    the bare base name, so the original vertices keep their names.
     """
 
-    def __init__(self, source: PrecubicalSet, order: int, complex: PrecubicalSet,
-                 pairs: dict[str, SubPair]):
-        self.source = source
-        self.order = order
-        self.complex = complex
-        self.pairs = pairs
-        self.names = {pair: name for name, pair in pairs.items()}
+    source: PrecubicalSet
+    order: int
+    complex: PrecubicalSet
+    pairs: dict[str, Pair]
+    names: dict[Pair, str]
 
     def __repr__(self) -> str:
         return f"Subdivision(order {self.order}, {len(self.complex)} cells)"
-
-
-def _interior_entries(p: int) -> list[Entry]:
-    return [Interval(a) for a in range(p)] + [Point(a) for a in range(1, p)]
 
 
 def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
@@ -169,40 +95,50 @@ def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
     if p < 1:
         raise PcsError(f"subdivision order must be >= 1, got {p}")
     if p == 1:
-        # The order-1 grid has a single interval per axis, so the complex is
-        # unchanged; keep the original object and names instead of renaming
-        # every cube.
-        pairs = {
-            c.name: SubPair(c.name, SubCube((Interval(0),) * c.dim, 1))
-            for c in K.cubes()
-        }
-        return Subdivision(K, 1, K, pairs)
-    pairs = {}
-    per_axis = _interior_entries(p)
+        # One interval per axis leaves the complex unchanged: keep the
+        # original object and names instead of renaming every cube.
+        pairs = {c.name: (c.name, (1,) * c.dim) for c in K.cubes()}
+        return Subdivision(K, 1, K, pairs, {pair: name for name, pair in pairs.items()})
+    top = 2 * p
+    # intervals first, then the interior points: the order cells are named in
+    interior = [*range(1, top, 2), *range(2, top, 2)]
+    suffix = ["." + _label(c) for c in range(top + 1)]
+    pairs: dict[str, Pair] = {}
+    names: dict[Pair, str] = {}
     for cube in K.cubes():
-        for combo in itertools.product(per_axis, repeat=cube.dim):
-            pair = SubPair(cube.name, SubCube(combo, p))
-            name = pair.name()
+        for codes in itertools.product(interior, repeat=cube.dim):
+            name = cube.name + "".join(suffix[c] for c in codes)
             if name in pairs:
                 raise PcsError(
-                    f"subdivision name collision on {name!r}; rename the "
-                    f"source cubes"
+                    f"subdivision name collision on {name!r}; rename the source cubes"
                 )
-            pairs[name] = pair
-    names = {pair: name for name, pair in pairs.items()}
-    dims = {name: pair.cell.dim for name, pair in pairs.items()}
-    faces = {}
-    for name, pair in pairs.items():
-        for j in range(1, pair.cell.dim + 1):
-            for alpha in (0, 1):
-                raw = pair.cell.face(j, alpha)
-                target = (
-                    SubPair(pair.base, raw)
-                    if _is_normal(raw)
-                    else normalize_pair(K, pair.base, raw)
-                )
-                faces[(name, j, alpha)] = names[target]
-    return Subdivision(K, p, PrecubicalSet(dims, faces), pairs)
+            pairs[name] = (cube.name, codes)
+            names[(cube.name, codes)] = name
+    dims, faces = {}, {}
+    for name, (base, codes) in pairs.items():
+        dims[name] = sum(c % 2 for c in codes)
+        for j, alpha, raw in _faces(codes):
+            target = (base, raw)
+            if 0 in raw or top in raw:
+                target = normalize_pair(K, base, raw, p)
+            faces[(name, j, alpha)] = names[target]
+    return Subdivision(K, p, PrecubicalSet(dims, faces), pairs, names)
+
+
+def grid_complex(boxes: Iterable[Sequence[int]]) -> PrecubicalSet:
+    """The cubical complex spanned by unit boxes of Z^d, each given by its
+    lower corner.  Cells are named by their codes, e.g. "0-1.1"."""
+    cells = {}
+    for box in boxes:
+        for codes in itertools.product(*[(2 * b, 2 * b + 1, 2 * b + 2) for b in box]):
+            cells[codes] = ".".join(map(_label, codes)) or "e"
+    dims = {name: sum(c % 2 for c in codes) for codes, name in cells.items()}
+    faces = {
+        (name, j, alpha): cells[face]
+        for codes, name in cells.items()
+        for j, alpha, face in _faces(codes)
+    }
+    return PrecubicalSet(dims, faces)
 
 
 def sub_standard(p: int, n: int) -> PrecubicalSet:
@@ -211,62 +147,44 @@ def sub_standard(p: int, n: int) -> PrecubicalSet:
         raise PcsError(f"subdivision order must be >= 1, got {p}")
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    per_axis = [Interval(a) for a in range(p)] + [Point(a) for a in range(p + 1)]
-    dims = {}
-    faces = {}
-    cells = [
-        SubCube(combo, p) for combo in itertools.product(per_axis, repeat=n)
-    ]
-    for cell in cells:
-        dims[str(cell)] = cell.dim
-    for cell in cells:
-        for j in range(1, cell.dim + 1):
-            for alpha in (0, 1):
-                faces[(str(cell), j, alpha)] = str(cell.face(j, alpha))
-    return PrecubicalSet(dims, faces)
+    return grid_complex(itertools.product(range(p), repeat=n))
 
 
 def vertex_coordinates(K: PrecubicalSet, p: int, vertex: str) -> tuple[CubeId, tuple[Fraction, ...]]:
     """Locate a vertex of subdivide(K, p) inside its base cube: returns the
     base cube of K and exact coordinates in [0, 1]^dim.
 
-    Original vertices of K map to themselves with empty coordinates.
+    The name is decoded, not looked up: a vertex over a d-cube of K is the
+    base name followed by d interior grid points.  Original vertices of K
+    map to themselves with empty coordinates.
     """
-    sub = subdivide(K, p)
-    pair = sub.pairs.get(vertex)
-    if pair is None:
-        raise PcsError(f"unknown cell {vertex!r}")
-    if pair.cell.dim != 0:
-        raise PcsError(f"{vertex!r} is not a vertex of the subdivision")
-    base = CubeId(pair.base, K.dim_of(pair.base))
-    return base, tuple(Fraction(e.a, p) for e in pair.cell.entries)
+    if p < 1:
+        raise PcsError(f"subdivision order must be >= 1, got {p}")
+    found = []
+    for d in range(vertex.count(".") + 1):
+        base, *points = vertex.rsplit(".", d)
+        if base in K and K.dim_of(base) == d and all(
+            e.isascii() and e.isdigit() and e[0] != "0" and int(e) < p for e in points
+        ):
+            found.append((CubeId(base, d), tuple(Fraction(int(e), p) for e in points)))
+    if not found:
+        raise PcsError(f"{vertex!r} is not a vertex of the order-{p} subdivision")
+    if len(found) > 1:
+        raise PcsError(f"subdivision name collision on {vertex!r}; rename the source cubes")
+    return found[0]
 
 
 def sub_compose_iso(K: PrecubicalSet, p: int, q: int) -> PcsMorphism:
-    """The isomorphism Sub_p(Sub_q(K)) -> Sub_pq(K).
-
-    A cell of the left side refines an order-q cell by an order-p choice per
-    axis; rescaling both into the order-pq grid (interval b + interval a at
-    position b*p + a, and so on) lands on a normal-form cell with the same
-    original base.
-    """
+    """The isomorphism Sub_p(Sub_q(K)) -> Sub_pq(K): an outer interval code
+    e refined by the inner code u rescales to (e - 1) p + u in the order-pq
+    grid, and an outer point code e to e p; the base stays the same."""
     outer = subdivide(K, q)
     inner = subdivide(outer.complex, p)
     flat = subdivide(K, p * q)
     mapping = {}
-    for name, pr in inner.pairs.items():
-        base_pair = outer.pairs[pr.base]
-        refined = iter(pr.cell.entries)
-        entries: list[Entry] = []
-        for e in base_pair.cell.entries:
-            if isinstance(e, Interval):
-                u = next(refined)
-                if isinstance(u, Interval):
-                    entries.append(Interval(e.a * p + u.a))
-                else:
-                    entries.append(Point(e.a * p + u.a))
-            else:
-                entries.append(Point(e.a * p))
-        target = SubPair(base_pair.base, SubCube(tuple(entries), p * q))
-        mapping[name] = flat.names[target]
+    for name, (mid, inner_codes) in inner.pairs.items():
+        base, outer_codes = outer.pairs[mid]
+        refined = iter(inner_codes)
+        codes = tuple((e - 1) * p + next(refined) if e % 2 else e * p for e in outer_codes)
+        mapping[name] = flat.names[(base, codes)]
     return PcsMorphism(inner.complex, flat.complex, mapping)

@@ -1,46 +1,10 @@
-"""Shared test fixtures: a grid-complex builder, small named complexes, and
-a frozen seeded corpus of random complexes (dim <= 3, <= 40 cubes each)."""
+"""Shared test fixtures: small named complexes and a frozen seeded corpus of
+random complexes (dim <= 3, <= 40 cubes each), built as grid complexes."""
 import itertools
 import random
 
 from precubical.core import PrecubicalSet, boundary_cube, truncate
-
-# cells of a grid complex: one entry per axis, ("i", a) for the unit
-# interval [a, a+1] or ("p", a) for the point a
-
-
-def _entry_name(entry):
-    kind, a = entry
-    return f"{a}-{a + 1}" if kind == "i" else f"{a}"
-
-
-def _cell_name(cell):
-    return "g" + "_".join(_entry_name(e) for e in cell)
-
-
-def grid_complex(boxes):
-    """The cubical complex spanned by unit boxes in Z^d (lower corners)."""
-    boxes = list(boxes)
-    d = len(boxes[0])
-    cells = set()
-    for box in boxes:
-        assert len(box) == d
-        for choice in itertools.product((0, 1, 2), repeat=d):
-            cell = tuple(
-                ("i", box[axis]) if ch == 2 else ("p", box[axis] + ch)
-                for axis, ch in enumerate(choice)
-            )
-            cells.add(cell)
-    dims = {_cell_name(c): sum(1 for k, _ in c if k == "i") for c in cells}
-    faces = {}
-    for cell in cells:
-        axes = [axis for axis, (k, _) in enumerate(cell) if k == "i"]
-        for j, axis in enumerate(axes, start=1):
-            a = cell[axis][1]
-            for alpha in (0, 1):
-                target = cell[:axis] + (("p", a + alpha),) + cell[axis + 1 :]
-                faces[(_cell_name(cell), j, alpha)] = _cell_name(target)
-    return PrecubicalSet(dims, faces)
+from precubical.subdivision import grid_complex
 
 
 def hollow_square():

@@ -23,7 +23,6 @@ from precubical.homology import (
     chain_complex,
     homology_of,
     invariant_factors,
-    rational_rank,
 )
 
 
@@ -105,6 +104,32 @@ def fraction_solve_is_consistent(M: Matrix, rhs: list[int]) -> bool:
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         rank += 1
     return all(row[-1] == 0 for row in a[rank:])
+
+
+def rational_rank(M: Matrix) -> int:
+    """Rank over the rationals by fraction Gaussian elimination.
+
+    Kept free of any code shared with smith_normal_form on purpose: it is
+    the cross-check route for every rank the package computes.
+    """
+    a = [[Fraction(x) for x in row] for row in M.data]
+    rank = 0
+    col = 0
+    while rank < M.rows and col < M.cols:
+        pivot_row = next((i for i in range(rank, M.rows) if a[i][col]), None)
+        if pivot_row is None:
+            col += 1
+            continue
+        a[rank], a[pivot_row] = a[pivot_row], a[rank]
+        inv = 1 / a[rank][col]
+        a[rank] = [x * inv for x in a[rank]]
+        for i in range(M.rows):
+            if i != rank and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+        col += 1
+    return rank
 
 
 def smith_diagonal_by_minors(rows) -> tuple[int, ...]:

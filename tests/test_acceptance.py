@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from corpus import corpus20, hollow_cube, hollow_square, l_shape, two_squares
-from oracles import composite_is_zero, smith_diagonal_by_minors
+from oracles import composite_is_zero, rational_rank, smith_diagonal_by_minors
 from precubical.complexes import (
     assemble_all,
     branching_complex,
@@ -50,7 +50,6 @@ from precubical.homology import (
     graded_iso,
     homology_of,
     merging_homology,
-    rational_rank,
     smith_normal_form,
 )
 from precubical.subdivision import sub_compose_iso, subdivide

@@ -164,7 +164,7 @@ def test_pi0_l_shape_inner_corner():
         by_count[v] = len(pi0_components(K, v))
     # the inner corner (1,1) sees two separate escapes; everything else is
     # connected or empty
-    assert by_count["g1_1"] == 2
+    assert by_count["1.1"] == 2
     assert sorted(by_count.values(), reverse=True) == [2, 1, 1, 1, 1, 1, 0, 0]
 
 

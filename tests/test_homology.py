@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from corpus import corpus20, grid_complex, l_shape, two_squares
+from corpus import corpus20, l_shape, two_squares
 from oracles import (
     betti_numbers,
     composite_is_zero,
     low_degrees_via_matrix,
     merging_group_direct,
+    rational_rank,
     smith_diagonal_by_minors,
 )
 from precubical.complexes import SemiSimplicialSet, branching_complex
@@ -26,11 +27,11 @@ from precubical.homology import (
     homology_of,
     invariant_factors,
     merging_homology,
-    rational_rank,
     smith_normal_form,
 )
+from precubical.subdivision import grid_complex
 import precubical
-from precubical import homology
+from precubical import homology, subdivision
 
 
 def snf_is_sound(M):
@@ -193,8 +194,13 @@ def test_matrix_basics():
 def test_public_names_resolve():
     for name in precubical.__all__:
         assert hasattr(precubical, name), name
-    for gone in ("smith_diagonal", "rational_det_is_unit"):
-        assert not hasattr(homology, gone) and gone not in precubical.__all__
+    gone = {
+        homology: ("smith_diagonal", "rational_det_is_unit", "rational_rank"),
+        subdivision: ("Interval", "Point", "SubCube", "SubPair"),
+    }
+    for module, names in gone.items():
+        for name in names:
+            assert not hasattr(module, name) and name not in precubical.__all__
 
 
 def test_invariant_factors():

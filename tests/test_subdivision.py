@@ -18,11 +18,9 @@ from precubical.core import (
     validate,
 )
 from precubical.homology import branching_homology, graded_iso
+from precubical import subdivision
 from precubical.subdivision import (
-    Interval,
-    Point,
-    SubCube,
-    SubPair,
+    grid_complex,
     normalize_pair,
     sub_compose_iso,
     sub_standard,
@@ -31,19 +29,39 @@ from precubical.subdivision import (
 )
 
 
-def test_subcube_basics():
-    cell = SubCube((Interval(0), Point(1), Interval(2)), 3)
-    assert cell.dim == 2
-    assert str(cell) == "0-1.1.2-3"
-    assert cell.face(1, 1) == SubCube((Point(1), Point(1), Interval(2)), 3)
-    assert cell.face(2, 0) == SubCube((Interval(0), Point(1), Point(2)), 3)
-    assert str(SubCube((), 2)) == "e"
+def cell_name(codes):
+    """The grid cell name of a code tuple: 2a is the point a, 2a+1 the
+    interval [a, a+1]."""
+    return ".".join(
+        f"{c // 2}-{c // 2 + 1}" if c % 2 else f"{c // 2}" for c in codes
+    ) or "e"
+
+
+def test_cell_codes_basics():
+    # codes (1, 2, 5) in the order-3 grid: [0, 1] x {1} x [2, 3]
+    S = sub_standard(3, 3)
+    assert cell_name((1, 2, 5)) == "0-1.1.2-3"
+    assert S.dim_of("0-1.1.2-3") == 2
+    assert S.face("0-1.1.2-3", 1, 1) == "1.1.2-3"
+    assert S.face("0-1.1.2-3", 2, 0) == "0-1.1.2"
+    assert sub_standard(2, 0).vertices() == ("e",)
     with pytest.raises(PcsError):
-        cell.face(3, 0)
+        S.face("0-1.1.2-3", 3, 0)
+    K = standard_cube(3)
+    assert normalize_pair(K, "xxx", (1, 2, 5), 3) == ("xxx", (1, 2, 5))
+    # interval [3, 4], point 4 and a negative code lie outside the grid
+    for bad in ((7, 1, 1), (1, 8, 1), (1, 1, -1)):
+        with pytest.raises(PcsError):
+            normalize_pair(K, "xxx", bad, 3)
     with pytest.raises(PcsError):
-        SubCube((Interval(3),), 3)
-    with pytest.raises(PcsError):
-        SubCube((Point(4),), 3)
+        normalize_pair(K, "xxx", (1, 1), 3)
+
+
+def test_grid_complex_frozen():
+    L = grid_complex([(0, 0), (1, 0), (0, 1)])
+    assert L.counts() == {0: 8, 1: 10, 2: 3}
+    assert L.face("0-1.1-2", 2, 0) == "0-1.1"
+    assert not validate(L)
 
 
 def test_sub_standard_counts():
@@ -73,13 +91,9 @@ def test_subdivide_matches_sub_standard():
             S = sub_standard(p, n)
             full = "x" * n if n else "e"
             mapping = {}
-            for combo in itertools.product(
-                [Interval(a) for a in range(p)] + [Point(a) for a in range(p + 1)],
-                repeat=n,
-            ):
-                cell = SubCube(combo, p)
-                pair = normalize_pair(K, full, cell)
-                mapping[str(cell)] = sub.names[pair]
+            for codes in itertools.product(range(2 * p + 1), repeat=n):
+                pair = normalize_pair(K, full, codes, p)
+                mapping[cell_name(codes)] = sub.names[pair]
             iso = PcsMorphism(S, sub.complex, mapping)
             assert iso.is_isomorphism
 
@@ -119,29 +133,22 @@ def test_subdivided_edge_frozen():
 
 def test_normalize_pair_frozen():
     K = standard_cube(2)
-    pair = normalize_pair(K, "xx", SubCube((Point(0), Point(2)), 2))
-    assert pair == SubPair("01", SubCube((), 2))
-    pair = normalize_pair(K, "xx", SubCube((Interval(1), Point(2)), 2))
-    assert pair == SubPair("x1", SubCube((Interval(1),), 2))
-    pair = normalize_pair(K, "xx", SubCube((Point(1), Interval(0)), 2))
-    assert pair == SubPair("xx", SubCube((Point(1), Interval(0)), 2))
+    assert normalize_pair(K, "xx", (0, 4), 2) == ("01", ())
+    assert normalize_pair(K, "xx", (3, 4), 2) == ("x1", (3,))
+    assert normalize_pair(K, "xx", (2, 1), 2) == ("xx", (2, 1))
 
 
-def _all_reductions(K, base, entries, grid):
-    hits = [
-        pos
-        for pos, e in enumerate(entries)
-        if isinstance(e, Point) and e.a in (0, grid)
-    ]
+def _all_reductions(K, base, codes, grid):
+    hits = [pos for pos, c in enumerate(codes) if c in (0, 2 * grid)]
     if not hits:
-        return {(base, tuple(entries))}
+        return {(base, tuple(codes))}
     out = set()
     for pos in hits:
-        alpha = 0 if entries[pos].a == 0 else 1
+        alpha = 0 if codes[pos] == 0 else 1
         out |= _all_reductions(
             K,
             K.face(base, pos + 1, alpha),
-            entries[:pos] + entries[pos + 1 :],
+            codes[:pos] + codes[pos + 1 :],
             grid,
         )
     return out
@@ -153,14 +160,10 @@ def test_normalize_pair_confluent():
     for n, p in ((2, 2), (2, 3), (3, 2)):
         K = standard_cube(n)
         full = "x" * n
-        per_axis = [Interval(a) for a in range(p)] + [Point(a) for a in range(p + 1)]
-        for combo in itertools.product(per_axis, repeat=n):
-            results = _all_reductions(K, full, combo, p)
+        for codes in itertools.product(range(2 * p + 1), repeat=n):
+            results = _all_reductions(K, full, codes, p)
             assert len(results) == 1
-            base, entries = results.pop()
-            assert normalize_pair(K, full, SubCube(combo, p)) == SubPair(
-                base, SubCube(entries, p)
-            )
+            assert normalize_pair(K, full, codes, p) == results.pop()
 
 
 def test_subdivide_name_collision():
@@ -187,6 +190,31 @@ def test_vertex_coordinates():
         vertex_coordinates(K, 2, "nope")
     with pytest.raises(PcsError):
         vertex_coordinates(K, 2, "xx.0-1.1")
+    for not_a_vertex in ("xx.0.1", "xx.2.1", "xx.01.1", "xx.1", "x0.1.1", "00.1"):
+        with pytest.raises(PcsError):
+            vertex_coordinates(K, 2, not_a_vertex)
+
+
+def test_vertex_coordinates_decodes_without_subdividing(monkeypatch):
+    def refuse(K, p):
+        raise AssertionError("vertex_coordinates must not subdivide")
+
+    monkeypatch.setattr(subdivision, "subdivide", refuse)
+    test_vertex_coordinates()
+    # base names may contain dots
+    K = PrecubicalSet({"a.b": 1, "u": 0, "v": 0}, {("a.b", 1, 0): "u", ("a.b", 1, 1): "v"})
+    assert vertex_coordinates(K, 3, "a.b.2") == (CubeId("a.b", 1), (Fraction(2, 3),))
+
+
+def test_vertex_coordinates_name_collision():
+    # at p = 2 the midpoint of edge E and the vertex E.1 share a name
+    dims = {"E.1": 0, "v": 0, "E": 1}
+    faces = {("E", 1, 0): "E.1", ("E", 1, 1): "v"}
+    K = PrecubicalSet(dims, faces)
+    with pytest.raises(PcsError, match="collision"):
+        vertex_coordinates(K, 2, "E.1")
+    assert vertex_coordinates(K, 1, "E.1") == (CubeId("E.1", 0), ())
+    assert vertex_coordinates(K, 3, "E.2") == (CubeId("E", 1), (Fraction(2, 3),))
 
 
 def test_sub_compose_iso():
@@ -204,15 +232,11 @@ def test_subdivide_commutes_with_time_reverse():
     for K in (standard_cube(2), hollow_square(), l_shape()):
         for p in (2, 3):
             sub = subdivide(K, p)
-            flipped_target = subdivide(time_reverse(K), p).complex
+            flipped = subdivide(time_reverse(K), p)
             mapping = {}
-            for name, pair in sub.pairs.items():
-                entries = tuple(
-                    Interval(p - 1 - e.a) if isinstance(e, Interval) else Point(p - e.a)
-                    for e in pair.cell.entries
-                )
-                mapping[name] = SubPair(pair.base, SubCube(entries, p)).name()
-            iso = PcsMorphism(time_reverse(sub.complex), flipped_target, mapping)
+            for name, (base, codes) in sub.pairs.items():
+                mapping[name] = flipped.names[(base, tuple(2 * p - c for c in codes))]
+            iso = PcsMorphism(time_reverse(sub.complex), flipped.complex, mapping)
             assert iso.is_isomorphism
 
 
@@ -222,14 +246,13 @@ def test_branching_complex_survives_subdivision():
     # simplex for simplex.
     for K in (hollow_square(), l_shape(), boundary_cube(3)):
         for p in (2, 3):
-            L = subdivide(K, p).complex
+            sub = subdivide(K, p)
             for v in K.vertices():
                 B = branching_complex(K, v, "-")
-                BL = branching_complex(L, v, "-")
+                BL = branching_complex(sub.complex, v, "-")
                 rename = {}
                 for s in B.simplices():
-                    cell = SubCube((Interval(0),) * (s.dim + 1), p)
-                    rename[s.name] = SubPair(s.name, cell).name()
+                    rename[s.name] = sub.names[(s.name, (1,) * (s.dim + 1))]
                 assert {rename[s.name] for s in B.simplices()} == {
                     s.name for s in BL.simplices()
                 }
