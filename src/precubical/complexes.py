@@ -18,11 +18,12 @@ from typing import Iterable, Mapping
 
 from .core import (
     MINUS,
-    NAME_RE,
     PLUS,
+    CellStore,
     PcsError,
     PrecubicalSet,
     check_side,
+    check_valid,
     extremal_cubes,
     extremal_partition,
     standard_cube,
@@ -75,29 +76,27 @@ class SimplexId:
     dim: int
 
 
-class SemiSimplicialSet:
+class SemiSimplicialSet(CellStore):
     """A finite semi-simplicial set with named simplices.
 
     `dims` maps names to dimensions; `faces` maps (simplex, i) to the i-th
     face, 0 <= i <= dim.  Unlike PrecubicalSet, whose validator reports
-    defects (users author those files by hand), instances here are built by
-    library code, so the constructor simply refuses malformed data: every
-    face must be present and the identities
+    defects (users author those files by hand), this constructor refuses
+    malformed data with PcsError: every face must be present and the
+    identities
 
         face(face(s, j), i) == face(face(s, i), j - 1)   for i < j
 
-    must hold exhaustively.
+    must hold exhaustively.  The per-vertex complexes that the library
+    assembles from a valid precubical set satisfy them by construction and
+    take the trusted `_adopt` route instead.
     """
 
-    __slots__ = ("_dims", "_faces", "_grades")
+    __slots__ = ()
+    _cell = "simplex"
 
     def __init__(self, dims: Mapping[str, int], faces: Mapping[tuple[str, int], str]):
-        self._dims = dict(dims)
-        for name, d in self._dims.items():
-            if not isinstance(name, str) or not NAME_RE.match(name):
-                raise PcsError(f"bad simplex name {name!r}")
-            if not isinstance(d, int) or d < 0:
-                raise PcsError(f"bad dimension {d!r} for simplex {name!r}")
+        self._check_dims(dims)
         self._faces = dict(faces)
         for (s, i), t in self._faces.items():
             if s not in self._dims or t not in self._dims:
@@ -113,58 +112,19 @@ class SemiSimplicialSet:
         for s, d in self._dims.items():
             for j in range(d + 1):
                 for i in range(j):
-                    if d < 1:
-                        continue
                     lhs = self._faces.get((self._faces[(s, j)], i))
                     rhs = self._faces.get((self._faces[(s, i)], j - 1))
                     if lhs != rhs:
                         raise PcsError(
                             f"simplicial identity fails on {s!r} at i={i}, j={j}"
                         )
-        grades: dict[int, list[str]] = {}
-        for name, d in self._dims.items():
-            grades.setdefault(d, []).append(name)
-        for names in grades.values():
-            names.sort()
-        self._grades = grades
-
-    @property
-    def dim(self) -> int:
-        return max(self._grades, default=-1)
-
-    def __len__(self) -> int:
-        return len(self._dims)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._dims
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SemiSimplicialSet):
-            return NotImplemented
-        return self._dims == other._dims and self._faces == other._faces
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self._dims.items()), frozenset(self._faces.items())))
+        self._grade()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self)} simplices, dim {self.dim})"
 
-    def dim_of(self, name: str) -> int:
-        try:
-            return self._dims[name]
-        except KeyError:
-            raise PcsError(f"unknown simplex {name!r}") from None
-
     def simplices(self, dim: int | None = None) -> tuple[SimplexId, ...]:
-        if dim is not None:
-            return tuple(SimplexId(n, dim) for n in self._grades.get(dim, ()))
-        out = []
-        for d in sorted(self._grades):
-            out.extend(SimplexId(n, d) for n in self._grades[d])
-        return tuple(out)
-
-    def counts(self) -> dict[int, int]:
-        return {d: len(self._grades[d]) for d in sorted(self._grades)}
+        return self._graded(dim, SimplexId)
 
     def face(self, name: str, i: int) -> str:
         d = self.dim_of(name)
@@ -195,53 +155,43 @@ class BranchingComplex(SemiSimplicialSet):
         return f"BranchingComplex({kind} at {self.vertex!r}, {len(self)} simplices)"
 
 
+def _forward(K: PrecubicalSet, side: str) -> PrecubicalSet:
+    """K, checked valid, and time-reversed on side '+'."""
+    check_side(side)
+    check_valid(K)
+    return time_reverse(K) if side == PLUS else K
+
+
 def _assemble_at(R: PrecubicalSet, vertex: str, side: str,
                  members: frozenset[str]) -> BranchingComplex:
     dims = {c: R.dim_of(c) - 1 for c in members}
-    faces = {}
-    for c in members:
-        m = R.dim_of(c)
-        if m >= 2:
-            for i in range(m):
-                faces[(c, i)] = R.face(c, i + 1, 0)
-    return BranchingComplex(dims, faces, vertex, side)
+    faces = {(c, i): R.face(c, i + 1, 0) for c, k in dims.items() if k for i in range(k + 1)}
+    # a valid R satisfies the simplicial identities (module docstring)
+    return BranchingComplex._adopt(dims, faces, vertex=vertex, side=side)
 
 
 def branching_complex(K: PrecubicalSet, vertex: str, side: str = MINUS) -> BranchingComplex:
     """The complex of cubes branching out of (or merging into) a vertex.
 
-    Simplex names are the cube names they come from.  K must be a valid
-    precubical set; holes surface as MissingFaceError.
+    Simplex names are the cube names they come from.  Raises PcsError if
+    K is not a valid precubical set.
     """
-    check_side(side)
-    if K.dim_of(vertex) != 0:
-        raise PcsError(f"{vertex!r} is not a vertex")
-    R = time_reverse(K) if side == PLUS else K
-    members = extremal_cubes(R, vertex, MINUS)
-    return _assemble_at(R, vertex, side, members)
+    R = _forward(K, side)
+    return _assemble_at(R, vertex, side, extremal_cubes(R, vertex, MINUS))
 
 
 def assemble_all(K: PrecubicalSet, side: str = MINUS) -> dict[str, BranchingComplex]:
     """The branching (or merging) complex at every vertex, possibly empty.
 
     One pass groups the cubes by extremal vertex, so this is the cheap way
-    to look at every vertex of a large complex.
+    to look at every vertex of a large complex.  Raises PcsError if K is
+    not a valid precubical set.
     """
-    check_side(side)
-    R = time_reverse(K) if side == PLUS else K
+    R = _forward(K, side)
     return {
         v: _assemble_at(R, v, side, members)
         for v, members in extremal_partition(R, MINUS).items()
     }
-
-
-def _pi0_of_members(R: PrecubicalSet, members: frozenset[str]) -> tuple[frozenset[str], ...]:
-    uf = UnionFind(members)
-    for c in members:
-        if R.dim_of(c) >= 2:
-            for i in range(1, R.dim_of(c) + 1):
-                uf.union(c, R.face(c, i, 0))
-    return tuple(uf.components())
 
 
 def pi0_components(K: PrecubicalSet, vertex: str, side: str = MINUS) -> tuple[frozenset[str], ...]:
@@ -251,11 +201,16 @@ def pi0_components(K: PrecubicalSet, vertex: str, side: str = MINUS) -> tuple[fr
     Works directly on the cube data with a union-find, joining each cube of
     dimension >= 2 with its start faces (finish faces on side '+'); this
     stays independent of the chain-complex route to the same numbers.
+    Raises PcsError if K is not a valid precubical set.
     """
-    check_side(side)
-    R = time_reverse(K) if side == PLUS else K
+    R = _forward(K, side)
     members = extremal_cubes(R, vertex, MINUS)
-    return _pi0_of_members(R, members)
+    uf = UnionFind(members)
+    for c in members:
+        if R.dim_of(c) >= 2:
+            for i in range(1, R.dim_of(c) + 1):
+                uf.union(c, R.face(c, i, 0))
+    return tuple(uf.components())
 
 
 def nonempty_index(n: int, side: str = MINUS) -> frozenset[str]:

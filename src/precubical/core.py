@@ -31,7 +31,7 @@ class PcsError(Exception):
 
 
 class UnknownCubeError(PcsError):
-    """A cube name that is not present in the complex."""
+    """A cube (or simplex) name that is not present in the complex."""
 
 
 class MissingFaceError(PcsError):
@@ -101,25 +101,96 @@ def _end_str(alpha: int) -> str:
     return MINUS if alpha == 0 else PLUS
 
 
-class PrecubicalSet:
+class CellStore:
+    """Named cells graded by dimension plus a face table, shared by
+    precubical and semi-simplicial sets.  Public constructors check their
+    input; `_adopt`, for tables the library built, neither copies nor checks.
+    """
+
+    __slots__ = ("_dims", "_faces", "_grades")
+
+    @classmethod
+    def _adopt(cls, dims: dict, faces: dict, **attributes):
+        self = cls.__new__(cls)
+        self._dims, self._faces = dims, faces
+        self._grade()
+        for name, value in attributes.items():
+            setattr(self, name, value)
+        return self
+
+    def _grade(self) -> None:
+        """Index the names by dimension, each grade sorted."""
+        grades: dict[int, list[str]] = {}
+        for name, d in self._dims.items():
+            grades.setdefault(d, []).append(name)
+        for names in grades.values():
+            names.sort()
+        self._grades = grades
+
+    def _check_dims(self, dims: Mapping[str, int]) -> None:
+        """Store a copy of dims, refusing bad names and dimensions."""
+        self._dims = {}
+        for name, d in dims.items():
+            if not isinstance(name, str) or not NAME_RE.match(name):
+                raise PcsError(f"bad {self._cell} name {name!r}")
+            if not isinstance(d, int) or d < 0:
+                raise PcsError(f"bad dimension {d!r} for {self._cell} {name!r}")
+            self._dims[name] = d
+
+    @property
+    def dim(self) -> int:
+        """Top dimension present; -1 when empty."""
+        return max(self._grades, default=-1)
+
+    def __len__(self) -> int:
+        return len(self._dims)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._dims
+
+    def dim_of(self, name: str) -> int:
+        try:
+            return self._dims[name]
+        except KeyError:
+            raise UnknownCubeError(f"unknown {self._cell} {name!r}") from None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CellStore) or other._cell != self._cell:
+            return NotImplemented
+        return self._dims == other._dims and self._faces == other._faces
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self._dims.items()), frozenset(self._faces.items())))
+
+    def _graded(self, dim: int | None, make) -> tuple:
+        """make(name, dim) for every cell (or those of one dimension),
+        sorted by (dim, name)."""
+        if dim is not None:
+            return tuple(make(n, dim) for n in self._grades.get(dim, ()))
+        return tuple(make(n, d) for d in sorted(self._grades) for n in self._grades[d])
+
+    def counts(self) -> dict[int, int]:
+        """Number of cells per dimension."""
+        return {d: len(self._grades[d]) for d in sorted(self._grades)}
+
+
+class PrecubicalSet(CellStore):
     """An immutable finite precubical set.
 
     `dims` maps cube names to dimensions; `faces` maps (cube, axis, end)
     keys to target cube names, with axis in 1..dim(cube) and end in {0, 1}.
     Holes and wrong-dimension targets are representable (so that `validate`
     can report them); unknown names and out-of-range axes are not.
+
+    `_valid` is set once the axioms are known to hold, by `validate` or by
+    a construction that preserves them, so `check_valid` validates once.
     """
 
-    __slots__ = ("_dims", "_faces", "_grades")
+    __slots__ = ("_valid",)
+    _cell = "cube"
 
     def __init__(self, dims: Mapping[str, int], faces: Mapping[FaceKey, str]):
-        self._dims: dict[str, int] = {}
-        for name, d in dims.items():
-            if not isinstance(name, str) or not NAME_RE.match(name):
-                raise PcsError(f"bad cube name {name!r}")
-            if not isinstance(d, int) or d < 0:
-                raise PcsError(f"bad dimension {d!r} for cube {name!r}")
-            self._dims[name] = d
+        self._check_dims(dims)
         self._faces: dict[FaceKey, str] = {}
         for key, target in faces.items():
             c, i, alpha = key
@@ -133,56 +204,18 @@ class PrecubicalSet:
                     f"face axis {i} out of range 1..{self._dims[c]} on cube {c!r}"
                 )
             self._faces[(c, i, alpha)] = target
-        grades: dict[int, list[str]] = {}
-        for name, d in self._dims.items():
-            grades.setdefault(d, []).append(name)
-        for names in grades.values():
-            names.sort()
-        self._grades = grades
-
-    @property
-    def dim(self) -> int:
-        """Top dimension present; -1 for the empty complex."""
-        return max(self._grades, default=-1)
-
-    def __len__(self) -> int:
-        return len(self._dims)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._dims
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PrecubicalSet):
-            return NotImplemented
-        return self._dims == other._dims and self._faces == other._faces
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self._dims.items()), frozenset(self._faces.items())))
+        self._grade()
+        self._valid = False
 
     def __repr__(self) -> str:
         return f"PrecubicalSet({len(self)} cubes, dim {self.dim})"
 
-    def dim_of(self, name: str) -> int:
-        try:
-            return self._dims[name]
-        except KeyError:
-            raise UnknownCubeError(f"unknown cube {name!r}") from None
-
     def cubes(self, dim: int | None = None) -> tuple[CubeId, ...]:
         """All cubes (or those of one dimension), sorted by (dim, name)."""
-        if dim is not None:
-            return tuple(CubeId(n, dim) for n in self._grades.get(dim, ()))
-        out = []
-        for d in sorted(self._grades):
-            out.extend(CubeId(n, d) for n in self._grades[d])
-        return tuple(out)
+        return self._graded(dim, CubeId)
 
     def vertices(self) -> tuple[str, ...]:
         return tuple(self._grades.get(0, ()))
-
-    def counts(self) -> dict[int, int]:
-        """Number of cubes per dimension."""
-        return {d: len(self._grades[d]) for d in sorted(self._grades)}
 
     def face(self, name: str, i: int, alpha: int) -> str:
         """The (i, alpha) face of a cube; raises if absent."""
@@ -200,17 +233,6 @@ class PrecubicalSet:
     def face_or_none(self, name: str, i: int, alpha: int) -> str | None:
         return self._faces.get((name, i, alpha))
 
-    def faces_of(self, name: str) -> dict[tuple[int, int], str]:
-        """All recorded faces of one cube, keyed by (axis, end)."""
-        d = self.dim_of(name)
-        out = {}
-        for i in range(1, d + 1):
-            for alpha in (0, 1):
-                t = self._faces.get((name, i, alpha))
-                if t is not None:
-                    out[(i, alpha)] = t
-        return out
-
     def face_items(self) -> Iterator[tuple[FaceKey, str]]:
         """All face entries, deterministically ordered."""
         keys = sorted(self._faces, key=lambda k: (self._dims[k[0]], k[0], k[1], k[2]))
@@ -222,7 +244,7 @@ class PrecubicalSet:
         return dict(self._dims), dict(self._faces)
 
 
-EMPTY = PrecubicalSet({}, {})
+EMPTY = PrecubicalSet._adopt({}, {}, _valid=True)
 
 
 def validate(K: PrecubicalSet) -> list[Violation]:
@@ -270,7 +292,40 @@ def validate(K: PrecubicalSet) -> list[Violation]:
                             out.append(
                                 Violation("identity", c, (i, j, alpha, beta, lhs, rhs))
                             )
+    if not out:
+        K._valid = True
     return out
+
+
+def violations_message(violations: list[Violation]) -> str:
+    """The error message for a complex with these violations."""
+    shown = "; ".join(str(v) for v in violations[:5])
+    if len(violations) > 5:
+        shown += f"; and {len(violations) - 5} more"
+    return f"not a precubical set: {shown}"
+
+
+def check_valid(K: PrecubicalSet) -> None:
+    """Raise PcsError unless K satisfies the precubical axioms; runs
+    `validate` only if that is not yet known."""
+    if not K._valid:
+        violations = validate(K)
+        if violations:
+            raise PcsError(violations_message(violations))
+
+
+# -- size guard ---------------------------------------------------------------
+
+MAX_CELLS = 10**6
+
+
+def check_cells(what: str, base: int, counts: Mapping[int, int]) -> None:
+    """Raise PcsError if `what`, with k * base**d cells for each d: k in
+    counts, has more than MAX_CELLS.  Capping d at 20 keeps the count cheap
+    and decides alike, since base**20 > MAX_CELLS for base >= 2."""
+    total = sum(k * base ** min(d, 20) for d, k in counts.items())
+    if total > MAX_CELLS:
+        raise PcsError(f"{what} would have more than {MAX_CELLS} cells")
 
 
 # -- standard cubes ---------------------------------------------------------
@@ -308,9 +363,10 @@ def _words(n: int) -> list[str]:
 
 
 def standard_cube(n: int) -> PrecubicalSet:
-    """The standard n-cube: one top cell, all faces, 3**n cubes in total."""
+    """The standard n-cube: one top cell, all faces, 3**n <= MAX_CELLS cubes."""
     if n < 0:
         raise ValueError("dimension must be >= 0")
+    check_cells(f"the standard {n}-cube", 3, {n: 1})
     dims = {}
     faces = {}
     for w in _words(n):
@@ -319,14 +375,15 @@ def standard_cube(n: int) -> PrecubicalSet:
         for i in range(1, d + 1):
             for alpha in (0, 1):
                 faces[(word_name(w), i, alpha)] = word_name(word_face(w, i, alpha))
-    return PrecubicalSet(dims, faces)
+    return PrecubicalSet._adopt(dims, faces, _valid=True)
 
 
 def truncate(K: PrecubicalSet, p: int) -> PrecubicalSet:
     """Discard every cube of dimension above p (and its face entries)."""
-    dims, faces = K.as_tables()
-    kept = {n: d for n, d in dims.items() if d <= p}
-    kept_faces = {k: t for k, t in faces.items() if k[0] in kept}
+    kept = {n: d for n, d in K._dims.items() if d <= p}
+    kept_faces = {k: t for k, t in K._faces.items() if k[0] in kept}
+    if K._valid:  # faces of kept cubes are kept
+        return PrecubicalSet._adopt(kept, kept_faces, _valid=True)
     return PrecubicalSet(kept, kept_faces)
 
 
@@ -367,11 +424,7 @@ def extremal_cubes(K: PrecubicalSet, vertex: str, side: str = MINUS) -> frozense
     """All cubes of dimension >= 1 whose extremal vertex on `side` is `vertex`."""
     if K.dim_of(vertex) != 0:
         raise PcsError(f"{vertex!r} is not a vertex")
-    out = []
-    for cube in K.cubes():
-        if cube.dim >= 1 and extremal_vertex(K, cube.name, side) == vertex:
-            out.append(cube.name)
-    return frozenset(out)
+    return extremal_partition(K, side)[vertex]
 
 
 def extremal_partition(K: PrecubicalSet, side: str = MINUS) -> dict[str, frozenset[str]]:
@@ -389,11 +442,7 @@ def extremal_partition(K: PrecubicalSet, side: str = MINUS) -> dict[str, frozens
 
 
 def _states(K: PrecubicalSet, side: str) -> frozenset[str]:
-    touched = set()
-    for cube in K.cubes():
-        if cube.dim >= 1:
-            touched.add(extremal_vertex(K, cube.name, side))
-    return frozenset(v for v in K.vertices() if v not in touched)
+    return frozenset(v for v, group in extremal_partition(K, side).items() if not group)
 
 
 def final_states(K: PrecubicalSet) -> frozenset[str]:
@@ -411,9 +460,8 @@ def initial_states(K: PrecubicalSet) -> frozenset[str]:
 
 def time_reverse(K: PrecubicalSet) -> PrecubicalSet:
     """Swap the two ends of every face map.  An involution."""
-    dims, faces = K.as_tables()
-    rev = {(c, i, 1 - alpha): t for (c, i, alpha), t in faces.items()}
-    return PrecubicalSet(dims, rev)
+    rev = {(c, i, 1 - alpha): t for (c, i, alpha), t in K._faces.items()}
+    return PrecubicalSet._adopt(K._dims, rev, _valid=K._valid)
 
 
 def relabel(K: PrecubicalSet, mapping: Mapping[str, str]) -> PrecubicalSet:
@@ -528,7 +576,7 @@ def attach_cube(
     dims[name] = n
     for (i, alpha), t in boundary.items():
         faces[(name, i, alpha)] = t
-    return PrecubicalSet(dims, faces), name
+    return PrecubicalSet._adopt(dims, faces, _valid=K._valid), name
 
 
 @dataclass(frozen=True, eq=False)

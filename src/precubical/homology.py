@@ -3,10 +3,9 @@
 The graded group of a complex K is assembled per vertex:
 
   degree 0      free on the final states (initial states for merging);
-  degree 1      one free generator per extra connected component of a
-                branching complex, summed over vertices;
-  degree n + 1  the direct sum over vertices of H_n of the branching
-                complex there, for n >= 1.
+  degree n + 1  the direct sum over vertices of the reduced H_n of the
+                branching complex there; in degree 1 that is one free
+                generator per extra connected component.
 
 Degrees 0 and 1 only ever produce free groups; from degree 2 on, torsion
 from the per-vertex complexes survives into the total group, so no
@@ -23,7 +22,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .complexes import SemiSimplicialSet, assemble_all
-from .core import MINUS, PLUS, PrecubicalSet, check_side, time_reverse
+from .core import MINUS, PLUS, PrecubicalSet
 
 
 # A sparse matrix column: row index -> nonzero coefficient.
@@ -209,20 +208,15 @@ def _block_diagonal(D: list[list[int]]) -> tuple[int, ...]:
 
 def invariant_factors(values: Iterable[int]) -> tuple[int, ...]:
     """Normalize torsion coefficients to invariant factors: a divisibility
-    chain with the same direct sum.  E.g. (2, 3) -> (6); (2, 4, 3) -> (2, 12)."""
-    ts = sorted(abs(v) for v in values if abs(v) > 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ts)):
-            for j in range(i + 1, len(ts)):
-                if ts[j] % ts[i]:
-                    g = gcd(ts[i], ts[j])
-                    ts[i], ts[j] = g, ts[i] * ts[j] // g
-                    changed = True
-        if changed:
-            ts.sort()
-    return tuple(t for t in ts if t > 1)
+    chain with the same direct sum.  E.g. (2, 3) -> (6); (2, 4, 3) -> (2, 12).
+    Each value enters at the top, as Z/d + Z/t = Z/lcm + Z/gcd; the gcd moves down."""
+    chain: list[int] = []
+    for t in (abs(v) for v in values if abs(v) > 1):
+        for k in range(len(chain) - 1, -1, -1):
+            g = gcd(chain[k], t)
+            chain[k], t = chain[k] * t // g, g
+        chain.insert(0, t)
+    return tuple(t for t in chain if t > 1)
 
 
 @dataclass(frozen=True)
@@ -307,7 +301,9 @@ class ChainComplex:
 
     boundaries[k - 1], for 1 <= k <= top, is the boundary C_k -> C_(k-1)
     as a `Matrix` (rows indexed by bases[k-1], columns by bases[k]).
-    Consecutive boundaries must compose to zero.
+    Consecutive boundaries must compose to zero.  The constructor checks
+    shapes and d∘d = 0; `chain_complex` builds through the trusted
+    `_adopt`, since simplicial boundaries satisfy both.
     """
 
     def __init__(self, bases: Sequence[Sequence[str]], boundaries: Sequence[Matrix]):
@@ -328,6 +324,12 @@ class ChainComplex:
                 if any(image.values()):
                     raise ValueError(f"boundary of boundary is nonzero in degree {k}")
 
+    @classmethod
+    def _adopt(cls, bases: tuple[tuple[str, ...], ...], matrices: tuple[Matrix, ...]):
+        C = cls.__new__(cls)
+        C.bases, C.matrices = bases, matrices
+        return C
+
     @property
     def top_degree(self) -> int:
         return len(self.bases) - 1
@@ -346,9 +348,7 @@ class ChainComplex:
 def chain_complex(S: SemiSimplicialSet) -> ChainComplex:
     """Simplicial chains: the boundary of a k-simplex alternates its faces."""
     top = S.dim
-    if top < 0:
-        return ChainComplex([], [])
-    bases = [[s.name for s in S.simplices(k)] for k in range(top + 1)]
+    bases = tuple(tuple(s.name for s in S.simplices(k)) for k in range(top + 1))
     boundaries = []
     for k in range(1, top + 1):
         index = {name: i for i, name in enumerate(bases[k - 1])}
@@ -360,7 +360,7 @@ def chain_complex(S: SemiSimplicialSet) -> ChainComplex:
                 col[row] = col.get(row, 0) + (-1) ** i
             columns.append(col)
         boundaries.append(Matrix.from_columns(len(index), columns))
-    return ChainComplex(bases, boundaries)
+    return ChainComplex._adopt(bases, tuple(boundaries))
 
 
 def homology_of(C: ChainComplex) -> GradedAbelianGroup:
@@ -384,25 +384,20 @@ def homology_of(C: ChainComplex) -> GradedAbelianGroup:
 def branching_homology(K: PrecubicalSet, side: str = MINUS) -> GradedAbelianGroup:
     """The branching (side '-') or merging (side '+') homology of K.
 
-    Side '+' is computed as side '-' of the time-reversed complex.  K must
-    be a valid precubical set.
+    Side '+' is computed as side '-' of the time-reversed complex.  Raises
+    PcsError if K is not a valid precubical set.
     """
-    check_side(side)
-    R = time_reverse(K) if side == PLUS else K
     finals = 0
-    components = 0
     total = GradedAbelianGroup([])
-    for B in assemble_all(R).values():
+    for B in assemble_all(K, side).values():
         if len(B) == 0:  # no cube starts here: a final state
             finals += 1
             continue
-        components += max(0, len(B.components()) - 1)
-        if B.dim >= 1:
-            # H_n of the complex at a vertex lands in degree n + 1
-            H = homology_of(chain_complex(B))
-            shifted = GradedAbelianGroup(((0, ()), (0, ())) + H.groups[1:])
-            total = direct_sum(total, shifted)
-    return direct_sum(total, GradedAbelianGroup.free(finals, components))
+        # the reduced H_n of the complex at a vertex lands in degree n + 1
+        H = homology_of(chain_complex(B))
+        reduced = ((H.rank(0) - 1, H.torsion(0)),) + H.groups[1:]
+        total = direct_sum(total, GradedAbelianGroup(((0, ()),) + reduced))
+    return direct_sum(total, GradedAbelianGroup.free(finals))
 
 
 def merging_homology(K: PrecubicalSet) -> GradedAbelianGroup:

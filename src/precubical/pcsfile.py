@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 
-from .core import NAME_RE, PcsError, PrecubicalSet
+from .core import NAME_RE, PcsError, PrecubicalSet, violations_message
 from .core import validate as validate_complex
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -146,15 +146,12 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
             )
         table[key] = target
 
-    K = PrecubicalSet(dims, table)
+    # every name, dimension and face is checked above
+    K = PrecubicalSet._adopt(dims, table, _valid=False)
     if validate:
         violations = validate_complex(K)
         if violations:
-            shown = "; ".join(str(v) for v in violations[:5])
-            more = len(violations) - 5
-            if more > 0:
-                shown += f"; and {more} more"
-            raise ParseError(f"not a precubical set: {shown}")
+            raise ParseError(violations_message(violations))
     return K
 
 

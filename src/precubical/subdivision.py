@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import CubeId, PcsError, PcsMorphism, PrecubicalSet
+from .core import CubeId, PcsError, PcsMorphism, PrecubicalSet, check_cells, check_valid
 
 Codes = tuple[int, ...]
 Pair = tuple[str, Codes]
@@ -88,17 +88,20 @@ class Subdivision:
 def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
     """Slice every cube of K into an order-p grid.
 
-    K must be a valid precubical set.  Raises PcsError if the generated
-    cell names collide with each other (possible only when cube names of K
-    already look like subdivision names).
+    Raises PcsError if K is not a valid precubical set, if the result would
+    have more than MAX_CELLS cells, or if the generated cell names collide
+    with each other (possible only when cube names of K already look like
+    subdivision names).
     """
     if p < 1:
         raise PcsError(f"subdivision order must be >= 1, got {p}")
+    check_valid(K)
     if p == 1:
         # One interval per axis leaves the complex unchanged: keep the
         # original object and names instead of renaming every cube.
         pairs = {c.name: (c.name, (1,) * c.dim) for c in K.cubes()}
         return Subdivision(K, 1, K, pairs, {pair: name for name, pair in pairs.items()})
+    check_cells(f"the order-{p} subdivision", 2 * p - 1, K.counts())
     top = 2 * p
     # intervals first, then the interior points: the order cells are named in
     interior = [*range(1, top, 2), *range(2, top, 2)]
@@ -122,7 +125,7 @@ def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
             if 0 in raw or top in raw:
                 target = normalize_pair(K, base, raw, p)
             faces[(name, j, alpha)] = names[target]
-    return Subdivision(K, p, PrecubicalSet(dims, faces), pairs, names)
+    return Subdivision(K, p, PrecubicalSet._adopt(dims, faces, _valid=True), pairs, names)
 
 
 def grid_complex(boxes: Iterable[Sequence[int]]) -> PrecubicalSet:
@@ -138,15 +141,16 @@ def grid_complex(boxes: Iterable[Sequence[int]]) -> PrecubicalSet:
         for codes, name in cells.items()
         for j, alpha, face in _faces(codes)
     }
-    return PrecubicalSet(dims, faces)
+    return PrecubicalSet._adopt(dims, faces, _valid=True)
 
 
 def sub_standard(p: int, n: int) -> PrecubicalSet:
-    """The subdivided standard n-cube, built directly on grid cells."""
+    """The subdivided standard n-cube, built on grid cells; (2p+1)**n <= MAX_CELLS."""
     if p < 1:
         raise PcsError(f"subdivision order must be >= 1, got {p}")
     if n < 0:
         raise ValueError("dimension must be >= 0")
+    check_cells(f"the order-{p} subdivided {n}-cube", 2 * p + 1, {n: 1})
     return grid_complex(itertools.product(range(p), repeat=n))
 
 

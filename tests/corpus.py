@@ -1,5 +1,6 @@
-"""Shared test fixtures: small named complexes and a frozen seeded corpus of
-random complexes (dim <= 3, <= 40 cubes each), built as grid complexes."""
+"""Shared test fixtures: small named complexes, a frozen seeded corpus of
+random complexes (dim <= 3, <= 40 cubes each), built as grid complexes, and
+a mutation generator for PCS text."""
 import itertools
 import random
 
@@ -66,3 +67,31 @@ def random_complex(rng):
 def corpus20():
     rng = random.Random(20260817)
     return [random_complex(rng) for _ in range(20)]
+
+
+POOL = ["#", "\t", "\x0c", "\r", "\u00b2", "a*", "pcs 2", "cube", "face", "-", "+", "9"]
+
+
+def mutate(rng, lines):
+    """PCS text from a list of lines after 1-3 random edits: drop,
+    duplicate, swap, or replace/insert a token from POOL."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("drop", "duplicate", "swap", "replace", "insert"))
+        k = rng.randrange(len(lines))
+        if op == "drop" and len(lines) > 1:
+            del lines[k]
+        elif op == "duplicate":
+            lines.insert(rng.randrange(len(lines) + 1), lines[k])
+        elif op == "swap":
+            j = rng.randrange(len(lines))
+            lines[k], lines[j] = lines[j], lines[k]
+        elif op in ("replace", "insert"):
+            parts = lines[k].split(" ")
+            at = rng.randrange(len(parts) + (op == "insert"))
+            if op == "replace":
+                parts[at] = rng.choice(POOL)
+            else:
+                parts.insert(at, rng.choice(POOL))
+            lines[k] = " ".join(parts)
+    return "\n".join(lines) + rng.choice(("", "\n"))

@@ -1,0 +1,126 @@
+"""Each fact is checked once, where data enters.
+
+Library constructions build complexes, per-vertex complexes and chain
+complexes through trusted routes that skip the public constructors'
+checks.  These tests hold the skipped checks instead: library output must
+pass the checking constructors, invalid complexes loaded leniently must
+still raise typed errors, and the library paths must not re-check.
+"""
+import random
+from pathlib import Path
+
+import pytest
+
+from corpus import corpus20, hollow_cube, hollow_square, l_shape, mutate, two_squares
+from precubical.complexes import (
+    SemiSimplicialSet,
+    assemble_all,
+    branching_complex,
+    pi0_components,
+)
+from precubical.core import (
+    PcsError,
+    PrecubicalSet,
+    attach_cube,
+    boundary_cube,
+    standard_cube,
+    time_reverse,
+    validate,
+)
+from precubical.homology import (
+    ChainComplex,
+    branching_homology,
+    chain_complex,
+    merging_homology,
+)
+from precubical.pcsfile import ParseError, emit_pcs, parse_pcs
+from precubical.subdivision import grid_complex, subdivide
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def library_complexes():
+    out = corpus20() + [hollow_square(), hollow_cube(), two_squares(), l_shape()]
+    out += [parse_pcs(p.read_text()) for p in sorted(DATA.glob("*.pcs"))]
+    for n in range(6):
+        out += [standard_cube(n), boundary_cube(n)]
+    out.append(subdivide(boundary_cube(3), 3).complex)
+    return out
+
+
+def test_library_objects_pass_the_checking_constructors():
+    for K in library_complexes():
+        for side in "-+":
+            R = time_reverse(K) if side == "+" else K
+            assert PrecubicalSet(*R.as_tables()) == R and validate(R) == []
+            for B in assemble_all(K, side).values():
+                dims = {s.name: s.dim for s in B.simplices()}
+                faces = {
+                    (s.name, i): B.face(s.name, i)
+                    for s in B.simplices()
+                    if s.dim
+                    for i in range(s.dim + 1)
+                }
+                assert SemiSimplicialSet(dims, faces) == B
+                C = chain_complex(B)
+                ChainComplex(C.bases, C.matrices)  # shapes and d∘d = 0
+
+
+def _vertex(K):
+    return next(iter(K.vertices()), "none")
+
+
+CALLS = {
+    "branching_homology": branching_homology,
+    "merging_homology": merging_homology,
+    "assemble_all -": assemble_all,
+    "assemble_all +": lambda K: assemble_all(K, "+"),
+    "branching_complex": lambda K: branching_complex(K, _vertex(K)),
+    "pi0_components": lambda K: pi0_components(K, _vertex(K)),
+    "subdivide": lambda K: subdivide(K, 2).complex,
+}
+
+
+def test_lenient_invalid_complexes_raise_typed_errors():
+    sources = [p.read_text() for p in sorted(DATA.glob("*.pcs"))]
+    rng = random.Random(20261018)
+    seen = {"valid": 0, "invalid": 0}
+    for n in range(1500):
+        text = mutate(rng, sources[n % len(sources)].splitlines())
+        try:
+            K = parse_pcs(text, validate=False)
+        except ParseError:
+            continue
+        if validate(K):
+            seen["invalid"] += 1
+            for name, call in CALLS.items():
+                for L in (K, time_reverse(K)):
+                    with pytest.raises(PcsError):
+                        call(L)
+                        pytest.fail(f"{name} accepted an invalid complex:\n{text}")
+        else:
+            seen["valid"] += 1
+            strict = parse_pcs(text)
+            for name, call in CALLS.items():
+                assert call(K) == call(strict), (name, text)
+    assert seen["invalid"] > 100 and seen["valid"] > 100, seen
+
+
+def test_library_paths_skip_the_checking_constructors(monkeypatch):
+    text = emit_pcs(standard_cube(4))
+    expected = branching_homology(standard_cube(4)), merging_homology(standard_cube(4))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} checked library data again")
+
+    for cls in (PrecubicalSet, SemiSimplicialSet, ChainComplex):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    K = parse_pcs(text)
+    assert K == standard_cube(4)
+    assert time_reverse(time_reverse(K)) == K
+    assert len(subdivide(K, 2).complex) == 5**4
+    assert len(grid_complex([(0, 0), (1, 0)])) == 15
+    square, _ = attach_cube(boundary_cube(2), 2, {(1, 0): "0x", (1, 1): "1x",
+                                                  (2, 0): "x0", (2, 1): "x1"})
+    assert len(square) == 9
+    assert (branching_homology(K), merging_homology(K)) == expected

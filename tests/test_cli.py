@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,16 @@ def test_std_cube_and_boundary():
     assert code == 2 and "integer >= 0" in err
     code, out, err = run("std-cube", "two")
     assert code == 2 and "integer >= 0" in err
+
+
+def test_hostile_sizes_exit_2_fast():
+    hollow = str(DATA / "hollow-cube.pcs")
+    for argv in (["std-cube", "20"], ["boundary", "20"], ["std-cube", "1000000000"],
+                 ["subdivide", "-p", "1000", hollow], ["check-sub", "-p", "1000", hollow]):
+        start = time.perf_counter()
+        code, out, err = run(*argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "" and "more than 1000000 cells" in err, argv
 
 
 def test_reverse_involution(tmp_path):

@@ -17,6 +17,7 @@ from precubical.core import (
     Violation,
     attach_cube,
     boundary_cube,
+    check_cells,
     extremal_cubes,
     extremal_vertex,
     final_states,
@@ -28,6 +29,7 @@ from precubical.core import (
     validate,
     word_face,
 )
+from precubical import core
 from precubical.pcsfile import parse_pcs
 
 
@@ -321,3 +323,19 @@ def test_validate_declared_cube_without_faces_is_fast():
         Violation("missing-face", "a", (1, 1)),
     ]
     assert found[-1] == Violation("missing-face", "a", (3000, 1))
+
+
+def test_size_guard_counts_exactly(monkeypatch):
+    check_cells("10**6 cells", 10, {6: 1})  # exactly the limit
+    with pytest.raises(PcsError, match="more than 1000000 cells"):
+        check_cells("10**6 + 1 cells", 10, {6: 1, 0: 1})
+    check_cells("ten huge cubes at order 1", 1, {10**9: 10})
+    for n in (13, 20, 10**9):
+        with pytest.raises(PcsError):
+            standard_cube(n)
+        with pytest.raises(PcsError):
+            boundary_cube(n)
+    monkeypatch.setattr(core, "MAX_CELLS", 9)
+    assert len(standard_cube(2)) == 9
+    with pytest.raises(PcsError):
+        standard_cube(3)

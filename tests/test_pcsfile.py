@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from corpus import mutate
 from oracles import parse_reference
 from precubical.core import EMPTY, PrecubicalSet, boundary_cube, standard_cube, validate
 from precubical.pcsfile import ParseError, emit_pcs, parse_pcs
@@ -190,39 +191,13 @@ def test_positions_at_scale():
         assert (e.message, e.line, e.col) == (message, last, col)
 
 
-POOL = ["#", "\t", "\x0c", "\r", "\u00b2", "a*", "pcs 2", "cube", "face", "-", "+", "9"]
-
-
-def _mutate(rng, lines):
-    lines = list(lines)
-    for _ in range(rng.randint(1, 3)):
-        op = rng.choice(("drop", "duplicate", "swap", "replace", "insert"))
-        k = rng.randrange(len(lines))
-        if op == "drop" and len(lines) > 1:
-            del lines[k]
-        elif op == "duplicate":
-            lines.insert(rng.randrange(len(lines) + 1), lines[k])
-        elif op == "swap":
-            j = rng.randrange(len(lines))
-            lines[k], lines[j] = lines[j], lines[k]
-        elif op in ("replace", "insert"):
-            parts = lines[k].split(" ")
-            at = rng.randrange(len(parts) + (op == "insert"))
-            if op == "replace":
-                parts[at] = rng.choice(POOL)
-            else:
-                parts.insert(at, rng.choice(POOL))
-            lines[k] = " ".join(parts)
-    return "\n".join(lines) + rng.choice(("", "\n"))
-
-
 def test_parse_matches_reference_on_mutations():
     sources = [p.read_text() for p in sorted(DATA.glob("*.pcs"))]
     sources.append(emit_pcs(boundary_cube(4)))
     rng = random.Random(20251018)
     outcomes = {"tables": 0, "errors": set()}
     for n in range(1200):
-        text = _mutate(rng, sources[n % len(sources)].splitlines())
+        text = mutate(rng, sources[n % len(sources)].splitlines())
         expected = parse_reference(text)
         try:
             got = parse_pcs(text, validate=False).as_tables()

@@ -18,7 +18,7 @@ from precubical.core import (
     validate,
 )
 from precubical.homology import branching_homology, graded_iso
-from precubical import subdivision
+from precubical import core, subdivision
 from precubical.subdivision import (
     grid_complex,
     normalize_pair,
@@ -279,3 +279,19 @@ def test_random_complexes_subdivide_cleanly():
         sub = subdivide(K, 2)
         assert not validate(sub.complex)
         assert len(sub.complex) == sum((2 * 2 - 1) ** c.dim for c in K.cubes())
+
+
+def test_size_guard_counts_subdivisions_exactly(monkeypatch):
+    with pytest.raises(PcsError, match="more than 1000000 cells"):
+        subdivide(hollow_cube(), 1000)
+    with pytest.raises(PcsError, match="more than 1000000 cells"):
+        sub_standard(1000, 2)
+    # the hollow square at p = 2 has 4 + 4 * 3 cells; the 2-cube 5 * 5
+    monkeypatch.setattr(core, "MAX_CELLS", 16)
+    assert len(subdivide(hollow_square(), 2).complex) == 16
+    with pytest.raises(PcsError):
+        subdivide(hollow_square(), 3)
+    with pytest.raises(PcsError):
+        sub_standard(2, 2)
+    monkeypatch.setattr(core, "MAX_CELLS", 25)
+    assert len(sub_standard(2, 2)) == 25
