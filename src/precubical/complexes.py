@@ -127,10 +127,14 @@ class SemiSimplicialSet(CellStore):
         return self._graded(dim, SimplexId)
 
     def face(self, name: str, i: int) -> str:
-        d = self.dim_of(name)
-        if not 0 <= i <= d or d == 0:
-            raise PcsError(f"face index {i} out of range on {name!r}")
-        return self._faces[(name, i)]
+        """The i-th face of a simplex; arguments are checked only on a miss."""
+        try:
+            return self._faces[(name, i)]
+        except KeyError:
+            d = self.dim_of(name)
+            if not 0 <= i <= d or d == 0:
+                raise PcsError(f"face index {i} out of range on {name!r}") from None
+            raise
 
     def components(self) -> tuple[frozenset[str], ...]:
         """Connected classes of the simplices, via union-find on the faces."""

@@ -13,6 +13,7 @@ returns every violation with a witness instead of raising.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
@@ -218,17 +219,17 @@ class PrecubicalSet(CellStore):
         return tuple(self._grades.get(0, ()))
 
     def face(self, name: str, i: int, alpha: int) -> str:
-        """The (i, alpha) face of a cube; raises if absent."""
+        """The (i, alpha) face of a cube; raises if absent.  A recorded key
+        is a valid one, so the arguments are checked only on a miss."""
+        try:
+            return self._faces[(name, i, alpha)]
+        except KeyError:
+            pass
         d = self.dim_of(name)
         check_end(alpha)
         if not 1 <= i <= d:
             raise PcsError(f"face axis {i} out of range 1..{d} on cube {name!r}")
-        try:
-            return self._faces[(name, i, alpha)]
-        except KeyError:
-            raise MissingFaceError(
-                f"cube {name!r} has no face ({i}, {_end_str(alpha)})"
-            ) from None
+        raise MissingFaceError(f"cube {name!r} has no face ({i}, {_end_str(alpha)})")
 
     def face_or_none(self, name: str, i: int, alpha: int) -> str | None:
         return self._faces.get((name, i, alpha))
@@ -328,54 +329,67 @@ def check_cells(what: str, base: int, counts: Mapping[int, int]) -> None:
         raise PcsError(f"{what} would have more than {MAX_CELLS} cells")
 
 
-# -- standard cubes ---------------------------------------------------------
+# -- the cell model ---------------------------------------------------------
 #
-# Cubes of the standard n-cube are words of length n over {0, 1, x}: an x
-# marks a free axis, so the word's dimension is its number of x's.  The
-# (i, alpha) face replaces the i-th x (counting from 1) by alpha.  The empty
-# word (the unique cube of the standard 0-cube) is named "e".
+# A cell of a cubical grid is a tuple of codes, one per axis: 2a is the point
+# a and 2a + 1 the interval [a, a + 1].  Its dimension is the number of odd
+# codes, and its face (j, alpha) adds -1 (alpha = 0) or +1 (alpha = 1) to the
+# j-th odd code; `cell_faces` is that rule, and every grid the package builds
+# uses it.  The standard n-cube is the grid of codes in {0, 1, 2}^n, each
+# cell named by the word of its codes' letters in "0x1" (an x marks a free
+# axis; the empty word, the cube of the standard 0-cube, is named "e").
+# Subdivision cuts each cube into a finer grid of the same kind.
 
 STAR = "x"
-EMPTY_WORD_NAME = "e"
+
+Codes = tuple[int, ...]
 
 
-def word_name(word: str) -> str:
-    return word if word else EMPTY_WORD_NAME
+def cell_faces(codes: Codes) -> Iterator[tuple[int, int, Codes]]:
+    """Every face (j, alpha, face codes) of a cell."""
+    j = 0
+    for pos, c in enumerate(codes):
+        if c % 2:
+            j += 1
+            for alpha in (0, 1):
+                yield j, alpha, codes[:pos] + (c - 1 + 2 * alpha,) + codes[pos + 1 :]
 
 
-def word_face(word: str, i: int, alpha: int) -> str:
-    """Replace the i-th free axis marker of a cube word by the end alpha."""
-    check_end(alpha)
-    seen = 0
-    for pos, ch in enumerate(word):
-        if ch == STAR:
-            seen += 1
-            if seen == i:
-                return word[:pos] + str(alpha) + word[pos + 1 :]
-    raise ValueError(f"word {word!r} has no axis {i}")
+def _grid(cells: Mapping[Codes, str]) -> PrecubicalSet:
+    """The precubical set on named cells; each cell's faces must be named too."""
+    dims = {name: sum(c % 2 for c in codes) for codes, name in cells.items()}
+    faces = {
+        (name, j, alpha): cells[face]
+        for codes, name in cells.items()
+        for j, alpha, face in cell_faces(codes)
+    }
+    return PrecubicalSet._adopt(dims, faces, _valid=True)
 
 
-def _words(n: int) -> list[str]:
-    words = [""]
-    for _ in range(n):
-        words = [w + ch for w in words for ch in ("0", "1", STAR)]
-    return words
+def _word(codes: Codes) -> str:
+    """The name of a cell of the standard cube."""
+    return "".join("0x1"[c] for c in codes) or "e"
+
+
+def _cube_cells(n: int, what: str) -> dict[Codes, str]:
+    """The cells of the standard n-cube by name; `what` names the complex
+    refused when 3**n > MAX_CELLS."""
+    if n < 0:
+        raise ValueError("dimension must be >= 0")
+    check_cells(f"{what} {n}-cube", 3, {n: 1})
+    return {codes: _word(codes) for codes in itertools.product(range(3), repeat=n)}
 
 
 def standard_cube(n: int) -> PrecubicalSet:
     """The standard n-cube: one top cell, all faces, 3**n <= MAX_CELLS cubes."""
-    if n < 0:
-        raise ValueError("dimension must be >= 0")
-    check_cells(f"the standard {n}-cube", 3, {n: 1})
-    dims = {}
-    faces = {}
-    for w in _words(n):
-        d = w.count(STAR)
-        dims[word_name(w)] = d
-        for i in range(1, d + 1):
-            for alpha in (0, 1):
-                faces[(word_name(w), i, alpha)] = word_name(word_face(w, i, alpha))
-    return PrecubicalSet._adopt(dims, faces, _valid=True)
+    return _grid(_cube_cells(n, "the standard"))
+
+
+def boundary_cube(n: int) -> PrecubicalSet:
+    """The boundary of the standard n-cube; empty for n = 0."""
+    cells = _cube_cells(n, "the boundary of the standard")
+    del cells[(1,) * n]
+    return _grid(cells)
 
 
 def truncate(K: PrecubicalSet, p: int) -> PrecubicalSet:
@@ -385,13 +399,6 @@ def truncate(K: PrecubicalSet, p: int) -> PrecubicalSet:
     if K._valid:  # faces of kept cubes are kept
         return PrecubicalSet._adopt(kept, kept_faces, _valid=True)
     return PrecubicalSet(kept, kept_faces)
-
-
-def boundary_cube(n: int) -> PrecubicalSet:
-    """The boundary of the standard n-cube; empty for n = 0."""
-    if n < 0:
-        raise ValueError("dimension must be >= 0")
-    return truncate(standard_cube(n), n - 1)
 
 
 # -- extremal vertices and states -------------------------------------------
@@ -492,35 +499,30 @@ def attach_cube(
 
     `boundary` sends each facet slot (i, alpha), 1 <= i <= n, to an existing
     (n-1)-cube of K.  The assignment must extend to a morphism from the
-    boundary of the standard n-cube, i.e. the images of lower faces computed
-    through different facets must agree; otherwise MorphismError is raised
-    with the first conflict found.  For n = 0 the boundary is empty and the
-    result is K plus a disjoint vertex.
+    boundary of the standard n-cube, which holds exactly when the facets
+    satisfy the precubical identities
+    face(t(j, beta), i, alpha) == face(t(i, alpha), j - 1, beta) for i < j;
+    otherwise MorphismError is raised with the first failure.  For n = 0 the
+    boundary is empty and the result is K plus a disjoint vertex.
 
     Alternatively `boundary` may name every cube of the boundary of the
-    standard n-cube (keys are the proper face words); the facets then drive
-    the same construction and every remaining entry is checked against the
-    faces it must equal.
+    standard n-cube (keys are the proper face words); it is then checked as
+    a morphism from `boundary_cube(n)`, and its facets are glued.
 
     Returns the enlarged complex and the new cube's name (the given `name`,
     or a deterministic fresh one).
     """
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    word_assignment = None
+    words = None
     if boundary and all(isinstance(key, str) for key in boundary):
-        word_assignment = dict(boundary)
-        expected = {w for w in _words(n) if w != STAR * n}
-        if set(word_assignment) != expected:
+        words, shell = dict(boundary), boundary_cube(n)
+        if set(words) != set(shell._dims):
             raise PcsError(
-                f"word assignment must cover exactly the {len(expected)} "
+                f"word assignment must cover exactly the {len(shell)} "
                 f"proper face words of the standard {n}-cube"
             )
-        boundary = {
-            (i, alpha): word_assignment[word_face(STAR * n, i, alpha)]
-            for i in range(1, n + 1)
-            for alpha in (0, 1)
-        }
+        boundary = {(i, alpha): words[_word(f)] for i, alpha, f in cell_faces((1,) * n)}
     slots = {(i, alpha) for i in range(1, n + 1) for alpha in (0, 1)}
     if set(boundary) != slots:
         raise PcsError(
@@ -532,37 +534,20 @@ def attach_cube(
                 f"facet ({i}, {_end_str(alpha)}) image {t!r} has dimension "
                 f"{K.dim_of(t)}, expected {n - 1}"
             )
-    # Propagate the assignment down the face lattice of the standard cube,
-    # failing on any disagreement between routes.
-    full = STAR * n
-    img: dict[str, str] = {}
-    frontier: list[str] = []
-    for (i, alpha), t in boundary.items():
-        w = word_face(full, i, alpha)
-        img[w] = t
-        frontier.append(w)
-    while frontier:
-        w = frontier.pop()
-        for i in range(1, w.count(STAR) + 1):
+    if words is not None:
+        PcsMorphism(shell, K, words)
+    for j in range(2, n + 1):
+        for i in range(1, j):
             for alpha in (0, 1):
-                w2 = word_face(w, i, alpha)
-                t2 = K.face(img[w], i, alpha)
-                if w2 in img:
-                    if img[w2] != t2:
+                for beta in (0, 1):
+                    lhs = K.face(boundary[(j, beta)], i, alpha)
+                    rhs = K.face(boundary[(i, alpha)], j - 1, beta)
+                    if lhs != rhs:
+                        a, b = _end_str(alpha), _end_str(beta)
                         raise MorphismError(
-                            f"incompatible attachment: face word {w2} receives "
-                            f"both {img[w2]!r} and {t2!r}"
+                            f"incompatible attachment: face ({i}, {a}) of facet ({j}, {b}) "
+                            f"is {lhs!r}, face ({j - 1}, {b}) of facet ({i}, {a}) is {rhs!r}"
                         )
-                else:
-                    img[w2] = t2
-                    frontier.append(w2)
-    if word_assignment is not None:
-        for w, t in word_assignment.items():
-            if img[w] != t:
-                raise MorphismError(
-                    f"incompatible attachment: word {w} assigned {t!r} but "
-                    f"its facet faces give {img[w]!r}"
-                )
     if name is None:
         k = 0
         while f"cube{k}" in K:

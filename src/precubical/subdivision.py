@@ -1,10 +1,9 @@
 """Cubical subdivision: slice every cube into a p x ... x p grid.
 
-A grid coordinate is one int, its code: 2a for the point a and 2a+1 for the
-interval [a, a+1].  A grid cell is a tuple of codes, one per axis, named by
-its codes joined with dots ("0-1.1"; "e" when empty).  Its dimension is the
-number of odd codes, and its face (j, alpha) adds -1 (alpha = 0) or +1
-(alpha = 1) to the j-th odd code.
+Cells are those of the cell model in `core` (a tuple of codes, 2a for the
+point a and 2a+1 for the interval [a, a+1]), with faces by
+`core.cell_faces`.  A grid cell is named by its codes joined with dots
+("0-1.1"; "e" when empty).
 
 A cell of the subdivided complex is a pair (base cube of K, codes in the
 order-p grid, one per base axis).  The codes 0 and 2p are the outer
@@ -18,27 +17,26 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .core import CubeId, PcsError, PcsMorphism, PrecubicalSet, check_cells, check_valid
+from .core import (
+    Codes,
+    CubeId,
+    PcsError,
+    PcsMorphism,
+    PrecubicalSet,
+    _grid,
+    cell_faces,
+    check_cells,
+    check_valid,
+)
 
-Codes = tuple[int, ...]
 Pair = tuple[str, Codes]
 
 
 def _label(code: int) -> str:
     a = code // 2
     return f"{a}-{a + 1}" if code % 2 else f"{a}"
-
-
-def _faces(codes: Codes) -> Iterator[tuple[int, int, Codes]]:
-    """Every face (j, alpha, face codes) of a cell."""
-    j = 0
-    for pos, c in enumerate(codes):
-        if c % 2:
-            j += 1
-            for alpha in (0, 1):
-                yield j, alpha, codes[:pos] + (c - 1 + 2 * alpha,) + codes[pos + 1 :]
 
 
 def normalize_pair(K: PrecubicalSet, base: str, codes: Codes, p: int) -> Pair:
@@ -120,7 +118,7 @@ def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
     dims, faces = {}, {}
     for name, (base, codes) in pairs.items():
         dims[name] = sum(c % 2 for c in codes)
-        for j, alpha, raw in _faces(codes):
+        for j, alpha, raw in cell_faces(codes):
             target = (base, raw)
             if 0 in raw or top in raw:
                 target = normalize_pair(K, base, raw, p)
@@ -135,13 +133,7 @@ def grid_complex(boxes: Iterable[Sequence[int]]) -> PrecubicalSet:
     for box in boxes:
         for codes in itertools.product(*[(2 * b, 2 * b + 1, 2 * b + 2) for b in box]):
             cells[codes] = ".".join(map(_label, codes)) or "e"
-    dims = {name: sum(c % 2 for c in codes) for codes, name in cells.items()}
-    faces = {
-        (name, j, alpha): cells[face]
-        for codes, name in cells.items()
-        for j, alpha, face in _faces(codes)
-    }
-    return PrecubicalSet._adopt(dims, faces, _valid=True)
+    return _grid(cells)
 
 
 def sub_standard(p: int, n: int) -> PrecubicalSet:

@@ -4,10 +4,12 @@ Everything here recomputes library results along a different path: the
 Smith diagonal from determinantal divisors instead of elimination, ranks by
 fraction elimination, boundary composites by a dense product instead of
 sparse columns, merging homology built directly from finish faces instead
-of time reversal, the low degrees from an explicit augmentation matrix, and
-PCS text through a regex tokenizer that records every token's column.
-Tests compare these against the library's own answers, so nothing in this
-file may call the function it is checking.
+of time reversal, the low degrees from an explicit augmentation matrix,
+PCS text through a regex tokenizer that records every token's column, faces
+of the standard cube on words over {0, 1, x} instead of integer codes, and
+cube attachment by a walk down the face lattice instead of the facet
+identities.  Tests compare these against the library's own answers, so
+nothing in this file may call the function it is checking.
 """
 import re
 from fractions import Fraction
@@ -15,7 +17,14 @@ from itertools import combinations
 from math import gcd
 
 from precubical.complexes import SemiSimplicialSet, UnionFind, pi0_components
-from precubical.core import extremal_cubes, initial_states, time_reverse
+from precubical.core import (
+    MorphismError,
+    PcsError,
+    PrecubicalSet,
+    extremal_cubes,
+    initial_states,
+    time_reverse,
+)
 from precubical.homology import (
     ChainComplex,
     GradedAbelianGroup,
@@ -263,3 +272,102 @@ def _resolve(cubes, faces):
             )
         table[(c, axis, end)] = t
     return dims, table
+
+
+# Cubes of the standard n-cube as words of length n over {0, 1, x}: an x
+# marks a free axis, so the word's dimension is its number of x's.  The
+# (i, alpha) face replaces the i-th x (counting from 1) by alpha.  The empty
+# word (the unique cube of the standard 0-cube) is named "e".
+
+EMPTY_WORD_NAME = "e"
+
+
+def word_face(word: str, i: int, alpha: int) -> str:
+    """Replace the i-th free axis marker of a cube word by the end alpha."""
+    seen = 0
+    for pos, ch in enumerate(word):
+        if ch == "x":
+            seen += 1
+            if seen == i:
+                return word[:pos] + str(alpha) + word[pos + 1 :]
+    raise ValueError(f"word {word!r} has no axis {i}")
+
+
+def cube_words(n: int) -> list[str]:
+    """Every cube word of the standard n-cube."""
+    words = [""]
+    for _ in range(n):
+        words = [w + ch for w in words for ch in "01x"]
+    return words
+
+
+def boundary_words_of(K, c):
+    """The boundary of cube c as a word assignment: each proper face word
+    of the standard cube to the face of c it picks out.  Fixing axes from
+    the rightmost end keeps the remaining indices stable, so each step is a
+    single face lookup."""
+    n = K.dim_of(c)
+    out = {}
+    for word in cube_words(n):
+        if word != "x" * n:
+            cur = c
+            for i in range(n, 0, -1):
+                if word[i - 1] != "x":
+                    cur = K.face(cur, i, int(word[i - 1]))
+            out[word] = cur
+    return out
+
+
+def attach_reference(K, n, boundary, name=None):
+    """`attach_cube` by propagating the assignment down the face lattice of
+    the standard n-cube, failing on any disagreement between routes."""
+    full = "x" * n
+    word_assignment = None
+    if boundary and all(isinstance(key, str) for key in boundary):
+        word_assignment = dict(boundary)
+        if set(word_assignment) != set(cube_words(n)) - {full}:
+            raise PcsError("word assignment must cover the proper face words")
+        boundary = {
+            (i, alpha): word_assignment[word_face(full, i, alpha)]
+            for i in range(1, n + 1)
+            for alpha in (0, 1)
+        }
+    if set(boundary) != {(i, alpha) for i in range(1, n + 1) for alpha in (0, 1)}:
+        raise PcsError("boundary assignment must cover the facet slots")
+    for t in boundary.values():
+        if K.dim_of(t) != n - 1:
+            raise PcsError(f"facet image {t!r} has the wrong dimension")
+    img = {}
+    frontier = []
+    for (i, alpha), t in boundary.items():
+        w = word_face(full, i, alpha)
+        img[w] = t
+        frontier.append(w)
+    while frontier:
+        w = frontier.pop()
+        for i in range(1, w.count("x") + 1):
+            for alpha in (0, 1):
+                w2 = word_face(w, i, alpha)
+                t2 = K.face(img[w], i, alpha)
+                if w2 in img:
+                    if img[w2] != t2:
+                        raise MorphismError(f"face word {w2} receives two cubes")
+                else:
+                    img[w2] = t2
+                    frontier.append(w2)
+    if word_assignment is not None:
+        for w, t in word_assignment.items():
+            if img[w] != t:
+                raise MorphismError(f"word {w} disagrees with its facets")
+    if name is None:
+        k = 0
+        while f"cube{k}" in K:
+            k += 1
+        name = f"cube{k}"
+    elif name in K:
+        raise PcsError(f"cube name {name!r} already in use")
+    dims, faces = K.as_tables()
+    dims[name] = n
+    for (i, alpha), t in boundary.items():
+        faces[(name, i, alpha)] = t
+    return PrecubicalSet(dims, faces), name

@@ -6,12 +6,18 @@ tolerances anywhere.  The shared corpus mixes the standard cubes and their
 boundaries with the named fixtures and a frozen batch of twenty random
 complexes (dimension <= 3, at most 40 cubes each).
 """
-import itertools
 import random
 from fractions import Fraction
 
 from corpus import corpus20, hollow_cube, hollow_square, l_shape, two_squares
-from oracles import composite_is_zero, rational_rank, smith_diagonal_by_minors
+from oracles import (
+    EMPTY_WORD_NAME,
+    boundary_words_of,
+    composite_is_zero,
+    rational_rank,
+    smith_diagonal_by_minors,
+    word_face,
+)
 from precubical.complexes import (
     assemble_all,
     branching_complex,
@@ -19,7 +25,6 @@ from precubical.complexes import (
     pi0_components,
 )
 from precubical.core import (
-    EMPTY_WORD_NAME,
     STAR,
     attach_cube,
     boundary_cube,
@@ -28,7 +33,6 @@ from precubical.core import (
     time_reverse,
     truncate,
     validate,
-    word_face,
 )
 from precubical.dipath import (
     convex_comb,
@@ -80,29 +84,6 @@ def assert_simplicial_iso(A, B, mapping):
         assert B.dim_of(mapping[s.name]) == s.dim
         for i in range(s.dim + 1) if s.dim >= 1 else ():
             assert B.face(mapping[s.name], i) == mapping[A.face(s.name, i)]
-
-
-def proper_face_words(n):
-    words = ["".join(w) for w in itertools.product("01" + STAR, repeat=n)]
-    return [w for w in words if w != STAR * n]
-
-
-def cube_at_word(K, c, word):
-    """The face of cube c picked out by a word of the standard cube.
-
-    Fixing axes from the rightmost end keeps the remaining indices stable,
-    so each step is a single face lookup.
-    """
-    cur = c
-    for i in range(len(word), 0, -1):
-        if word[i - 1] != STAR:
-            cur = K.face(cur, i, int(word[i - 1]))
-    return cur
-
-
-def boundary_words_of(K, c):
-    n = K.dim_of(c)
-    return {w: cube_at_word(K, c, w) for w in proper_face_words(n)}
 
 
 def test_01_corner_complex_of_the_full_cube_is_contractible():

@@ -175,6 +175,8 @@ def test_hostile_sizes_exit_2_fast():
         code, out, err = run(*argv)
         assert time.perf_counter() - start < 1.0, argv
         assert code == 2 and out == "" and "more than 1000000 cells" in err, argv
+    _, _, err = run("boundary", "20")
+    assert "the boundary of the standard 20-cube would have more than 1000000 cells" in err
 
 
 def test_reverse_involution(tmp_path):

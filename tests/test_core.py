@@ -5,6 +5,15 @@ import time
 
 import pytest
 
+from corpus import corpus20
+from oracles import (
+    EMPTY_WORD_NAME,
+    attach_reference,
+    boundary_words_of,
+    cube_words,
+    word_face,
+)
+from precubical.complexes import SemiSimplicialSet
 from precubical.core import (
     EMPTY,
     CubeId,
@@ -27,7 +36,6 @@ from precubical.core import (
     time_reverse,
     truncate,
     validate,
-    word_face,
 )
 from precubical import core
 from precubical.pcsfile import parse_pcs
@@ -65,6 +73,22 @@ def test_standard_cubes_validate_clean():
     for n in range(5):
         assert validate(standard_cube(n)) == []
         assert validate(boundary_cube(n)) == []
+
+
+def test_standard_cube_faces_follow_the_word_model():
+    # second route for the cell model: names and faces of the standard cube
+    # are those of words over {0, 1, x}, and the boundary is the truncation
+    for n in range(6):
+        K = standard_cube(n)
+        assert sorted(c.name for c in K.cubes()) == sorted(
+            w or EMPTY_WORD_NAME for w in cube_words(n)
+        )
+        for w in cube_words(n):
+            for i in range(1, w.count("x") + 1):
+                for alpha in (0, 1):
+                    assert K.face(w, i, alpha) == word_face(w, i, alpha)
+    for n in range(7):
+        assert boundary_cube(n) == truncate(standard_cube(n), n - 1)
 
 
 def test_word_face_identity_oracle():
@@ -127,6 +151,33 @@ def test_lookup_errors():
         PrecubicalSet({"a": 0}, {("a", 1, 0): "a"})
     with pytest.raises(PcsError):
         PrecubicalSet({"bad name": 0}, {})
+
+
+def _failure(lookup):
+    try:
+        lookup()
+    except Exception as exc:
+        return type(exc), str(exc)
+    raise AssertionError("lookup succeeded")
+
+
+def test_face_lookup_errors_in_order():
+    # a face lookup checks its arguments only on a miss, in this order
+    K = PrecubicalSet({"a": 1, "v": 0, "s": 2}, {("a", 1, 0): "v"})
+    assert _failure(lambda: K.face("zz", 0, 2)) == (UnknownCubeError, "unknown cube 'zz'")
+    assert _failure(lambda: K.face("a", 0, 2)) == (
+        ValueError, "face end must be 0 or 1, got 2")
+    assert _failure(lambda: K.face("a", 0, 1)) == (
+        PcsError, "face axis 0 out of range 1..1 on cube 'a'")
+    assert _failure(lambda: K.face("s", 3, 0)) == (
+        PcsError, "face axis 3 out of range 1..2 on cube 's'")
+    assert _failure(lambda: K.face("a", 1, 1)) == (
+        MissingFaceError, "cube 'a' has no face (1, +)")
+    S = SemiSimplicialSet({"e": 1, "u": 0, "w": 0}, {("e", 0): "w", ("e", 1): "u"})
+    assert _failure(lambda: S.face("zz", 5)) == (UnknownCubeError, "unknown simplex 'zz'")
+    assert _failure(lambda: S.face("e", 2)) == (PcsError, "face index 2 out of range on 'e'")
+    assert _failure(lambda: S.face("e", -1)) == (PcsError, "face index -1 out of range on 'e'")
+    assert _failure(lambda: S.face("u", 0)) == (PcsError, "face index 0 out of range on 'u'")
 
 
 def test_extremal_vertex_route_independent():
@@ -227,6 +278,45 @@ def test_attach_cube_rejects_incompatible_boundary():
     # swapping the two vertical edges breaks corner compatibility
     with pytest.raises(MorphismError):
         attach_cube(K, 2, {(1, 0): "1x", (1, 1): "0x", (2, 0): "x0", (2, 1): "x1"})
+
+
+def test_attach_cube_agrees_with_the_face_lattice_walk():
+    # second route for attach_cube: the walk down the face lattice of the
+    # standard cube, on seeded facet-slot and word assignments over the
+    # corpus, most copied from an existing cube, half with one entry replaced
+    rng = random.Random(8)
+    complexes = [standard_cube(n) for n in range(4)]
+    complexes += [boundary_cube(n) for n in range(1, 4)] + corpus20()
+    accepted = rejected = 0
+    for trial in range(2400):
+        K = rng.choice(complexes)
+        n = rng.randint(1, K.dim + 1)
+        slots = [(i, a) for i in range(1, n + 1) for a in (0, 1)]
+        copies = [c.name for c in K.cubes(n)]
+        if copies and rng.random() < 0.8:
+            words = boundary_words_of(K, rng.choice(copies))
+            facets = {(i, a): words[word_face("x" * n, i, a)] for i, a in slots}
+            boundary = words if trial % 2 else facets
+        else:
+            boundary = {slot: rng.choice(K.cubes(n - 1)).name for slot in slots}
+        if rng.random() < 0.5:
+            key = rng.choice(sorted(boundary))
+            dim = key.count("x") if isinstance(key, str) else n - 1
+            boundary[key] = rng.choice(K.cubes(dim)).name
+        got = _outcome(attach_cube, K, n, boundary)
+        assert got == _outcome(attach_reference, K, n, boundary), (trial, boundary)
+        if got == MorphismError:
+            rejected += 1
+        else:
+            accepted += 1
+    assert accepted > 500 and rejected > 500, (accepted, rejected)
+
+
+def _outcome(attach, K, n, boundary):
+    try:
+        return attach(K, n, dict(boundary))
+    except MorphismError:
+        return MorphismError
 
 
 def test_attach_cube_fresh_names_deterministic():
