@@ -4,8 +4,9 @@ For a vertex v, the cubes of dimension >= 1 that start at v assemble into a
 semi-simplicial set: an (k+1)-cube starting at v becomes a k-simplex whose
 i-th face (0 <= i <= k) is the start face along axis i+1.  The precubical
 identities make this well defined.  The merging complex is the same
-construction on the time-reversed complex, so it collects the cubes that
-finish at v.
+construction read at the finish end (`core.side_end`): the cubes that
+finish at v, with their finish faces.  That is the branching complex of
+the time-reversed complex, which the tests use as a second route.
 
 The components of these complexes are what branching/merging homology sees
 in low degrees, so `pi0_components` computes them directly on the cube data
@@ -18,16 +19,14 @@ from typing import Iterable, Mapping
 
 from .core import (
     MINUS,
-    PLUS,
     CellStore,
     PcsError,
     PrecubicalSet,
-    check_side,
     check_valid,
     extremal_cubes,
     extremal_partition,
+    side_end,
     standard_cube,
-    time_reverse,
 )
 
 
@@ -159,18 +158,12 @@ class BranchingComplex(SemiSimplicialSet):
         return f"BranchingComplex({kind} at {self.vertex!r}, {len(self)} simplices)"
 
 
-def _forward(K: PrecubicalSet, side: str) -> PrecubicalSet:
-    """K, checked valid, and time-reversed on side '+'."""
-    check_side(side)
-    check_valid(K)
-    return time_reverse(K) if side == PLUS else K
-
-
-def _assemble_at(R: PrecubicalSet, vertex: str, side: str,
+def _assemble_at(K: PrecubicalSet, vertex: str, side: str,
                  members: frozenset[str]) -> BranchingComplex:
-    dims = {c: R.dim_of(c) - 1 for c in members}
-    faces = {(c, i): R.face(c, i + 1, 0) for c, k in dims.items() if k for i in range(k + 1)}
-    # a valid R satisfies the simplicial identities (module docstring)
+    end = side_end(side)
+    dims = {c: K.dim_of(c) - 1 for c in members}
+    faces = {(c, i): K.face(c, i + 1, end) for c, k in dims.items() if k for i in range(k + 1)}
+    # a valid K satisfies the simplicial identities (module docstring)
     return BranchingComplex._adopt(dims, faces, vertex=vertex, side=side)
 
 
@@ -180,8 +173,9 @@ def branching_complex(K: PrecubicalSet, vertex: str, side: str = MINUS) -> Branc
     Simplex names are the cube names they come from.  Raises PcsError if
     K is not a valid precubical set.
     """
-    R = _forward(K, side)
-    return _assemble_at(R, vertex, side, extremal_cubes(R, vertex, MINUS))
+    side_end(side)
+    check_valid(K)
+    return _assemble_at(K, vertex, side, extremal_cubes(K, vertex, side))
 
 
 def assemble_all(K: PrecubicalSet, side: str = MINUS) -> dict[str, BranchingComplex]:
@@ -191,10 +185,11 @@ def assemble_all(K: PrecubicalSet, side: str = MINUS) -> dict[str, BranchingComp
     to look at every vertex of a large complex.  Raises PcsError if K is
     not a valid precubical set.
     """
-    R = _forward(K, side)
+    side_end(side)
+    check_valid(K)
     return {
-        v: _assemble_at(R, v, side, members)
-        for v, members in extremal_partition(R, MINUS).items()
+        v: _assemble_at(K, v, side, members)
+        for v, members in extremal_partition(K, side).items()
     }
 
 
@@ -207,13 +202,14 @@ def pi0_components(K: PrecubicalSet, vertex: str, side: str = MINUS) -> tuple[fr
     stays independent of the chain-complex route to the same numbers.
     Raises PcsError if K is not a valid precubical set.
     """
-    R = _forward(K, side)
-    members = extremal_cubes(R, vertex, MINUS)
+    end = side_end(side)
+    check_valid(K)
+    members = extremal_cubes(K, vertex, side)
     uf = UnionFind(members)
     for c in members:
-        if R.dim_of(c) >= 2:
-            for i in range(1, R.dim_of(c) + 1):
-                uf.union(c, R.face(c, i, 0))
+        if K.dim_of(c) >= 2:
+            for i in range(1, K.dim_of(c) + 1):
+                uf.union(c, K.face(c, i, end))
     return tuple(uf.components())
 
 
@@ -224,12 +220,12 @@ def nonempty_index(n: int, side: str = MINUS) -> frozenset[str]:
     merging); the 0-cube has no branching at all.  Returned as vertex names
     of standard_cube(n).
     """
-    check_side(side)
+    end = side_end(side)
     if n < 0:
         raise ValueError("dimension must be >= 0")
     if n == 0:
         return frozenset()
-    omit = ("1" if side == MINUS else "0") * n
+    omit = str(1 - end) * n
     return frozenset(
         v.name for v in standard_cube(n).cubes(0) if v.name != omit
     )

@@ -22,7 +22,7 @@ NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 
 MINUS = "-"
 PLUS = "+"
-SIDES = (MINUS, PLUS)
+SIDES = (MINUS, PLUS)  # SIDES[alpha] is the symbol of face end alpha
 
 FaceKey = tuple[str, int, int]
 
@@ -43,16 +43,18 @@ class MorphismError(PcsError):
     """A mapping between complexes that is not a morphism."""
 
 
-def check_side(side: str) -> str:
+def side_end(side: str) -> int:
+    """The face end a side reads: 0 (start) for '-', 1 (finish) for '+'."""
     if side not in SIDES:
         raise ValueError(f"side must be '-' or '+', got {side!r}")
-    return side
+    return SIDES.index(side)
 
 
 def check_end(alpha: int) -> int:
+    """alpha as the int 0 or 1, which indexes SIDES."""
     if alpha not in (0, 1):
         raise ValueError(f"face end must be 0 or 1, got {alpha!r}")
-    return alpha
+    return int(alpha)
 
 
 @dataclass(frozen=True)
@@ -81,25 +83,21 @@ class Violation:
     def __str__(self) -> str:
         w = self.where
         if self.kind == "missing-face":
-            return f"{self.cube}: missing face ({w[0]}, {_end_str(w[1])})"
+            return f"{self.cube}: missing face ({w[0]}, {SIDES[w[1]]})"
         if self.kind == "dimension-mismatch":
             return (
-                f"{self.cube}: face ({w[0]}, {_end_str(w[1])}) -> {w[2]} "
+                f"{self.cube}: face ({w[0]}, {SIDES[w[1]]}) -> {w[2]} "
                 f"has dimension {w[4]}, expected {w[3]}"
             )
         if self.kind == "identity":
             i, j, a, b, lhs, rhs = w
             return (
                 f"{self.cube}: identity fails for i={i}, j={j}, "
-                f"alpha={_end_str(a)}, beta={_end_str(b)}: "
-                f"face({j},{_end_str(b)}) then face({i},{_end_str(a)}) gives {lhs}, "
-                f"face({i},{_end_str(a)}) then face({j - 1},{_end_str(b)}) gives {rhs}"
+                f"alpha={SIDES[a]}, beta={SIDES[b]}: "
+                f"face({j},{SIDES[b]}) then face({i},{SIDES[a]}) gives {lhs}, "
+                f"face({i},{SIDES[a]}) then face({j - 1},{SIDES[b]}) gives {rhs}"
             )
         return f"{self.cube}: {self.kind} {w}"
-
-
-def _end_str(alpha: int) -> str:
-    return MINUS if alpha == 0 else PLUS
 
 
 class CellStore:
@@ -199,7 +197,7 @@ class PrecubicalSet(CellStore):
                 raise UnknownCubeError(f"face on unknown cube {c!r}")
             if target not in self._dims:
                 raise UnknownCubeError(f"face of {c!r} targets unknown cube {target!r}")
-            check_end(alpha)
+            alpha = check_end(alpha)
             if not 1 <= i <= self._dims[c]:
                 raise PcsError(
                     f"face axis {i} out of range 1..{self._dims[c]} on cube {c!r}"
@@ -226,10 +224,10 @@ class PrecubicalSet(CellStore):
         except KeyError:
             pass
         d = self.dim_of(name)
-        check_end(alpha)
+        alpha = check_end(alpha)
         if not 1 <= i <= d:
             raise PcsError(f"face axis {i} out of range 1..{d} on cube {name!r}")
-        raise MissingFaceError(f"cube {name!r} has no face ({i}, {_end_str(alpha)})")
+        raise MissingFaceError(f"cube {name!r} has no face ({i}, {SIDES[alpha]})")
 
     def face_or_none(self, name: str, i: int, alpha: int) -> str | None:
         return self._faces.get((name, i, alpha))
@@ -412,8 +410,7 @@ def extremal_vertex(K: PrecubicalSet, name: str, side: str = MINUS) -> str:
     must drop the dimension, or PcsError is raised: a complex loaded
     without validation may have a face that does not.
     """
-    check_side(side)
-    alpha = 0 if side == MINUS else 1
+    alpha = side_end(side)
     d = K.dim_of(name)
     while d > 0:
         face = K.face(name, 1, alpha)
@@ -440,7 +437,7 @@ def extremal_partition(K: PrecubicalSet, side: str = MINUS) -> dict[str, frozens
     Every vertex appears as a key, possibly with an empty group; the groups
     agree with extremal_cubes(K, v, side) for each v.
     """
-    check_side(side)
+    side_end(side)  # a bad side is refused even without cubes
     groups: dict[str, list[str]] = {v: [] for v in K.vertices()}
     for cube in K.cubes():
         if cube.dim >= 1:
@@ -528,10 +525,11 @@ def attach_cube(
         raise PcsError(
             f"boundary assignment must cover exactly the {2 * n} facet slots"
         )
+    boundary = {(i, check_end(alpha)): t for (i, alpha), t in boundary.items()}
     for (i, alpha), t in boundary.items():
         if K.dim_of(t) != n - 1:
             raise PcsError(
-                f"facet ({i}, {_end_str(alpha)}) image {t!r} has dimension "
+                f"facet ({i}, {SIDES[alpha]}) image {t!r} has dimension "
                 f"{K.dim_of(t)}, expected {n - 1}"
             )
     if words is not None:
@@ -543,7 +541,7 @@ def attach_cube(
                     lhs = K.face(boundary[(j, beta)], i, alpha)
                     rhs = K.face(boundary[(i, alpha)], j - 1, beta)
                     if lhs != rhs:
-                        a, b = _end_str(alpha), _end_str(beta)
+                        a, b = SIDES[alpha], SIDES[beta]
                         raise MorphismError(
                             f"incompatible attachment: face ({i}, {a}) of facet ({j}, {b}) "
                             f"is {lhs!r}, face ({j - 1}, {b}) of facet ({i}, {a}) is {rhs!r}"
@@ -595,11 +593,11 @@ class PcsMorphism:
             if ft is None:
                 raise MorphismError(
                     f"target cube {self.mapping[c]!r} lacks face "
-                    f"({i}, {_end_str(alpha)}) needed by {c!r}"
+                    f"({i}, {SIDES[alpha]}) needed by {c!r}"
                 )
             if ft != self.mapping[t]:
                 raise MorphismError(
-                    f"face ({i}, {_end_str(alpha)}) of {c!r} maps to "
+                    f"face ({i}, {SIDES[alpha]}) of {c!r} maps to "
                     f"{self.mapping[t]!r} but face of image is {ft!r}"
                 )
 

@@ -384,20 +384,28 @@ def homology_of(C: ChainComplex) -> GradedAbelianGroup:
 def branching_homology(K: PrecubicalSet, side: str = MINUS) -> GradedAbelianGroup:
     """The branching (side '-') or merging (side '+') homology of K.
 
-    Side '+' is computed as side '-' of the time-reversed complex.  Raises
-    PcsError if K is not a valid precubical set.
+    Side '+' reads the finish faces where side '-' reads the start faces
+    (`assemble_all`); the tests check it against the branching homology of
+    the time-reversed complex.  Ranks are summed and torsion collected over
+    the vertices, then normalized once per degree.  Raises PcsError if K is
+    not a valid precubical set.
     """
-    finals = 0
-    total = GradedAbelianGroup([])
+    ranks = [0]
+    torsion: list[list[int]] = [[]]
     for B in assemble_all(K, side).values():
         if len(B) == 0:  # no cube starts here: a final state
-            finals += 1
+            ranks[0] += 1
             continue
         # the reduced H_n of the complex at a vertex lands in degree n + 1
         H = homology_of(chain_complex(B))
-        reduced = ((H.rank(0) - 1, H.torsion(0)),) + H.groups[1:]
-        total = direct_sum(total, GradedAbelianGroup(((0, ()),) + reduced))
-    return direct_sum(total, GradedAbelianGroup.free(finals))
+        while len(ranks) <= len(H.groups):
+            ranks.append(0)
+            torsion.append([])
+        for n, (rank, factors) in enumerate(H.groups, start=1):
+            ranks[n] += rank
+            torsion[n] += factors
+        ranks[1] -= 1  # reduced H0: one less than the components
+    return GradedAbelianGroup(zip(ranks, map(invariant_factors, torsion)))
 
 
 def merging_homology(K: PrecubicalSet) -> GradedAbelianGroup:

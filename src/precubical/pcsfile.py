@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import re
 
-from .core import NAME_RE, PcsError, PrecubicalSet, violations_message
+from .core import NAME_RE, SIDES, PcsError, PrecubicalSet, violations_message
 from .core import validate as validate_complex
 
 _TOKEN_RE = re.compile(r"\S+")
-_ENDS = {"-": 0, "+": 1}
 
 
 class ParseError(PcsError):
@@ -101,10 +100,9 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
                 names.add(target)
             if not (axis.isascii() and axis.isdigit()):
                 raise error(f"bad face axis {axis!r}", line_no, 2)
-            end = _ENDS.get(sign)
-            if end is None:
+            if sign not in SIDES:
                 raise error(f"face end must be '-' or '+', got {sign!r}", line_no, 3)
-            faces.append((cube, int(axis), end, target, line_no))
+            faces.append((cube, int(axis), SIDES.index(sign), target, line_no))
         elif directive == "cube":
             if len(tokens) != 3:
                 raise error("cube takes 2 arguments: name dim", line_no, 0)
@@ -140,9 +138,8 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
             )
         key = (cube, axis, end)
         if key in table:
-            sign = "-" if end == 0 else "+"
             raise error(
-                f"duplicate face ({axis}, {sign}) on cube {cube!r}", line_no, 1
+                f"duplicate face ({axis}, {SIDES[end]}) on cube {cube!r}", line_no, 1
             )
         table[key] = target
 
@@ -165,5 +162,5 @@ def emit_pcs(K: PrecubicalSet) -> str:
     for cube in K.cubes():
         out.append(f"cube {cube.name} {cube.dim}")
     for (c, i, alpha), t in K.face_items():
-        out.append(f"face {c} {i} {'-' if alpha == 0 else '+'} {t}")
+        out.append(f"face {c} {i} {SIDES[alpha]} {t}")
     return "\n".join(out) + "\n"

@@ -3,13 +3,15 @@
 Everything here recomputes library results along a different path: the
 Smith diagonal from determinantal divisors instead of elimination, ranks by
 fraction elimination, boundary composites by a dense product instead of
-sparse columns, merging homology built directly from finish faces instead
-of time reversal, the low degrees from an explicit augmentation matrix,
-PCS text through a regex tokenizer that records every token's column, faces
-of the standard cube on words over {0, 1, x} instead of integer codes, and
-cube attachment by a walk down the face lattice instead of the facet
-identities.  Tests compare these against the library's own answers, so
-nothing in this file may call the function it is checking.
+sparse columns, merging homology from finish faces through the checking
+constructors and a union-find instead of the library's assembly and total
+group, the low degrees from an explicit augmentation matrix on the
+time-reversed complex, PCS text through a regex tokenizer that records
+every token's column, faces of the standard cube on words over {0, 1, x}
+instead of integer codes, and cube attachment by a walk down the face
+lattice instead of the facet identities.  Tests compare these against the
+library's own answers, so nothing in this file may call the function it is
+checking.
 """
 import re
 from fractions import Fraction

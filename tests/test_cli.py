@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from corpus import mutate
 from precubical import cli
 from precubical.cli import run_command
 from precubical.core import standard_cube, time_reverse
@@ -244,3 +246,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "dimension 2" in proc.stdout
+
+
+def test_commands_on_mutants_exit_cleanly(tmp_path):
+    # seeded mutants of the sample files: every command ends with an exit
+    # code, never an exception
+    commands = [["validate"], ["info"], ["complex"], ["complex", "--merging"],
+                ["homology"], ["homology", "--merging"], ["reverse"],
+                ["subdivide", "-p", "2"], ["check-sub", "-p", "2"]]
+    sources = [p.read_text() for p in sorted(DATA.glob("*.pcs"))]
+    rng = random.Random(20261018)
+    codes = set()
+    for k in range(100):
+        path = tmp_path / f"mutant{k}.pcs"
+        path.write_text(mutate(rng, sources[k % len(sources)].splitlines()))
+        for command in commands:
+            code, out, err = run(command[0], str(path), *command[1:])
+            assert code in (0, 1, 2), (command, path.read_text())
+            codes.add(code)
+    assert {0, 2} <= codes

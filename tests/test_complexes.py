@@ -1,5 +1,6 @@
 """Branching/merging complexes and their components."""
 import itertools
+import re
 
 import pytest
 
@@ -15,10 +16,13 @@ from precubical.complexes import (
     pi0_components,
 )
 from precubical.core import (
+    EMPTY,
     PcsError,
+    PrecubicalSet,
     boundary_cube,
     extremal_cubes,
     extremal_partition,
+    extremal_vertex,
     standard_cube,
     time_reverse,
     validate,
@@ -136,6 +140,27 @@ def test_nonempty_index():
                 v for v in K.vertices() if len(branching_complex(K, v, side)) > 0
             )
             assert brute == nonempty_index(n, side)
+
+
+def test_bad_side_is_refused_first():
+    # one ValueError for a side that is neither '-' nor '+', raised before
+    # an invalid complex is noticed
+    K = standard_cube(2)
+    holes = PrecubicalSet({"v": 0, "e": 1}, {})
+    calls = [
+        lambda side: extremal_vertex(K, "xx", side),
+        lambda side: extremal_partition(EMPTY, side),
+        lambda side: extremal_cubes(K, "00", side),
+        lambda side: nonempty_index(2, side),
+        lambda side: assemble_all(holes, side),
+        lambda side: branching_complex(holes, "v", side),
+        lambda side: pi0_components(holes, "v", side),
+    ]
+    for call in calls:
+        for side in ("x", 0, None):
+            message = f"side must be '-' or '+', got {side!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(side)
 
 
 def test_pi0_square_and_hollow_square():

@@ -38,7 +38,7 @@ from precubical.core import (
     validate,
 )
 from precubical import core
-from precubical.pcsfile import parse_pcs
+from precubical.pcsfile import emit_pcs, parse_pcs
 
 
 def binom(n, k):
@@ -172,6 +172,8 @@ def test_face_lookup_errors_in_order():
     assert _failure(lambda: K.face("s", 3, 0)) == (
         PcsError, "face axis 3 out of range 1..2 on cube 's'")
     assert _failure(lambda: K.face("a", 1, 1)) == (
+        MissingFaceError, "cube 'a' has no face (1, +)")
+    assert _failure(lambda: K.face("a", 1, 1.0)) == (
         MissingFaceError, "cube 'a' has no face (1, +)")
     S = SemiSimplicialSet({"e": 1, "u": 0, "w": 0}, {("e", 0): "w", ("e", 1): "u"})
     assert _failure(lambda: S.face("zz", 5)) == (UnknownCubeError, "unknown simplex 'zz'")
@@ -429,3 +431,15 @@ def test_size_guard_counts_exactly(monkeypatch):
     assert len(standard_cube(2)) == 9
     with pytest.raises(PcsError):
         standard_cube(3)
+
+
+def test_face_ends_given_as_other_numbers_read_as_0_and_1():
+    # an end equal to 0 or 1 but not an int (1.0, True) is accepted, and
+    # the complex is the one with int ends, in its text form too
+    dims = {"a": 0, "b": 0, "e": 1}
+    K = PrecubicalSet(dims, {("e", 1, 0): "a", ("e", 1, 1): "b"})
+    for end in (1.0, True):
+        L = PrecubicalSet(dims, {("e", 1, 0.0): "a", ("e", 1, end): "b"})
+        assert L == K and emit_pcs(L) == emit_pcs(K)
+        M, name = attach_cube(boundary_cube(1), 1, {(1, 0): "0", (1, end): "1"}, "x")
+        assert M == standard_cube(1) and emit_pcs(M) == emit_pcs(standard_cube(1))

@@ -1,10 +1,12 @@
 """Exact integer homology: Smith normal form, chain complexes, graded groups."""
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from corpus import corpus20, l_shape, two_squares
+from corpus import corpus20, hollow_cube, hollow_square, l_shape, two_squares
 from oracles import (
     betti_numbers,
     composite_is_zero,
@@ -13,7 +15,12 @@ from oracles import (
     rational_rank,
     smith_diagonal_by_minors,
 )
-from precubical.complexes import SemiSimplicialSet, branching_complex
+from precubical.complexes import (
+    SemiSimplicialSet,
+    assemble_all,
+    branching_complex,
+    pi0_components,
+)
 from precubical.core import boundary_cube, standard_cube, time_reverse, truncate
 from precubical.homology import (
     ChainComplex,
@@ -29,6 +36,7 @@ from precubical.homology import (
     merging_homology,
     smith_normal_form,
 )
+from precubical.pcsfile import parse_pcs
 from precubical.subdivision import grid_complex
 import precubical
 from precubical import homology, subdivision
@@ -411,3 +419,62 @@ def test_time_reversal_duality():
         R = time_reverse(K)
         assert branching_homology(R) == merging_homology(K)
         assert merging_homology(R) == branching_homology(K)
+
+
+def test_merging_side_never_reverses_time(monkeypatch):
+    # the merging side reads finish faces; with time_reverse disabled
+    # everywhere, it must still give what the time-reversal route gives
+    data = Path(__file__).resolve().parent.parent / "data"
+    fixtures = [hollow_square(), hollow_cube(), two_squares(), l_shape(),
+                standard_cube(3)] + corpus20()
+    fixtures += [parse_pcs(p.read_text()) for p in sorted(data.glob("*.pcs"))]
+    expected = []
+    for K in fixtures:
+        R = time_reverse(K)
+        expected.append((
+            branching_homology(R),
+            assemble_all(R, "-"),
+            {v: pi0_components(R, v, "-") for v in K.vertices()},
+        ))
+
+    def reversed_time(K):
+        raise AssertionError("the merging side reversed time")
+
+    original = time_reverse
+    for name, module in list(sys.modules.items()):
+        if name == "precubical" or name.startswith("precubical."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, reversed_time)
+    for K, (H, complexes, components) in zip(fixtures, expected):
+        assert merging_homology(K) == H
+        assert assemble_all(K, "+") == complexes
+        for v in K.vertices():
+            B = branching_complex(K, v, "+")
+            assert B == complexes[v] and (B.side, B.vertex) == ("+", v)
+            assert pi0_components(K, v, "+") == components[v]
+
+
+def test_torsion_summed_across_vertices(monkeypatch):
+    # chosen per-vertex groups with torsion, folded into the total group
+    # as direct sums of each vertex's shifted reduced group
+    K = boundary_cube(3)
+    chosen = {
+        "000": GradedAbelianGroup([(1, ()), (0, (2,))]),
+        "100": GradedAbelianGroup([(2, ()), (1, (3,)), (0, (4,))]),
+        "010": GradedAbelianGroup([(1, ()), (0, ()), (0, (2,))]),
+    }
+    by_basis, per_vertex = {}, {}
+    for v, B in assemble_all(K).items():
+        if len(B):
+            C = chain_complex(B)
+            by_basis[C.bases[0]] = v
+            per_vertex[v] = chosen.get(v) or homology_of(C)
+    monkeypatch.setattr(homology, "homology_of", lambda C: per_vertex[by_basis[C.bases[0]]])
+
+    total = GradedAbelianGroup.free(1)  # the final state 111
+    for H in per_vertex.values():
+        reduced = ((H.rank(0) - 1, H.torsion(0)),) + H.groups[1:]
+        total = direct_sum(total, GradedAbelianGroup(((0, ()),) + reduced))
+    assert branching_homology(K) == total
+    assert total == GradedAbelianGroup([(1, ()), (1, ()), (1, (6,)), (0, (2, 4))])
