@@ -9,6 +9,7 @@ success, 1 when an analysis check fails, 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -333,6 +334,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
+    return _build_parser()
+
+
 def run_command(argv, stdout=None, stderr=None) -> int:
     """Run one pcs command; returns the exit code.
 
@@ -340,7 +347,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
+    parser = _parser()
     try:
         with redirect_stdout(out), redirect_stderr(err):
             args = parser.parse_args(argv)

@@ -9,8 +9,8 @@ finish at v, with their finish faces.  That is the branching complex of
 the time-reversed complex, which the tests use as a second route.
 
 The components of these complexes are what branching/merging homology sees
-in low degrees, so `pi0_components` computes them directly on the cube data
-with a union-find, independent of any chain-complex machinery.
+in low degrees, so `pi0_components` computes them directly on the facet
+tuples with a union-find, independent of any chain-complex machinery.
 """
 from __future__ import annotations
 
@@ -79,10 +79,10 @@ class SemiSimplicialSet(CellStore):
     """A finite semi-simplicial set with named simplices.
 
     `dims` maps names to dimensions; `faces` maps (simplex, i) to the i-th
-    face, 0 <= i <= dim.  Unlike PrecubicalSet, whose validator reports
-    defects (users author those files by hand), this constructor refuses
-    malformed data with PcsError: every face must be present and the
-    identities
+    face, 0 <= i <= dim, kept as one tuple of faces per simplex of positive
+    dimension.  Unlike PrecubicalSet, whose validator reports defects (users
+    author those files by hand), this constructor refuses malformed data
+    with PcsError: every face must be present and the identities
 
         face(face(s, j), i) == face(face(s, i), j - 1)   for i < j
 
@@ -96,27 +96,27 @@ class SemiSimplicialSet(CellStore):
 
     def __init__(self, dims: Mapping[str, int], faces: Mapping[tuple[str, int], str]):
         self._check_dims(dims)
-        self._faces = dict(faces)
-        for (s, i), t in self._faces.items():
-            if s not in self._dims or t not in self._dims:
+        dims = self._dims
+        for (s, i), t in faces.items():
+            if s not in dims or t not in dims:
                 raise PcsError(f"face ({s!r}, {i}) involves unknown simplices")
-            if not 0 <= i <= self._dims[s] or self._dims[s] == 0:
+            if not 0 <= i <= dims[s] or dims[s] == 0:
                 raise PcsError(f"face index {i} out of range on {s!r}")
-            if self._dims[t] != self._dims[s] - 1:
+            if dims[t] != dims[s] - 1:
                 raise PcsError(f"face ({s!r}, {i}) drops to wrong dimension")
-        for s, d in self._dims.items():
-            for i in range(d + 1):
-                if d >= 1 and (s, i) not in self._faces:
+        for s, d in dims.items():
+            for i in range(d + 1 if d else 0):
+                if (s, i) not in faces:
                     raise PcsError(f"simplex {s!r} lacks face {i}")
-        for s, d in self._dims.items():
-            for j in range(d + 1):
+        facets = {s: tuple(faces[(s, i)] for i in range(d + 1)) for s, d in dims.items() if d}
+        for s, d in dims.items():
+            for j in range(d + 1 if d >= 2 else 0):
                 for i in range(j):
-                    lhs = self._faces.get((self._faces[(s, j)], i))
-                    rhs = self._faces.get((self._faces[(s, i)], j - 1))
-                    if lhs != rhs:
+                    if facets[facets[s][j]][i] != facets[facets[s][i]][j - 1]:
                         raise PcsError(
                             f"simplicial identity fails on {s!r} at i={i}, j={j}"
                         )
+        self._facets = facets
         self._grade()
 
     def __repr__(self) -> str:
@@ -127,19 +127,18 @@ class SemiSimplicialSet(CellStore):
 
     def face(self, name: str, i: int) -> str:
         """The i-th face of a simplex; arguments are checked only on a miss."""
-        try:
-            return self._faces[(name, i)]
-        except KeyError:
-            d = self.dim_of(name)
-            if not 0 <= i <= d or d == 0:
-                raise PcsError(f"face index {i} out of range on {name!r}") from None
-            raise
+        F = self._facets.get(name)
+        if F is not None and i in range(len(F)):
+            return F[int(i)]
+        self.dim_of(name)
+        raise PcsError(f"face index {i} out of range on {name!r}")
 
     def components(self) -> tuple[frozenset[str], ...]:
         """Connected classes of the simplices, via union-find on the faces."""
         uf = UnionFind(self._dims)
-        for (s, _), t in self._faces.items():
-            uf.union(s, t)
+        for s, F in self._facets.items():
+            for t in F:
+                uf.union(s, t)
         return tuple(uf.components())
 
 
@@ -161,10 +160,11 @@ class BranchingComplex(SemiSimplicialSet):
 def _assemble_at(K: PrecubicalSet, vertex: str, side: str,
                  members: frozenset[str]) -> BranchingComplex:
     end = side_end(side)
-    dims = {c: K.dim_of(c) - 1 for c in members}
-    faces = {(c, i): K.face(c, i + 1, end) for c, k in dims.items() if k for i in range(k + 1)}
-    # a valid K satisfies the simplicial identities (module docstring)
-    return BranchingComplex._adopt(dims, faces, vertex=vertex, side=side)
+    dims = {c: K._dims[c] - 1 for c in members}
+    # face i of a simplex is face (i + 1, end) of its cube; a valid K
+    # satisfies the simplicial identities (module docstring)
+    facets = {c: K._facets[c][end::2] for c, k in dims.items() if k}
+    return BranchingComplex._adopt(dims, facets, vertex=vertex, side=side)
 
 
 def branching_complex(K: PrecubicalSet, vertex: str, side: str = MINUS) -> BranchingComplex:
@@ -197,20 +197,12 @@ def pi0_components(K: PrecubicalSet, vertex: str, side: str = MINUS) -> tuple[fr
     """Partition the cubes branching out of (merging into) a vertex into
     connected classes.
 
-    Works directly on the cube data with a union-find, joining each cube of
-    dimension >= 2 with its start faces (finish faces on side '+'); this
-    stays independent of the chain-complex route to the same numbers.
-    Raises PcsError if K is not a valid precubical set.
+    A union-find joins each cube of dimension >= 2 with its start faces
+    (finish faces on side '+'), the faces of its simplex in the branching
+    complex; this stays independent of the chain-complex route to the same
+    numbers.  Raises PcsError if K is not a valid precubical set.
     """
-    end = side_end(side)
-    check_valid(K)
-    members = extremal_cubes(K, vertex, side)
-    uf = UnionFind(members)
-    for c in members:
-        if K.dim_of(c) >= 2:
-            for i in range(1, K.dim_of(c) + 1):
-                uf.union(c, K.face(c, i, end))
-    return tuple(uf.components())
+    return branching_complex(K, vertex, side).components()
 
 
 def nonempty_index(n: int, side: str = MINUS) -> frozenset[str]:

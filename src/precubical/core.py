@@ -7,16 +7,19 @@ axis i in 1..n and each end a in {0, 1}, subject to
     face(face(c, j, b), i, a) == face(face(c, i, a), j - 1, b)   for i < j.
 
 Everything here is finite and explicit.  A complex is a table of named
-cubes plus a table of faces; construction checks only structure (known
-names, index ranges), while `validate` checks the axioms exhaustively and
-returns every violation with a witness instead of raising.
+cubes plus one facet tuple per cube: an n-cube's 2n faces, face (i, a) at
+index 2(i - 1) + a and None for a hole.  The simplex a cube gives in the
+branching complex at its start vertex is the slice [0::2] (its start
+faces); in the merging complex, [1::2].  Construction checks only structure
+(known names, index ranges), while `validate` checks the axioms
+exhaustively and returns every violation with a witness instead of raising.
 """
 from __future__ import annotations
 
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 
@@ -101,17 +104,18 @@ class Violation:
 
 
 class CellStore:
-    """Named cells graded by dimension plus a face table, shared by
-    precubical and semi-simplicial sets.  Public constructors check their
-    input; `_adopt`, for tables the library built, neither copies nor checks.
+    """Named cells graded by dimension plus the tuple of faces of each cell
+    with a face recorded, shared by precubical and semi-simplicial sets.
+    Public constructors check their input; `_adopt`, for tables the library
+    built, neither copies nor checks.
     """
 
-    __slots__ = ("_dims", "_faces", "_grades")
+    __slots__ = ("_dims", "_facets", "_grades")
 
     @classmethod
-    def _adopt(cls, dims: dict, faces: dict, **attributes):
+    def _adopt(cls, dims: dict, facets: dict, **attributes):
         self = cls.__new__(cls)
-        self._dims, self._faces = dims, faces
+        self._dims, self._facets = dims, facets
         self._grade()
         for name, value in attributes.items():
             setattr(self, name, value)
@@ -156,10 +160,10 @@ class CellStore:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CellStore) or other._cell != self._cell:
             return NotImplemented
-        return self._dims == other._dims and self._faces == other._faces
+        return self._dims == other._dims and self._facets == other._facets
 
     def __hash__(self) -> int:
-        return hash((frozenset(self._dims.items()), frozenset(self._faces.items())))
+        return hash((frozenset(self._dims.items()), frozenset(self._facets.items())))
 
     def _graded(self, dim: int | None, make) -> tuple:
         """make(name, dim) for every cell (or those of one dimension),
@@ -179,7 +183,8 @@ class PrecubicalSet(CellStore):
     `dims` maps cube names to dimensions; `faces` maps (cube, axis, end)
     keys to target cube names, with axis in 1..dim(cube) and end in {0, 1}.
     Holes and wrong-dimension targets are representable (so that `validate`
-    can report them); unknown names and out-of-range axes are not.
+    can report them); unknown names and out-of-range axes are not.  Only
+    cubes with a face get a facet tuple, and `check_slots` bounds the holes.
 
     `_valid` is set once the axioms are known to hold, by `validate` or by
     a construction that preserves them, so `check_valid` validates once.
@@ -190,19 +195,20 @@ class PrecubicalSet(CellStore):
 
     def __init__(self, dims: Mapping[str, int], faces: Mapping[FaceKey, str]):
         self._check_dims(dims)
-        self._faces: dict[FaceKey, str] = {}
-        for key, target in faces.items():
-            c, i, alpha = key
+        check_slots(self._dims, (c for c, _, _ in faces), len(faces))
+        facets: dict[str, list] = {}
+        for (c, i, alpha), target in faces.items():
             if c not in self._dims:
                 raise UnknownCubeError(f"face on unknown cube {c!r}")
             if target not in self._dims:
                 raise UnknownCubeError(f"face of {c!r} targets unknown cube {target!r}")
-            alpha = check_end(alpha)
-            if not 1 <= i <= self._dims[c]:
-                raise PcsError(
-                    f"face axis {i} out of range 1..{self._dims[c]} on cube {c!r}"
-                )
-            self._faces[(c, i, alpha)] = target
+            alpha, n = check_end(alpha), self._dims[c]
+            if not 1 <= i <= n or i != int(i):
+                raise PcsError(f"face axis {i} out of range 1..{n} on cube {c!r}")
+            if c not in facets:
+                facets[c] = [None] * (2 * n)
+            facets[c][2 * int(i) - 2 + alpha] = target
+        self._facets = {c: tuple(F) for c, F in facets.items()}
         self._grade()
         self._valid = False
 
@@ -217,12 +223,11 @@ class PrecubicalSet(CellStore):
         return tuple(self._grades.get(0, ()))
 
     def face(self, name: str, i: int, alpha: int) -> str:
-        """The (i, alpha) face of a cube; raises if absent.  A recorded key
-        is a valid one, so the arguments are checked only on a miss."""
-        try:
-            return self._faces[(name, i, alpha)]
-        except KeyError:
-            pass
+        """The (i, alpha) face of a cube; raises if absent.  The arguments
+        are checked only on a miss."""
+        t = self.face_or_none(name, i, alpha)
+        if t is not None:
+            return t
         d = self.dim_of(name)
         alpha = check_end(alpha)
         if not 1 <= i <= d:
@@ -230,17 +235,21 @@ class PrecubicalSet(CellStore):
         raise MissingFaceError(f"cube {name!r} has no face ({i}, {SIDES[alpha]})")
 
     def face_or_none(self, name: str, i: int, alpha: int) -> str | None:
-        return self._faces.get((name, i, alpha))
+        F = self._facets.get(name)
+        if F is None or alpha not in (0, 1) or i not in range(1, len(F) // 2 + 1):
+            return None
+        return F[2 * int(i) - 2 + int(alpha)]
 
     def face_items(self) -> Iterator[tuple[FaceKey, str]]:
-        """All face entries, deterministically ordered."""
-        keys = sorted(self._faces, key=lambda k: (self._dims[k[0]], k[0], k[1], k[2]))
-        for k in keys:
-            yield k, self._faces[k]
+        """All face entries: cubes by (dim, name), axes ascending, '-' first."""
+        for c in self._graded(None, lambda name, d: name):
+            for k, t in enumerate(self._facets.get(c, ())):
+                if t is not None:
+                    yield (c, k // 2 + 1, k % 2), t
 
     def as_tables(self) -> tuple[dict[str, int], dict[FaceKey, str]]:
-        """Copies of the underlying (dims, faces) tables."""
-        return dict(self._dims), dict(self._faces)
+        """Copies of the (dims, faces) tables, faces keyed (cube, axis, end)."""
+        return dict(self._dims), dict(self.face_items())
 
 
 EMPTY = PrecubicalSet._adopt({}, {}, _valid=True)
@@ -258,39 +267,31 @@ def validate(K: PrecubicalSet) -> list[Violation]:
     recorded faces costs little whatever its dimension.
     """
     out: list[Violation] = []
-    for cube in K.cubes():
-        c, n = cube.name, cube.dim
-        facets: dict[tuple[int, int], str] = {}
-        for i in range(1, n + 1):
-            for alpha in (0, 1):
-                t = K.face_or_none(c, i, alpha)
+    dims, facets = K._dims, K._facets
+    for n in sorted(K._grades):
+        for c in K._grades[n] if n else ():
+            F = facets.get(c, (None,) * (2 * n))
+            for k, t in enumerate(F):
                 if t is None:
-                    out.append(Violation("missing-face", c, (i, alpha)))
-                elif K.dim_of(t) != n - 1:
-                    out.append(
-                        Violation(
-                            "dimension-mismatch",
-                            c,
-                            (i, alpha, t, n - 1, K.dim_of(t)),
-                        )
-                    )
-                else:
-                    facets[(i, alpha)] = t
-        axes = sorted({i for i, _ in facets})
-        for a, i in enumerate(axes):
-            for j in axes[a + 1 :]:
-                for alpha in (0, 1):
-                    for beta in (0, 1):
-                        t = facets.get((j, beta))
-                        u = facets.get((i, alpha))
-                        if t is None or u is None:
-                            continue
-                        lhs = K.face_or_none(t, i, alpha)
-                        rhs = K.face_or_none(u, j - 1, beta)
-                        if lhs is not None and rhs is not None and lhs != rhs:
-                            out.append(
-                                Violation("identity", c, (i, j, alpha, beta, lhs, rhs))
-                            )
+                    out.append(Violation("missing-face", c, (k // 2 + 1, k % 2)))
+                elif dims[t] != n - 1:
+                    where = (k // 2 + 1, k % 2, t, n - 1, dims[t])
+                    out.append(Violation("dimension-mismatch", c, where))
+            # G[2j + beta] is the facet tuple of face (j + 1, beta) if that has
+            # dimension n - 1, so each identity is two index reads
+            G = [facets.get(t) if t and dims[t] == n - 1 else None for t in F]
+            axes = [i for i in range(n) if G[2 * i] or G[2 * i + 1]]
+            for a, i in enumerate(axes):
+                for j in axes[a + 1 :]:
+                    for alpha in (0, 1):
+                        U = G[2 * i + alpha]
+                        for beta in (0, 1):
+                            T = G[2 * j + beta]
+                            if T and U:
+                                lhs, rhs = T[2 * i + alpha], U[2 * j - 2 + beta]
+                                if lhs and rhs and lhs != rhs:
+                                    where = (i + 1, j + 1, alpha, beta, lhs, rhs)
+                                    out.append(Violation("identity", c, where))
     if not out:
         K._valid = True
     return out
@@ -316,6 +317,14 @@ def check_valid(K: PrecubicalSet) -> None:
 # -- size guard ---------------------------------------------------------------
 
 MAX_CELLS = 10**6
+
+
+def check_slots(dims: Mapping[str, int], cubes: Iterable[str], faces: int,
+                error: type[PcsError] = PcsError) -> None:
+    """Raise `error` if the facet tuples of `cubes`, given `faces` faces in
+    all, would have more than MAX_CELLS holes; unknown cubes count 0."""
+    if sum(2 * dims.get(c, 0) for c in set(cubes)) - faces > MAX_CELLS:
+        raise error(f"face tables would leave more than {MAX_CELLS} face slots empty")
 
 
 def check_cells(what: str, base: int, counts: Mapping[int, int]) -> None:
@@ -355,13 +364,13 @@ def cell_faces(codes: Codes) -> Iterator[tuple[int, int, Codes]]:
 
 def _grid(cells: Mapping[Codes, str]) -> PrecubicalSet:
     """The precubical set on named cells; each cell's faces must be named too."""
-    dims = {name: sum(c % 2 for c in codes) for codes, name in cells.items()}
-    faces = {
-        (name, j, alpha): cells[face]
-        for codes, name in cells.items()
-        for j, alpha, face in cell_faces(codes)
-    }
-    return PrecubicalSet._adopt(dims, faces, _valid=True)
+    dims, facets = {}, {}
+    for codes, name in cells.items():
+        F = tuple(cells[face] for _, _, face in cell_faces(codes))
+        dims[name] = len(F) // 2
+        if F:  # a vertex has no facet tuple
+            facets[name] = F
+    return PrecubicalSet._adopt(dims, facets, _valid=True)
 
 
 def _word(codes: Codes) -> str:
@@ -393,10 +402,10 @@ def boundary_cube(n: int) -> PrecubicalSet:
 def truncate(K: PrecubicalSet, p: int) -> PrecubicalSet:
     """Discard every cube of dimension above p (and its face entries)."""
     kept = {n: d for n, d in K._dims.items() if d <= p}
-    kept_faces = {k: t for k, t in K._faces.items() if k[0] in kept}
     if K._valid:  # faces of kept cubes are kept
-        return PrecubicalSet._adopt(kept, kept_faces, _valid=True)
-    return PrecubicalSet(kept, kept_faces)
+        facets = {c: F for c, F in K._facets.items() if c in kept}
+        return PrecubicalSet._adopt(kept, facets, _valid=True)
+    return PrecubicalSet(kept, {k: t for k, t in K.face_items() if k[0] in kept})
 
 
 # -- extremal vertices and states -------------------------------------------
@@ -411,10 +420,11 @@ def extremal_vertex(K: PrecubicalSet, name: str, side: str = MINUS) -> str:
     without validation may have a face that does not.
     """
     alpha = side_end(side)
+    dims, facets = K._dims, K._facets
     d = K.dim_of(name)
     while d > 0:
-        face = K.face(name, 1, alpha)
-        face_dim = K.dim_of(face)
+        face = facets.get(name, (None, None))[alpha] or K.face(name, 1, alpha)  # a hole raises
+        face_dim = dims[face]
         if face_dim >= d:
             raise PcsError(
                 f"face (1, {side}) of {name!r} is {face!r} of dimension "
@@ -439,9 +449,9 @@ def extremal_partition(K: PrecubicalSet, side: str = MINUS) -> dict[str, frozens
     """
     side_end(side)  # a bad side is refused even without cubes
     groups: dict[str, list[str]] = {v: [] for v in K.vertices()}
-    for cube in K.cubes():
-        if cube.dim >= 1:
-            groups[extremal_vertex(K, cube.name, side)].append(cube.name)
+    for d in sorted(K._grades):
+        for c in K._grades[d] if d else ():
+            groups[extremal_vertex(K, c, side)].append(c)
     return {v: frozenset(members) for v, members in groups.items()}
 
 
@@ -464,7 +474,7 @@ def initial_states(K: PrecubicalSet) -> frozenset[str]:
 
 def time_reverse(K: PrecubicalSet) -> PrecubicalSet:
     """Swap the two ends of every face map.  An involution."""
-    rev = {(c, i, 1 - alpha): t for (c, i, alpha), t in K._faces.items()}
+    rev = {c: tuple(F[k ^ 1] for k in range(len(F))) for c, F in K._facets.items()}
     return PrecubicalSet._adopt(K._dims, rev, _valid=K._valid)
 
 
@@ -525,7 +535,7 @@ def attach_cube(
         raise PcsError(
             f"boundary assignment must cover exactly the {2 * n} facet slots"
         )
-    boundary = {(i, check_end(alpha)): t for (i, alpha), t in boundary.items()}
+    boundary = {(int(i), check_end(alpha)): t for (i, alpha), t in boundary.items()}
     for (i, alpha), t in boundary.items():
         if K.dim_of(t) != n - 1:
             raise PcsError(
@@ -555,11 +565,11 @@ def attach_cube(
         raise PcsError(f"cube name {name!r} already in use")
     elif not NAME_RE.match(name):
         raise PcsError(f"bad cube name {name!r}")
-    dims, faces = K.as_tables()
+    dims, facets = dict(K._dims), dict(K._facets)
     dims[name] = n
-    for (i, alpha), t in boundary.items():
-        faces[(name, i, alpha)] = t
-    return PrecubicalSet._adopt(dims, faces, _valid=K._valid), name
+    if n:
+        facets[name] = tuple(boundary[(i, a)] for i in range(1, n + 1) for a in (0, 1))
+    return PrecubicalSet._adopt(dims, facets, _valid=K._valid), name
 
 
 @dataclass(frozen=True, eq=False)

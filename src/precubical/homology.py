@@ -348,15 +348,15 @@ class ChainComplex:
 def chain_complex(S: SemiSimplicialSet) -> ChainComplex:
     """Simplicial chains: the boundary of a k-simplex alternates its faces."""
     top = S.dim
-    bases = tuple(tuple(s.name for s in S.simplices(k)) for k in range(top + 1))
+    bases = tuple(tuple(S._grades.get(k, ())) for k in range(top + 1))
     boundaries = []
     for k in range(1, top + 1):
         index = {name: i for i, name in enumerate(bases[k - 1])}
         columns = []
         for name in bases[k]:
             col: Column = {}
-            for i in range(k + 1):
-                row = index[S.face(name, i)]
+            for i, face in enumerate(S._facets[name]):
+                row = index[face]
                 col[row] = col.get(row, 0) + (-1) ** i
             columns.append(col)
         boundaries.append(Matrix.from_columns(len(index), columns))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 
-from .core import NAME_RE, SIDES, PcsError, PrecubicalSet, violations_message
+from .core import NAME_RE, SIDES, PcsError, PrecubicalSet, check_slots, violations_message
 from .core import validate as validate_complex
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -77,12 +77,13 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
         version = " ".join(tokens[1:])
         raise error(f"unsupported format version {version!r}", line_no, 0)
 
-    # Syntax pass: (name, dim, line) and (cube, axis, end, target, line).
+    # Syntax pass: (name, dim, line) and (cube, slot 2(i - 1) + end, target, line).
     cubes: list[tuple[str, int, int]] = []
-    faces: list[tuple[str, int, int, str, int]] = []
+    faces: list[tuple[str, int, str, int]] = []
     names: set[str] = set()
+    slots: dict[str, int] = {}  # 2(i - 1) for each axis token i seen
     for line_no, raw in numbered:
-        tokens = raw.partition("#")[0].split()
+        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not tokens:
             continue
         directive = tokens[0]
@@ -98,11 +99,14 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
                 if not NAME_RE.match(target):
                     raise error(f"bad name {target!r}", line_no, 4)
                 names.add(target)
-            if not (axis.isascii() and axis.isdigit()):
-                raise error(f"bad face axis {axis!r}", line_no, 2)
+            k = slots.get(axis)
+            if k is None:
+                if not (axis.isascii() and axis.isdigit()):
+                    raise error(f"bad face axis {axis!r}", line_no, 2)
+                k = slots[axis] = 2 * int(axis) - 2
             if sign not in SIDES:
                 raise error(f"face end must be '-' or '+', got {sign!r}", line_no, 3)
-            faces.append((cube, int(axis), SIDES.index(sign), target, line_no))
+            faces.append((cube, k + SIDES.index(sign), target, line_no))
         elif directive == "cube":
             if len(tokens) != 3:
                 raise error("cube takes 2 arguments: name dim", line_no, 0)
@@ -117,34 +121,35 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
         else:
             raise error(f"unknown directive {directive!r}", line_no, 0)
 
-    dims = {name: dim for name, dim, _ in cubes}
-    if len(dims) != len(cubes):
-        seen: set[str] = set()
-        for name, _, line_no in cubes:
-            if name in seen:
-                raise error(f"duplicate cube {name!r}", line_no, 1)
-            seen.add(name)
+    dims: dict[str, int] = {}
+    for name, dim, line_no in cubes:
+        if name in dims:
+            raise error(f"duplicate cube {name!r}", line_no, 1)
+        dims[name] = dim
 
-    table: dict[tuple[str, int, int], str] = {}
-    for cube, axis, end, target, line_no in faces:
+    check_slots(dims, (face[0] for face in faces), len(faces), ParseError)
+    facets: dict[str, list] = {}
+    for cube, k, target, line_no in faces:
         dim = dims.get(cube)
         if dim is None:
             raise error(f"face on unknown cube {cube!r}", line_no, 1)
         if target not in dims:
             raise error(f"face targets unknown cube {target!r}", line_no, 4)
-        if not 1 <= axis <= dim:
+        if not 0 <= k < 2 * dim:
             raise error(
-                f"face axis {axis} out of range 1..{dim} on cube {cube!r}", line_no, 1
+                f"face axis {k // 2 + 1} out of range 1..{dim} on cube {cube!r}", line_no, 1
             )
-        key = (cube, axis, end)
-        if key in table:
+        F = facets.get(cube)
+        if F is None:
+            F = facets[cube] = [None] * (2 * dim)
+        if F[k] is not None:
             raise error(
-                f"duplicate face ({axis}, {SIDES[end]}) on cube {cube!r}", line_no, 1
+                f"duplicate face ({k // 2 + 1}, {SIDES[k % 2]}) on cube {cube!r}", line_no, 1
             )
-        table[key] = target
+        F[k] = target
 
     # every name, dimension and face is checked above
-    K = PrecubicalSet._adopt(dims, table, _valid=False)
+    K = PrecubicalSet._adopt(dims, {c: tuple(F) for c, F in facets.items()}, _valid=False)
     if validate:
         violations = validate_complex(K)
         if violations:

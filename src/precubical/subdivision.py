@@ -115,15 +115,16 @@ def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
                 )
             pairs[name] = (cube.name, codes)
             names[(cube.name, codes)] = name
-    dims, faces = {}, {}
+    dims, facets = {}, {}
     for name, (base, codes) in pairs.items():
-        dims[name] = sum(c % 2 for c in codes)
-        for j, alpha, raw in cell_faces(codes):
-            target = (base, raw)
-            if 0 in raw or top in raw:
-                target = normalize_pair(K, base, raw, p)
-            faces[(name, j, alpha)] = names[target]
-    return Subdivision(K, p, PrecubicalSet._adopt(dims, faces, _valid=True), pairs, names)
+        F = tuple(
+            names[normalize_pair(K, base, raw, p) if 0 in raw or top in raw else (base, raw)]
+            for _, _, raw in cell_faces(codes)
+        )
+        dims[name] = len(F) // 2
+        if F:
+            facets[name] = F
+    return Subdivision(K, p, PrecubicalSet._adopt(dims, facets, _valid=True), pairs, names)
 
 
 def grid_complex(boxes: Iterable[Sequence[int]]) -> PrecubicalSet:

@@ -7,7 +7,8 @@ sparse columns, merging homology from finish faces through the checking
 constructors and a union-find instead of the library's assembly and total
 group, the low degrees from an explicit augmentation matrix on the
 time-reversed complex, PCS text through a regex tokenizer that records
-every token's column, faces of the standard cube on words over {0, 1, x}
+every token's column, the axioms on (cube, axis, end)-keyed face tables
+instead of facet tuples, faces of the standard cube on words over {0, 1, x}
 instead of integer codes, and cube attachment by a walk down the face
 lattice instead of the facet identities.  Tests compare these against the
 library's own answers, so nothing in this file may call the function it is
@@ -23,6 +24,7 @@ from precubical.core import (
     MorphismError,
     PcsError,
     PrecubicalSet,
+    Violation,
     extremal_cubes,
     initial_states,
     time_reverse,
@@ -189,6 +191,36 @@ _NAME = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 
 class _Reject(Exception):
     pass
+
+
+def validate_reference(dims, faces):
+    """The violations `core.validate` reports, in its order, computed on
+    (dims, faces) tables with faces keyed (cube, axis, end)."""
+    out = []
+    for c in sorted(dims, key=lambda c: (dims[c], c)):
+        n = dims[c]
+        facets = {}
+        for i in range(1, n + 1):
+            for alpha in (0, 1):
+                t = faces.get((c, i, alpha))
+                if t is None:
+                    out.append(Violation("missing-face", c, (i, alpha)))
+                elif dims[t] != n - 1:
+                    out.append(Violation("dimension-mismatch", c, (i, alpha, t, n - 1, dims[t])))
+                else:
+                    facets[(i, alpha)] = t
+        axes = sorted({i for i, _ in facets})
+        for a, i in enumerate(axes):
+            for j in axes[a + 1 :]:
+                for alpha in (0, 1):
+                    for beta in (0, 1):
+                        t, u = facets.get((j, beta)), facets.get((i, alpha))
+                        if t is None or u is None:
+                            continue
+                        lhs, rhs = faces.get((t, i, alpha)), faces.get((u, j - 1, beta))
+                        if lhs is not None and rhs is not None and lhs != rhs:
+                            out.append(Violation("identity", c, (i, j, alpha, beta, lhs, rhs)))
+    return out
 
 
 def parse_reference(text: str):

@@ -181,6 +181,41 @@ def test_hostile_sizes_exit_2_fast():
     assert "the boundary of the standard 20-cube would have more than 1000000 cells" in err
 
 
+def test_hostile_sizes_stay_bounded(tmp_path):
+    # declared cubes without faces cost nothing; a facet tuple allocated for
+    # a huge cube is refused before it is built
+    start = time.perf_counter()
+    text = "pcs 1\n" + "".join(f"cube a{k} 1000000\n" for k in range(100))
+    assert len(parse_pcs(text, validate=False)) == 100
+    assert time.perf_counter() - start < 1.0
+    huge = tmp_path / "huge.pcs"
+    huge.write_text("pcs 1\ncube a 1000000\ncube b 0\nface a 1 - b\n")
+    for command in ("validate", "info"):
+        start = time.perf_counter()
+        code, out, err = run(command, str(huge))
+        assert time.perf_counter() - start < 1.0, command
+        assert code == 2 and out == "", command
+        assert err == "error: face tables would leave more than 1000000 face slots empty\n"
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    argvs = [["--help"], [], ["frobnicate"], ["std-cube", "-1"], ["std-cube", "2"],
+             ["info", str(DATA / "square.pcs")], ["homology", "--json", str(DATA / "l-shape.pcs")],
+             ["homology", "--merging", str(DATA / "hollow-square.pcs")],
+             ["subdivide", "-p"], ["demo-no-germs", "--steps", "3"]]
+    fresh = []
+    for argv in argvs:  # a new parser for every call
+        cli._parser.cache_clear()
+        fresh.append(run(*argv))
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert [run(*argv) for argv in argvs + argvs] == fresh + fresh
+    assert len(built) == 1
+    assert {code for code, _, _ in fresh} == {0, 2}
+
+
 def test_reverse_involution(tmp_path):
     once = tmp_path / "r.pcs"
     code, _, _ = run("reverse", str(DATA / "l-shape.pcs"), "-o", str(once))

@@ -433,6 +433,32 @@ def test_size_guard_counts_exactly(monkeypatch):
         standard_cube(3)
 
 
+def test_face_axes_given_as_other_numbers_read_as_ints():
+    # an axis equal to an int in range (1.0, True) is stored as that int, so
+    # the text form parses back; 1.5 and 0 stay out of range
+    dims = {"a": 0, "b": 0, "e": 1}
+    K = PrecubicalSet(dims, {("e", 1.0, 0): "a", ("e", 1, 1): "b"})
+    assert parse_pcs(emit_pcs(K)) == K == PrecubicalSet(
+        dims, {("e", 1, 0): "a", ("e", True, 1): "b"})
+    assert list(K.face_items()) == [(("e", 1, 0), "a"), (("e", 1, 1), "b")]
+    for axis in (1.5, 0):
+        with pytest.raises(PcsError, match=f"face axis {axis} out of range 1..1"):
+            PrecubicalSet(dims, {("e", axis, 0): "a"})
+    M, _ = attach_cube(boundary_cube(1), 1, {(1.0, 0): "0", (1, 1): "1"}, "x")
+    assert M == standard_cube(1) and emit_pcs(M) == emit_pcs(standard_cube(1))
+
+
+def test_holes_of_facet_tuples_are_bounded():
+    # a cube's facet tuple is allocated with its first face; the holes of all
+    # tuples may exceed the faces by at most MAX_CELLS
+    assert PrecubicalSet({"a": 10**6, "b": 0}, {}).face_or_none("a", 1, 0) is None
+    with pytest.raises(PcsError, match="more than 1000000 face slots empty"):
+        PrecubicalSet({"a": 10**6, "b": 0}, {("a", 1, 0): "b"})
+    dims = {"a": 500_000, "b": 0}
+    faces = {("a", 1, 0): "b", ("a", 1, 1): "b"}  # 10**6 slots, 2 filled
+    assert PrecubicalSet(dims, faces).face("a", 1, 1) == "b"
+
+
 def test_face_ends_given_as_other_numbers_read_as_0_and_1():
     # an end equal to 0 or 1 but not an int (1.0, True) is accepted, and
     # the complex is the one with int ends, in its text form too

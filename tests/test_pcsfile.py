@@ -5,9 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from corpus import mutate
-from oracles import parse_reference
-from precubical.core import EMPTY, PrecubicalSet, boundary_cube, standard_cube, validate
+from corpus import corpus20, mutate
+from oracles import parse_reference, validate_reference
+from precubical.core import (
+    EMPTY,
+    PrecubicalSet,
+    boundary_cube,
+    standard_cube,
+    validate,
+    violations_message,
+)
 from precubical.pcsfile import ParseError, emit_pcs, parse_pcs
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -210,3 +217,38 @@ def test_parse_matches_reference_on_mutations():
     # the corpus reaches both parse results and a spread of error kinds
     assert outcomes["tables"] > 50
     assert len(outcomes["errors"]) >= 12
+
+
+def test_facet_tuples_match_keyed_tables_on_mutations():
+    # parse and validate on facet tuples against the regex tokenizer's
+    # (cube, axis, end) tables and the validator on those tables
+    sources = [p.read_text() for p in sorted(DATA.glob("*.pcs"))]
+    sources += [emit_pcs(K) for K in corpus20()]
+    rng = random.Random(20261019)
+    seen = {"tables": 0, "violations": 0}
+    for n in range(1000):
+        text = mutate(rng, sources[n % len(sources)].splitlines())
+        expected = parse_reference(text)
+        try:
+            K = parse_pcs(text, validate=False)
+        except ParseError as e:
+            assert (e.message, e.line, e.col) == expected, text
+            with pytest.raises(ParseError) as strict:
+                parse_pcs(text)
+            assert str(strict.value) == str(e)
+            continue
+        dims, faces = expected
+        assert K.as_tables() == expected and PrecubicalSet(*expected) == K, text
+        ordered = sorted(faces.items(), key=lambda item: (dims[item[0][0]], *item[0]))
+        assert list(K.face_items()) == ordered, text
+        violations = validate_reference(*K.as_tables())
+        assert validate(K) == violations, text
+        if violations:
+            with pytest.raises(ParseError) as strict:
+                parse_pcs(text)
+            assert str(strict.value) == violations_message(violations)
+            seen["violations"] += 1
+        else:
+            assert parse_pcs(text) == K
+        seen["tables"] += 1
+    assert seen["tables"] > 100 and seen["violations"] > 50, seen
