@@ -254,6 +254,7 @@ def _cmd_demo_no_germs(args, out, err) -> int:
     return 0
 
 
+@functools.cache  # one parser per process, reused by every run_command
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcs",
@@ -334,12 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
-    return _build_parser()
-
-
 def run_command(argv, stdout=None, stderr=None) -> int:
     """Run one pcs command; returns the exit code.
 
@@ -347,7 +342,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _parser()
+    parser = _build_parser()
     try:
         with redirect_stdout(out), redirect_stderr(err):
             args = parser.parse_args(argv)

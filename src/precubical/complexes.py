@@ -9,8 +9,8 @@ finish at v, with their finish faces.  That is the branching complex of
 the time-reversed complex, which the tests use as a second route.
 
 The components of these complexes are what branching/merging homology sees
-in low degrees, so `pi0_components` computes them directly on the facet
-tuples with a union-find, independent of any chain-complex machinery.
+in low degrees, so `pi0_components` computes them directly on the cube data
+with a union-find, independent of any chain-complex machinery.
 """
 from __future__ import annotations
 
@@ -96,20 +96,19 @@ class SemiSimplicialSet(CellStore):
 
     def __init__(self, dims: Mapping[str, int], faces: Mapping[tuple[str, int], str]):
         self._check_dims(dims)
-        dims = self._dims
         for (s, i), t in faces.items():
-            if s not in dims or t not in dims:
+            if s not in self._dims or t not in self._dims:
                 raise PcsError(f"face ({s!r}, {i}) involves unknown simplices")
-            if not 0 <= i <= dims[s] or dims[s] == 0:
+            if not 0 <= i <= self._dims[s] or self._dims[s] == 0:
                 raise PcsError(f"face index {i} out of range on {s!r}")
-            if dims[t] != dims[s] - 1:
+            if self._dims[t] != self._dims[s] - 1:
                 raise PcsError(f"face ({s!r}, {i}) drops to wrong dimension")
-        for s, d in dims.items():
-            for i in range(d + 1 if d else 0):
-                if (s, i) not in faces:
+        for s, d in self._dims.items():
+            for i in range(d + 1):
+                if d >= 1 and (s, i) not in faces:
                     raise PcsError(f"simplex {s!r} lacks face {i}")
-        facets = {s: tuple(faces[(s, i)] for i in range(d + 1)) for s, d in dims.items() if d}
-        for s, d in dims.items():
+        facets = {s: tuple(faces[s, i] for i in range(d + 1)) for s, d in self._dims.items() if d}
+        for s, d in self._dims.items():
             for j in range(d + 1 if d >= 2 else 0):
                 for i in range(j):
                     if facets[facets[s][j]][i] != facets[facets[s][i]][j - 1]:
@@ -161,8 +160,7 @@ def _assemble_at(K: PrecubicalSet, vertex: str, side: str,
                  members: frozenset[str]) -> BranchingComplex:
     end = side_end(side)
     dims = {c: K._dims[c] - 1 for c in members}
-    # face i of a simplex is face (i + 1, end) of its cube; a valid K
-    # satisfies the simplicial identities (module docstring)
+    # a valid K satisfies the simplicial identities (module docstring)
     facets = {c: K._facets[c][end::2] for c, k in dims.items() if k}
     return BranchingComplex._adopt(dims, facets, vertex=vertex, side=side)
 
@@ -197,12 +195,20 @@ def pi0_components(K: PrecubicalSet, vertex: str, side: str = MINUS) -> tuple[fr
     """Partition the cubes branching out of (merging into) a vertex into
     connected classes.
 
-    A union-find joins each cube of dimension >= 2 with its start faces
-    (finish faces on side '+'), the faces of its simplex in the branching
-    complex; this stays independent of the chain-complex route to the same
-    numbers.  Raises PcsError if K is not a valid precubical set.
+    Works directly on the cube data with a union-find, joining each cube of
+    dimension >= 2 with its start faces (finish faces on side '+'); this
+    stays independent of the chain-complex route to the same numbers.
+    Raises PcsError if K is not a valid precubical set.
     """
-    return branching_complex(K, vertex, side).components()
+    end = side_end(side)
+    check_valid(K)
+    members = extremal_cubes(K, vertex, side)
+    uf = UnionFind(members)
+    for c in members:
+        if K.dim_of(c) >= 2:
+            for i in range(1, K.dim_of(c) + 1):
+                uf.union(c, K.face(c, i, end))
+    return tuple(uf.components())
 
 
 def nonempty_index(n: int, side: str = MINUS) -> frozenset[str]:

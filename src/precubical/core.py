@@ -7,12 +7,11 @@ axis i in 1..n and each end a in {0, 1}, subject to
     face(face(c, j, b), i, a) == face(face(c, i, a), j - 1, b)   for i < j.
 
 Everything here is finite and explicit.  A complex is a table of named
-cubes plus one facet tuple per cube: an n-cube's 2n faces, face (i, a) at
-index 2(i - 1) + a and None for a hole.  The simplex a cube gives in the
-branching complex at its start vertex is the slice [0::2] (its start
-faces); in the merging complex, [1::2].  Construction checks only structure
-(known names, index ranges), while `validate` checks the axioms
-exhaustively and returns every violation with a witness instead of raising.
+cubes plus a facet tuple for each cube with a recorded face: its 2n faces,
+face (i, a) at index 2(i - 1) + a and None for a hole, so a cube's simplex
+in the branching (merging) complex is the slice [0::2] ([1::2]).
+Construction checks only structure (known names, index ranges), while
+`validate` checks the axioms exhaustively and returns every violation.
 """
 from __future__ import annotations
 
@@ -104,10 +103,9 @@ class Violation:
 
 
 class CellStore:
-    """Named cells graded by dimension plus the tuple of faces of each cell
-    with a face recorded, shared by precubical and semi-simplicial sets.
-    Public constructors check their input; `_adopt`, for tables the library
-    built, neither copies nor checks.
+    """Named cells graded by dimension plus their facet tuples, shared by
+    precubical and semi-simplicial sets.  Public constructors check their
+    input; `_adopt`, for tables the library built, neither copies nor checks.
     """
 
     __slots__ = ("_dims", "_facets", "_grades")
@@ -183,8 +181,7 @@ class PrecubicalSet(CellStore):
     `dims` maps cube names to dimensions; `faces` maps (cube, axis, end)
     keys to target cube names, with axis in 1..dim(cube) and end in {0, 1}.
     Holes and wrong-dimension targets are representable (so that `validate`
-    can report them); unknown names and out-of-range axes are not.  Only
-    cubes with a face get a facet tuple, and `check_slots` bounds the holes.
+    can report them); unknown names and out-of-range axes are not.
 
     `_valid` is set once the axioms are known to hold, by `validate` or by
     a construction that preserves them, so `check_valid` validates once.
@@ -195,7 +192,7 @@ class PrecubicalSet(CellStore):
 
     def __init__(self, dims: Mapping[str, int], faces: Mapping[FaceKey, str]):
         self._check_dims(dims)
-        check_slots(self._dims, (c for c, _, _ in faces), len(faces))
+        fit = slots_fit(self._dims, (c for c, _, _ in faces), len(faces))
         facets: dict[str, list] = {}
         for (c, i, alpha), target in faces.items():
             if c not in self._dims:
@@ -206,8 +203,10 @@ class PrecubicalSet(CellStore):
             if not 1 <= i <= n or i != int(i):
                 raise PcsError(f"face axis {i} out of range 1..{n} on cube {c!r}")
             if c not in facets:
-                facets[c] = [None] * (2 * n)
+                facets[c] = [None] * (2 * n) if fit else {}
             facets[c][2 * int(i) - 2 + alpha] = target
+        if not fit:
+            raise PcsError(SLOTS_ERROR)
         self._facets = {c: tuple(F) for c, F in facets.items()}
         self._grade()
         self._valid = False
@@ -317,14 +316,15 @@ def check_valid(K: PrecubicalSet) -> None:
 # -- size guard ---------------------------------------------------------------
 
 MAX_CELLS = 10**6
+SLOTS_ERROR = f"face tables would leave more than {MAX_CELLS} face slots empty"
 
 
-def check_slots(dims: Mapping[str, int], cubes: Iterable[str], faces: int,
-                error: type[PcsError] = PcsError) -> None:
-    """Raise `error` if the facet tuples of `cubes`, given `faces` faces in
-    all, would have more than MAX_CELLS holes; unknown cubes count 0."""
-    if sum(2 * dims.get(c, 0) for c in set(cubes)) - faces > MAX_CELLS:
-        raise error(f"face tables would leave more than {MAX_CELLS} face slots empty")
+def slots_fit(dims: Mapping[str, int], cubes: Iterable[str], faces: int) -> bool:
+    """Whether facet tuples for the known `cubes`, holding `faces` faces,
+    leave at most MAX_CELLS slots empty.  If not, a constructor keeps each
+    cube's faces in a dict instead, reports any error about a face, and then
+    raises SLOTS_ERROR, so memory stays in proportion to the input."""
+    return sum(2 * dims.get(c, 0) for c in set(cubes)) - faces <= MAX_CELLS
 
 
 def check_cells(what: str, base: int, counts: Mapping[int, int]) -> None:
@@ -420,11 +420,10 @@ def extremal_vertex(K: PrecubicalSet, name: str, side: str = MINUS) -> str:
     without validation may have a face that does not.
     """
     alpha = side_end(side)
-    dims, facets = K._dims, K._facets
     d = K.dim_of(name)
     while d > 0:
-        face = facets.get(name, (None, None))[alpha] or K.face(name, 1, alpha)  # a hole raises
-        face_dim = dims[face]
+        face = K._facets.get(name, (None, None))[alpha] or K.face(name, 1, alpha)  # a hole raises
+        face_dim = K._dims[face]
         if face_dim >= d:
             raise PcsError(
                 f"face (1, {side}) of {name!r} is {face!r} of dimension "
@@ -481,18 +480,17 @@ def time_reverse(K: PrecubicalSet) -> PrecubicalSet:
 def relabel(K: PrecubicalSet, mapping: Mapping[str, str]) -> PrecubicalSet:
     """Rename cubes.  Names absent from `mapping` are kept; the result must
     not collide."""
-    dims, faces = K.as_tables()
 
     def m(name: str) -> str:
         return mapping.get(name, name)
 
     new_dims = {}
-    for name, d in dims.items():
+    for name, d in K._dims.items():
         new = m(name)
         if new in new_dims:
             raise PcsError(f"relabel collides on {new!r}")
         new_dims[new] = d
-    new_faces = {(m(c), i, alpha): m(t) for (c, i, alpha), t in faces.items()}
+    new_faces = {(m(c), i, alpha): m(t) for (c, i, alpha), t in K.face_items()}
     return PrecubicalSet(new_dims, new_faces)
 
 

@@ -25,9 +25,10 @@ holes or broken identities, e.g. to inspect it with `core.validate`.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 
-from .core import NAME_RE, SIDES, PcsError, PrecubicalSet, check_slots, violations_message
-from .core import validate as validate_complex
+from .core import NAME_RE, SIDES, SLOTS_ERROR, PcsError, PrecubicalSet, slots_fit
+from .core import validate as validate_complex, violations_message
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -81,9 +82,8 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
     cubes: list[tuple[str, int, int]] = []
     faces: list[tuple[str, int, str, int]] = []
     names: set[str] = set()
-    slots: dict[str, int] = {}  # 2(i - 1) for each axis token i seen
     for line_no, raw in numbered:
-        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
+        tokens = raw.partition("#")[0].split()
         if not tokens:
             continue
         directive = tokens[0]
@@ -99,14 +99,11 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
                 if not NAME_RE.match(target):
                     raise error(f"bad name {target!r}", line_no, 4)
                 names.add(target)
-            k = slots.get(axis)
-            if k is None:
-                if not (axis.isascii() and axis.isdigit()):
-                    raise error(f"bad face axis {axis!r}", line_no, 2)
-                k = slots[axis] = 2 * int(axis) - 2
+            if not (axis.isascii() and axis.isdigit()):
+                raise error(f"bad face axis {axis!r}", line_no, 2)
             if sign not in SIDES:
                 raise error(f"face end must be '-' or '+', got {sign!r}", line_no, 3)
-            faces.append((cube, k + SIDES.index(sign), target, line_no))
+            faces.append((cube, 2 * int(axis) - 2 + SIDES.index(sign), target, line_no))
         elif directive == "cube":
             if len(tokens) != 3:
                 raise error("cube takes 2 arguments: name dim", line_no, 0)
@@ -127,7 +124,7 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
             raise error(f"duplicate cube {name!r}", line_no, 1)
         dims[name] = dim
 
-    check_slots(dims, (face[0] for face in faces), len(faces), ParseError)
+    fit = slots_fit(dims, (face[0] for face in faces), len(faces))
     facets: dict[str, list] = {}
     for cube, k, target, line_no in faces:
         dim = dims.get(cube)
@@ -140,13 +137,15 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
                 f"face axis {k // 2 + 1} out of range 1..{dim} on cube {cube!r}", line_no, 1
             )
         F = facets.get(cube)
-        if F is None:
-            F = facets[cube] = [None] * (2 * dim)
+        if F is None:  # past the slot bound, a dict finds the duplicates
+            F = facets[cube] = [None] * (2 * dim) if fit else defaultdict(type(None))
         if F[k] is not None:
             raise error(
                 f"duplicate face ({k // 2 + 1}, {SIDES[k % 2]}) on cube {cube!r}", line_no, 1
             )
         F[k] = target
+    if not fit:
+        raise ParseError(SLOTS_ERROR)
 
     # every name, dimension and face is checked above
     K = PrecubicalSet._adopt(dims, {c: tuple(F) for c, F in facets.items()}, _valid=False)

@@ -117,13 +117,12 @@ def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
             names[(cube.name, codes)] = name
     dims, facets = {}, {}
     for name, (base, codes) in pairs.items():
-        F = tuple(
-            names[normalize_pair(K, base, raw, p) if 0 in raw or top in raw else (base, raw)]
-            for _, _, raw in cell_faces(codes)
-        )
-        dims[name] = len(F) // 2
-        if F:
-            facets[name] = F
+        dims[name] = sum(c % 2 for c in codes)
+        if dims[name]:
+            facets[name] = tuple(
+                names[normalize_pair(K, base, raw, p) if 0 in raw or top in raw else (base, raw)]
+                for _, _, raw in cell_faces(codes)
+            )
     return Subdivision(K, p, PrecubicalSet._adopt(dims, facets, _valid=True), pairs, names)
 
 

@@ -198,21 +198,18 @@ def test_hostile_sizes_stay_bounded(tmp_path):
         assert err == "error: face tables would leave more than 1000000 face slots empty\n"
 
 
-def test_parser_is_built_once_per_process(monkeypatch):
+def test_parser_is_built_once_per_process():
     argvs = [["--help"], [], ["frobnicate"], ["std-cube", "-1"], ["std-cube", "2"],
              ["info", str(DATA / "square.pcs")], ["homology", "--json", str(DATA / "l-shape.pcs")],
              ["homology", "--merging", str(DATA / "hollow-square.pcs")],
              ["subdivide", "-p"], ["demo-no-germs", "--steps", "3"]]
     fresh = []
     for argv in argvs:  # a new parser for every call
-        cli._parser.cache_clear()
+        cli._build_parser.cache_clear()
         fresh.append(run(*argv))
-    built = []
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
-    cli._parser.cache_clear()
+    cli._build_parser.cache_clear()
     assert [run(*argv) for argv in argvs + argvs] == fresh + fresh
-    assert len(built) == 1
+    assert cli._build_parser.cache_info().misses == 1
     assert {code for code, _, _ in fresh} == {0, 2}
 
 

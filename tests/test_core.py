@@ -454,6 +454,11 @@ def test_holes_of_facet_tuples_are_bounded():
     assert PrecubicalSet({"a": 10**6, "b": 0}, {}).face_or_none("a", 1, 0) is None
     with pytest.raises(PcsError, match="more than 1000000 face slots empty"):
         PrecubicalSet({"a": 10**6, "b": 0}, {("a", 1, 0): "b"})
+    # errors about a face come before the bound
+    with pytest.raises(UnknownCubeError, match="targets unknown cube 'zz'"):
+        PrecubicalSet({"a": 10**6, "b": 0}, {("a", 1, 0): "b", ("a", 2, 0): "zz"})
+    with pytest.raises(PcsError, match="face axis 1000001 out of range 1..1000000"):
+        PrecubicalSet({"a": 10**6, "b": 0}, {("a", 1, 0): "b", ("a", 10**6 + 1, 0): "b"})
     dims = {"a": 500_000, "b": 0}
     faces = {("a", 1, 0): "b", ("a", 1, 1): "b"}  # 10**6 slots, 2 filled
     assert PrecubicalSet(dims, faces).face("a", 1, 1) == "b"

@@ -1,6 +1,7 @@
 """PCS text format: round trips and diagnostics."""
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -252,3 +253,21 @@ def test_facet_tuples_match_keyed_tables_on_mutations():
             assert parse_pcs(text) == K
         seen["tables"] += 1
     assert seen["tables"] > 100 and seen["violations"] > 50, seen
+
+
+def test_positioned_errors_come_before_the_slot_bound():
+    # a file whose facet tuples would hold more than MAX_CELLS holes still
+    # reports its first error with a line and column, as a parse without
+    # the bound does, and only then the bound
+    head = "pcs 1\ncube a 1000000\ncube b 0\nface a 1 - b\n"
+    tails = ["face a 2 - zz\n", "face zz 1 - b\n", "face a 1000001 + b\n",
+             "face a 1 - b\nface a 2 - zz\n", "cube a 1\n"]
+    for tail in tails:
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as e:
+            parse_pcs(head + tail, validate=False)
+        assert time.perf_counter() - start < 1.0, tail
+        assert (e.value.message, e.value.line, e.value.col) == parse_reference(head + tail)
+    with pytest.raises(ParseError) as e:
+        parse_pcs(head, validate=False)
+    assert str(e.value) == "face tables would leave more than 1000000 face slots empty"
