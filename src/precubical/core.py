@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 
@@ -134,8 +134,9 @@ class CellStore:
         for name, d in dims.items():
             if not isinstance(name, str) or not NAME_RE.match(name):
                 raise PcsError(f"bad {self._cell} name {name!r}")
-            if not isinstance(d, int) or d < 0:
-                raise PcsError(f"bad dimension {d!r} for {self._cell} {name!r}")
+            if not isinstance(d, int) or not 0 <= d <= MAX_CELLS:
+                shown = repr(d) if not isinstance(d, int) or abs(d) < 10**100 else "of 100+ digits"
+                raise PcsError(f"bad dimension {shown} for {self._cell} {name!r}")
             self._dims[name] = d
 
     @property
@@ -192,8 +193,7 @@ class PrecubicalSet(CellStore):
 
     def __init__(self, dims: Mapping[str, int], faces: Mapping[FaceKey, str]):
         self._check_dims(dims)
-        fit = slots_fit(self._dims, (c for c, _, _ in faces), len(faces))
-        facets: dict[str, list] = {}
+        recorded: dict[str, dict[int, str]] = {}
         for (c, i, alpha), target in faces.items():
             if c not in self._dims:
                 raise UnknownCubeError(f"face on unknown cube {c!r}")
@@ -202,12 +202,8 @@ class PrecubicalSet(CellStore):
             alpha, n = check_end(alpha), self._dims[c]
             if not 1 <= i <= n or i != int(i):
                 raise PcsError(f"face axis {i} out of range 1..{n} on cube {c!r}")
-            if c not in facets:
-                facets[c] = [None] * (2 * n) if fit else {}
-            facets[c][2 * int(i) - 2 + alpha] = target
-        if not fit:
-            raise PcsError(SLOTS_ERROR)
-        self._facets = {c: tuple(F) for c, F in facets.items()}
+            recorded.setdefault(c, {})[2 * int(i) - 2 + alpha] = target
+        self._facets = seal_facets(self._dims, recorded)
         self._grade()
         self._valid = False
 
@@ -319,12 +315,15 @@ MAX_CELLS = 10**6
 SLOTS_ERROR = f"face tables would leave more than {MAX_CELLS} face slots empty"
 
 
-def slots_fit(dims: Mapping[str, int], cubes: Iterable[str], faces: int) -> bool:
-    """Whether facet tuples for the known `cubes`, holding `faces` faces,
-    leave at most MAX_CELLS slots empty.  If not, a constructor keeps each
-    cube's faces in a dict instead, reports any error about a face, and then
-    raises SLOTS_ERROR, so memory stays in proportion to the input."""
-    return sum(2 * dims.get(c, 0) for c in set(cubes)) - faces <= MAX_CELLS
+def seal_facets(dims: Mapping[str, int], recorded: Mapping[str, dict], error=PcsError) -> dict:
+    """Each cube's facet tuple, None for a hole, from its recorded faces
+    {2(i - 1) + alpha: target}.  Constructors call this after checking every
+    face; it raises error(SLOTS_ERROR), before building any tuple, if the
+    tuples would hold more than MAX_CELLS holes."""
+    if sum(2 * dims[c] - len(F) for c, F in recorded.items()) > MAX_CELLS:
+        raise error(SLOTS_ERROR)
+    # a list first: tuple() of a map would keep its spare slots
+    return {c: tuple(list(map(F.get, range(2 * dims[c])))) for c, F in recorded.items()}
 
 
 def check_cells(what: str, base: int, counts: Mapping[int, int]) -> None:
@@ -528,8 +527,7 @@ def attach_cube(
                 f"proper face words of the standard {n}-cube"
             )
         boundary = {(i, alpha): words[_word(f)] for i, alpha, f in cell_faces((1,) * n)}
-    slots = {(i, alpha) for i in range(1, n + 1) for alpha in (0, 1)}
-    if set(boundary) != slots:
+    if len(boundary) != 2 * n or set(boundary) != set(itertools.product(range(1, n + 1), (0, 1))):
         raise PcsError(
             f"boundary assignment must cover exactly the {2 * n} facet slots"
         )

@@ -8,10 +8,10 @@ header `pcs 1`.  After it, in any order:
     face <name> <i> <-|+> <target>
 
 declare a cube and a face entry; <i> is the 1-based axis, '-' is the start
-end and '+' the finish end, and names match [A-Za-z0-9_.-]+.  Dimensions and
-axes are ASCII decimal digits only: other Unicode digits such as '²' or '٣'
-are errors.  Tokens are separated by any whitespace.  Forward references
-are fine; duplicate declarations are errors.
+end and '+' the finish end, and names match [A-Za-z0-9_.-]+.  Dimensions (at
+most MAX_CELLS) and axes are ASCII decimal digits only: other Unicode digits
+such as '²' or '٣' are errors.  Tokens are separated by any whitespace.
+Forward references are fine; duplicate declarations are errors.
 
 `parse_pcs` reads a file in two passes: a syntax pass over every line, then
 duplicates and references in file order, so the first error reported is the
@@ -25,9 +25,8 @@ holes or broken identities, e.g. to inspect it with `core.validate`.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 
-from .core import NAME_RE, SIDES, SLOTS_ERROR, PcsError, PrecubicalSet, slots_fit
+from .core import MAX_CELLS, NAME_RE, PLUS, SIDES, PcsError, PrecubicalSet, seal_facets
 from .core import validate as validate_complex, violations_message
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -60,12 +59,11 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
     out-of-range face axes, and (unless validate=False) on complexes that
     fail the precubical axioms.
     """
-    lines = text.splitlines()
-
     def error(message: str, line_no: int, k: int) -> ParseError:
-        return ParseError(message, line_no, _col(lines[line_no - 1], k))
+        return ParseError(message, line_no, _col(text.splitlines()[line_no - 1], k))
 
-    numbered = enumerate(lines, start=1)
+    # the lines are freed once the syntax pass has read them all
+    numbered = enumerate(text.splitlines(), start=1)
     for line_no, raw in numbered:
         tokens = raw.partition("#")[0].split()
         if tokens:
@@ -83,7 +81,7 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
     faces: list[tuple[str, int, str, int]] = []
     names: set[str] = set()
     for line_no, raw in numbered:
-        tokens = raw.partition("#")[0].split()
+        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not tokens:
             continue
         directive = tokens[0]
@@ -99,11 +97,15 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
                 if not NAME_RE.match(target):
                     raise error(f"bad name {target!r}", line_no, 4)
                 names.add(target)
-            if not (axis.isascii() and axis.isdigit()):
+            try:
+                i = int(axis) if axis.isascii() and axis.isdigit() else -1
+            except ValueError:  # more digits than int() reads
+                i = -1
+            if i < 0:
                 raise error(f"bad face axis {axis!r}", line_no, 2)
             if sign not in SIDES:
                 raise error(f"face end must be '-' or '+', got {sign!r}", line_no, 3)
-            faces.append((cube, 2 * int(axis) - 2 + SIDES.index(sign), target, line_no))
+            faces.append((cube, 2 * i - 2 + (sign == PLUS), target, line_no))
         elif directive == "cube":
             if len(tokens) != 3:
                 raise error("cube takes 2 arguments: name dim", line_no, 0)
@@ -112,9 +114,13 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
                 if not NAME_RE.match(name):
                     raise error(f"bad name {name!r}", line_no, 1)
                 names.add(name)
-            if not (dim.isascii() and dim.isdigit()):
+            try:
+                d = int(dim) if dim.isascii() and dim.isdigit() else -1
+            except ValueError:  # more digits than int() reads
+                d = -1
+            if not 0 <= d <= MAX_CELLS:
                 raise error(f"bad dimension {dim!r}", line_no, 2)
-            cubes.append((name, int(dim), line_no))
+            cubes.append((name, d, line_no))
         else:
             raise error(f"unknown directive {directive!r}", line_no, 0)
 
@@ -124,8 +130,7 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
             raise error(f"duplicate cube {name!r}", line_no, 1)
         dims[name] = dim
 
-    fit = slots_fit(dims, (face[0] for face in faces), len(faces))
-    facets: dict[str, list] = {}
+    facets: dict[str, dict[int, str]] = {}
     for cube, k, target, line_no in faces:
         dim = dims.get(cube)
         if dim is None:
@@ -136,19 +141,15 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
             raise error(
                 f"face axis {k // 2 + 1} out of range 1..{dim} on cube {cube!r}", line_no, 1
             )
-        F = facets.get(cube)
-        if F is None:  # past the slot bound, a dict finds the duplicates
-            F = facets[cube] = [None] * (2 * dim) if fit else defaultdict(type(None))
-        if F[k] is not None:
+        F = facets.get(cube) or facets.setdefault(cube, {})
+        if k in F:
             raise error(
                 f"duplicate face ({k // 2 + 1}, {SIDES[k % 2]}) on cube {cube!r}", line_no, 1
             )
         F[k] = target
-    if not fit:
-        raise ParseError(SLOTS_ERROR)
 
     # every name, dimension and face is checked above
-    K = PrecubicalSet._adopt(dims, {c: tuple(F) for c, F in facets.items()}, _valid=False)
+    K = PrecubicalSet._adopt(dims, seal_facets(dims, facets, ParseError), _valid=False)
     if validate:
         violations = validate_complex(K)
         if violations:

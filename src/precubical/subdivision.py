@@ -157,7 +157,7 @@ def vertex_coordinates(K: PrecubicalSet, p: int, vertex: str) -> tuple[CubeId, t
     if p < 1:
         raise PcsError(f"subdivision order must be >= 1, got {p}")
     found = []
-    for d in range(vertex.count(".") + 1):
+    for d in range(min(vertex.count("."), K.dim) + 1):  # no base cube is higher than K
         base, *points = vertex.rsplit(".", d)
         if base in K and K.dim_of(base) == d and all(
             e.isascii() and e.isdigit() and e[0] != "0" and int(e) < p for e in points

@@ -21,6 +21,7 @@ from math import gcd
 
 from precubical.complexes import SemiSimplicialSet, UnionFind, pi0_components
 from precubical.core import (
+    MAX_CELLS,
     MorphismError,
     PcsError,
     PrecubicalSet,
@@ -255,10 +256,13 @@ def _scan(text):
             raise _Reject(f"bad name {tok!r}", line_no, col)
         return tok
 
-    def number(col, tok, line_no, what):
-        if not (tok.isascii() and tok.isdigit()):
-            raise _Reject(f"bad {what} {tok!r}", line_no, col)
-        return int(tok)
+    def number(col, tok, line_no, what, most=None):
+        try:  # int() refuses a token with more digits than its limit
+            if tok.isascii() and tok.isdigit() and (most is None or int(tok) <= most):
+                return int(tok)
+        except ValueError:
+            pass
+        raise _Reject(f"bad {what} {tok!r}", line_no, col)
 
     cubes, faces = [], []
     for line_no, tokens in lines[1:]:
@@ -268,7 +272,7 @@ def _scan(text):
                 raise _Reject("cube takes 2 arguments: name dim", line_no, col0)
             (ncol, n), (dcol, d) = tokens[1:]
             name(ncol, n, line_no)
-            cubes.append((n, number(dcol, d, line_no, "dimension"), line_no, ncol))
+            cubes.append((n, number(dcol, d, line_no, "dimension", MAX_CELLS), line_no, ncol))
         elif directive == "face":
             if len(tokens) != 5:
                 raise _Reject("face takes 4 arguments: name i -|+ target", line_no, col0)

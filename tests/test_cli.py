@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from corpus import mutate
+from oracles import parse_reference
 from precubical import cli
 from precubical.cli import run_command
 from precubical.core import standard_cube, time_reverse
@@ -196,6 +197,23 @@ def test_hostile_sizes_stay_bounded(tmp_path):
         assert time.perf_counter() - start < 1.0, command
         assert code == 2 and out == "", command
         assert err == "error: face tables would leave more than 1000000 face slots empty\n"
+
+
+def test_huge_numbers_exit_2_fast(tmp_path):
+    # a dimension above MAX_CELLS or an axis too long for int() is a positioned
+    # error, not a crash or a table of a million slots
+    lines = ["cube a 99999999999999999999", "cube a " + "9" * 5000,
+             "face a " + "1" * 5000 + " - b", "cube a 1000001"]
+    for k, line in enumerate(lines):
+        path = tmp_path / f"huge{k}.pcs"
+        path.write_text(f"pcs 1\n{line}\n")
+        message, line_no, col = parse_reference(path.read_text())
+        assert line_no == 2 and message.startswith(("bad dimension", "bad face axis"))
+        for command in ("validate", "info", "complex", "homology"):
+            start = time.perf_counter()
+            code, out, err = run(command, str(path))
+            assert time.perf_counter() - start < 1.0, (command, k)
+            assert (code, out, err) == (2, "", f"error: line 2, col {col}: {message}\n")
 
 
 def test_parser_is_built_once_per_process():

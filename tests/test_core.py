@@ -2,6 +2,7 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -462,6 +463,47 @@ def test_holes_of_facet_tuples_are_bounded():
     dims = {"a": 500_000, "b": 0}
     faces = {("a", 1, 0): "b", ("a", 1, 1): "b"}  # 10**6 slots, 2 filled
     assert PrecubicalSet(dims, faces).face("a", 1, 1) == "b"
+
+
+def test_slot_bound_is_exact(monkeypatch):
+    # a 6-cube has 12 slots: two faces leave 10 holes, one face 11
+    monkeypatch.setattr(core, "MAX_CELLS", 10)
+    dims = {"a": 6, "b": 5}
+    two = {("a", 1, 0): "b", ("a", 1, 1): "b"}
+    text = "pcs 1\ncube a 6\ncube b 5\nface a 1 - b\nface a 1 + b\n"
+    assert PrecubicalSet(dims, two) == parse_pcs(text, validate=False)
+    assert parse_pcs(text, validate=False).face_or_none("a", 2, 0) is None
+    with pytest.raises(PcsError, match=core.SLOTS_ERROR):
+        PrecubicalSet(dims, {("a", 1, 0): "b"})
+    with pytest.raises(PcsError, match=core.SLOTS_ERROR):
+        parse_pcs(text.replace("face a 1 + b\n", ""), validate=False)
+
+
+def test_dimensions_past_the_bound_are_refused_fast():
+    # a dimension above MAX_CELLS is refused before any slot is counted
+    start = time.perf_counter()
+    for d in (10**6 + 1, 10**20, 10**5000, -10**5000):
+        with pytest.raises(PcsError, match="bad dimension .* for cube 'a'"):
+            PrecubicalSet({"a": d, "b": 0}, {("a", 1, 0): "b"})
+        with pytest.raises(PcsError, match="bad dimension .* for simplex 'a'"):
+            SemiSimplicialSet({"a": d}, {})
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(PcsError, match="^bad dimension 1000001 for cube 'a'$"):
+        PrecubicalSet({"a": 10**6 + 1}, {})
+    assert len(PrecubicalSet({"a": 10**6}, {})) == 1
+
+
+def test_attach_cube_refuses_a_huge_boundary_fast():
+    # the slot count is compared before the slots are built
+    K, n = boundary_cube(1), 3 * 10**6
+    for boundary in ({}, {(1, 0): "0"}):
+        start = time.perf_counter()
+        with pytest.raises(PcsError, match="must cover exactly the 6000000 facet slots"):
+            attach_cube(K, n, boundary)
+        assert time.perf_counter() - start < 1.0
+    # axes equal to an int still name their slot
+    for boundary in ({(1.0, 0): "0", (True, 1): "1"}, {(Fraction(1), 0): "0", (1, 1): "1"}):
+        assert attach_cube(K, 1, boundary, "x")[0] == standard_cube(1)
 
 
 def test_face_ends_given_as_other_numbers_read_as_0_and_1():

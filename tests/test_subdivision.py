@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -204,6 +205,14 @@ def test_vertex_coordinates_decodes_without_subdividing(monkeypatch):
     # base names may contain dots
     K = PrecubicalSet({"a.b": 1, "u": 0, "v": 0}, {("a.b", 1, 0): "u", ("a.b", 1, 1): "v"})
     assert vertex_coordinates(K, 3, "a.b.2") == (CubeId("a.b", 1), (Fraction(2, 3),))
+
+
+def test_vertex_coordinates_of_a_long_name_fails_fast():
+    # only split depths up to the top dimension of K can name a base cube
+    start = time.perf_counter()
+    with pytest.raises(PcsError, match="is not a vertex of the order-2 subdivision"):
+        vertex_coordinates(standard_cube(2), 2, "xx" + ".1" * 32_000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_vertex_coordinates_name_collision():
