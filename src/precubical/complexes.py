@@ -26,6 +26,7 @@ from .core import (
     extremal_cubes,
     extremal_partition,
     side_end,
+    shown,
     standard_cube,
 )
 
@@ -98,9 +99,9 @@ class SemiSimplicialSet(CellStore):
         self._check_dims(dims)
         for (s, i), t in faces.items():
             if s not in self._dims or t not in self._dims:
-                raise PcsError(f"face ({s!r}, {i}) involves unknown simplices")
+                raise PcsError(f"face ({s!r}, {shown(i)}) involves unknown simplices")
             if not 0 <= i <= self._dims[s] or self._dims[s] == 0:
-                raise PcsError(f"face index {i} out of range on {s!r}")
+                raise PcsError(f"face index {shown(i)} out of range on {s!r}")
             if self._dims[t] != self._dims[s] - 1:
                 raise PcsError(f"face ({s!r}, {i}) drops to wrong dimension")
         for s, d in self._dims.items():
@@ -130,7 +131,7 @@ class SemiSimplicialSet(CellStore):
         if F is not None and i in range(len(F)):
             return F[int(i)]
         self.dim_of(name)
-        raise PcsError(f"face index {i} out of range on {name!r}")
+        raise PcsError(f"face index {shown(i)} out of range on {name!r}")
 
     def components(self) -> tuple[frozenset[str], ...]:
         """Connected classes of the simplices, via union-find on the faces."""

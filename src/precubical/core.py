@@ -45,6 +45,15 @@ class MorphismError(PcsError):
     """A mapping between complexes that is not a morphism."""
 
 
+def shown(x: object) -> str:
+    """repr(x) for an error message, or "<100+ digits>" if x is, or is a
+    tuple holding, an int that long: Python may refuse to print it."""
+    for i in x if isinstance(x, tuple) else (x,):
+        if isinstance(i, int) and not -(10**100) < i < 10**100:
+            return "<100+ digits>"
+    return repr(x)
+
+
 def side_end(side: str) -> int:
     """The face end a side reads: 0 (start) for '-', 1 (finish) for '+'."""
     if side not in SIDES:
@@ -135,8 +144,7 @@ class CellStore:
             if not isinstance(name, str) or not NAME_RE.match(name):
                 raise PcsError(f"bad {self._cell} name {name!r}")
             if not isinstance(d, int) or not 0 <= d <= MAX_CELLS:
-                shown = repr(d) if not isinstance(d, int) or abs(d) < 10**100 else "of 100+ digits"
-                raise PcsError(f"bad dimension {shown} for {self._cell} {name!r}")
+                raise PcsError(f"bad dimension {shown(d)} for {self._cell} {name!r}")
             self._dims[name] = d
 
     @property
@@ -201,7 +209,7 @@ class PrecubicalSet(CellStore):
                 raise UnknownCubeError(f"face of {c!r} targets unknown cube {target!r}")
             alpha, n = check_end(alpha), self._dims[c]
             if not 1 <= i <= n or i != int(i):
-                raise PcsError(f"face axis {i} out of range 1..{n} on cube {c!r}")
+                raise PcsError(f"face axis {shown(i)} out of range 1..{n} on cube {c!r}")
             recorded.setdefault(c, {})[2 * int(i) - 2 + alpha] = target
         self._facets = seal_facets(self._dims, recorded)
         self._grade()
@@ -226,7 +234,7 @@ class PrecubicalSet(CellStore):
         d = self.dim_of(name)
         alpha = check_end(alpha)
         if not 1 <= i <= d:
-            raise PcsError(f"face axis {i} out of range 1..{d} on cube {name!r}")
+            raise PcsError(f"face axis {shown(i)} out of range 1..{d} on cube {name!r}")
         raise MissingFaceError(f"cube {name!r} has no face ({i}, {SIDES[alpha]})")
 
     def face_or_none(self, name: str, i: int, alpha: int) -> str | None:
@@ -294,10 +302,10 @@ def validate(K: PrecubicalSet) -> list[Violation]:
 
 def violations_message(violations: list[Violation]) -> str:
     """The error message for a complex with these violations."""
-    shown = "; ".join(str(v) for v in violations[:5])
+    listed = "; ".join(str(v) for v in violations[:5])
     if len(violations) > 5:
-        shown += f"; and {len(violations) - 5} more"
-    return f"not a precubical set: {shown}"
+        listed += f"; and {len(violations) - 5} more"
+    return f"not a precubical set: {listed}"
 
 
 def check_valid(K: PrecubicalSet) -> None:
@@ -382,7 +390,7 @@ def _cube_cells(n: int, what: str) -> dict[Codes, str]:
     refused when 3**n > MAX_CELLS."""
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    check_cells(f"{what} {n}-cube", 3, {n: 1})
+    check_cells(f"{what} {shown(n)}-cube", 3, {n: 1})
     return {codes: _word(codes) for codes in itertools.product(range(3), repeat=n)}
 
 
@@ -529,7 +537,7 @@ def attach_cube(
         boundary = {(i, alpha): words[_word(f)] for i, alpha, f in cell_faces((1,) * n)}
     if len(boundary) != 2 * n or set(boundary) != set(itertools.product(range(1, n + 1), (0, 1))):
         raise PcsError(
-            f"boundary assignment must cover exactly the {2 * n} facet slots"
+            f"boundary assignment must cover exactly the {shown(2 * n)} facet slots"
         )
     boundary = {(int(i), check_end(alpha)): t for (i, alpha), t in boundary.items()}
     for (i, alpha), t in boundary.items():

@@ -11,9 +11,9 @@ Degrees 0 and 1 only ever produce free groups; from degree 2 on, torsion
 from the per-vertex complexes survives into the total group, so no
 vanishing is assumed anywhere.  All computations run over the integers with
 unbounded Python ints.  Boundary matrices are sparse integer columns, and
-`smith_normal_form` is the one elimination route: it eliminates every +-1
-pivot first and reduces only a leftover block without unit entries, if
-any, densely, computing the Smith diagonal and nothing else.
+`smith_normal_form` is the one elimination route: one sparse column loop
+takes the +-1 pivots first and then the smallest entry left, computing the
+Smith diagonal and nothing else.
 """
 from __future__ import annotations
 
@@ -29,13 +29,20 @@ from .core import MINUS, PLUS, PrecubicalSet
 Column = dict[int, int]
 
 
+def _integer(x) -> int:
+    """A matrix entry equal to an int (2.0, True) as that int; not 0.5, inf, nan."""
+    if x % 1:
+        raise ValueError(f"matrix entry {x!r} is not an integer")
+    return int(x)
+
+
 class Matrix:
     """An integer matrix with explicit shape (rows may be zero), stored as
     sparse `{row: coeff}` columns without zero entries.
 
     It is built from dense rows, `Matrix(rows, cols, data)`, or from
-    columns, `Matrix.from_columns`; `data` is the dense view.  The columns
-    are not to be mutated.
+    columns, `Matrix.from_columns`; `data` is the dense view.  Both refuse
+    an entry that is not an integer.  The columns are not to be mutated.
     """
 
     __slots__ = ("rows", "cols", "columns")
@@ -45,17 +52,16 @@ class Matrix:
             raise ValueError("negative shape")
         if data is not None and (len(data) != rows or any(len(r) != cols for r in data)):
             raise ValueError("shape mismatch")
-        self.rows = rows
-        self.cols = cols
+        self.rows, self.cols = rows, cols
         self.columns: tuple[Column, ...] = tuple(
-            {i: int(r[j]) for i, r in enumerate(data or ()) if r[j]} for j in range(cols)
+            {i: _integer(r[j]) for i, r in enumerate(data or ()) if r[j]} for j in range(cols)
         )
 
     @classmethod
     def from_columns(cls, rows: int, columns: Sequence[Column]) -> "Matrix":
         """The matrix whose j-th column has entry x in row i for each i: x
         of columns[j]; zero entries are dropped."""
-        cols = tuple({i: int(x) for i, x in c.items() if x} for c in columns)
+        cols = tuple({i: _integer(x) for i, x in c.items() if x} for c in columns)
         if rows < 0 or any(not 0 <= i < rows for c in cols for i in c):
             raise ValueError("shape mismatch")
         M = cls(rows, 0)
@@ -84,13 +90,15 @@ def smith_normal_form(M: Matrix) -> tuple[int, ...]:
     """The nonzero diagonal entries of the Smith normal form of M: positive
     integers, each dividing the next, as many as the rank of M.
 
-    Every +-1 pivot is eliminated first: adding multiples of the pivot column
-    clears the pivot's row, after which the pivot row and column split off as
-    a diagonal 1 (the row operations clearing the column touch nothing else).
-    A row -> columns index finds the columns each pivot touches; among the
-    unit entries of a column, the row with the fewest entries is taken, to
-    keep fill-in low.  Columns left without unit entries form a block whose
-    diagonal, torsion included, `_block_diagonal` supplies after the units.
+    One column loop takes every pivot x, in row p of column j: floor
+    multiples of column j clear row p elsewhere, then row operations, which
+    touch no other column, reduce column j mod x.  If x is left alone it
+    splits off; otherwise a remainder below |x| stays and is queued again.
+    Unit pivots go first, in the row with the fewest entries (less fill-in),
+    and always split; a column without one waits in `stuck` until a pivot
+    touches it.  Then the smallest waiting entry is the pivot: it shrinks
+    between two splits, so the loop ends.  The split entries form a diagonal
+    of M, whose invariant factors are the Smith chain.
     """
     cols = [dict(c) for c in M.columns]
     where: dict[int, set[int]] = {}
@@ -98,112 +106,64 @@ def smith_normal_form(M: Matrix) -> tuple[int, ...]:
         for i in col:
             where.setdefault(i, set()).add(j)
     units = 0
+    torsion = []
     pending = list(range(len(cols) - 1, -1, -1))
     stuck: set[int] = set()
-    while pending:
-        j = pending.pop()
-        col = cols[j]
-        pivot = min(
-            (i for i, x in col.items() if x == 1 or x == -1),
-            key=lambda i: len(where[i]),
-            default=None,
-        )
-        if pivot is None:
-            if col:
-                stuck.add(j)
-            continue
-        units += 1
-        cols[j] = {}
+    while pending or stuck:
+        if pending:
+            j = pending.pop()
+            col = cols[j]
+            p = min(
+                (i for i, x in col.items() if x == 1 or x == -1),
+                key=lambda i: len(where[i]),
+                default=None,
+            )
+            if p is None:
+                if col:
+                    stuck.add(j)
+                continue
+        else:
+            _, p, j = min((abs(x), i, k) for k in stuck for i, x in cols[k].items())
+            stuck.discard(j)
+            col = cols[j]
+        x = col[p]
         for i in col:
             where[i].discard(j)
-        sign = col.pop(pivot)
-        for k in where.pop(pivot):
+        del col[p]
+        cols[j] = {}
+        for k in where.pop(p):
             other = cols[k]
-            f = other.pop(pivot) * sign
-            for i, x in col.items():
-                y = other.get(i, 0) - f * x
-                if y:
+            y = other.pop(p)
+            q = y // x
+            for i, v in col.items():
+                z = other.get(i, 0) - q * v
+                if z:
                     if i not in other:
                         where[i].add(k)
-                    other[i] = y
+                    other[i] = z
                 else:
                     del other[i]
                     where[i].discard(k)
+            if y - q * x:  # a remainder smaller than |x| stays in row p
+                other[p] = y - q * x
+                where.setdefault(p, set()).add(k)
             if k in stuck:
                 stuck.discard(k)
                 pending.append(k)
-    if not stuck:
-        return (1,) * units
-    order = sorted(stuck)
-    used = sorted({i for j in order for i in cols[j]})
-    block = [[cols[j].get(i, 0) for j in order] for i in used]
-    return (1,) * units + _block_diagonal(block)
-
-
-def _block_diagonal(D: list[list[int]]) -> tuple[int, ...]:
-    """The nonzero Smith diagonal of the dense matrix with rows D, as a
-    divisibility chain; D is reduced in place.
-
-    Pivots are chosen by minimal absolute value, which keeps intermediate
-    entries small.  A pivot's sign is left as it falls: floor division still
-    leaves remainders smaller than the pivot, and the chain takes absolute
-    values.
-    """
-    m = len(D)
-    n = len(D[0]) if D else 0
-    diagonal = []
-    for t in range(min(m, n)):
-        while True:
-            pivot = None
-            best = 0
-            for i in range(t, m):
-                for j in range(t, n):
-                    v = abs(D[i][j])
-                    if v and (pivot is None or v < best):
-                        pivot, best = (i, j), v
-            if pivot is None:
-                return tuple(diagonal)
-            i, j = pivot
-            D[t], D[i] = D[i], D[t]
-            for row in D:
-                row[t], row[j] = row[j], row[t]
-            d = D[t][t]
-            # clear below and to the right; a nonzero remainder becomes the
-            # new, strictly smaller pivot
-            resized = False
-            for i in range(t + 1, m):
-                if D[i][t]:
-                    q = D[i][t] // d
-                    D[i] = [x - q * y for x, y in zip(D[i], D[t])]
-                    if D[i][t]:
-                        D[t], D[i] = D[i], D[t]
-                        resized = True
-                        break
-            if resized:
+        if p not in where:  # row p is clear
+            if x * x == 1:  # nothing is left mod a unit
+                units += 1
                 continue
-            for j in range(t + 1, n):
-                if D[t][j]:
-                    q = D[t][j] // d
-                    for row in D:
-                        row[j] -= q * row[t]
-                    if D[t][j]:
-                        for row in D:
-                            row[t], row[j] = row[j], row[t]
-                        resized = True
-                        break
-            if resized:
+            col = {i: r for i, y in col.items() if (r := y % x)}
+            if not col:
+                torsion.append(x)
                 continue
-            # divisibility sweep: fold in any row with an entry the pivot
-            # misses
-            bad = next(
-                (i for i in range(t + 1, m) if any(x % d for x in D[i][t + 1 :])),
-                None,
-            )
-            if bad is None:
-                break
-            D[t] = [x + y for x, y in zip(D[t], D[bad])]
-        diagonal.append(abs(D[t][t]))
-    return tuple(diagonal)
+        cols[j] = col = {p: x, **col}
+        for i in col:
+            where.setdefault(i, set()).add(j)
+        pending.append(j)
+    chain = invariant_factors(torsion) if torsion else ()
+    return (1,) * (units + len(torsion) - len(chain)) + chain
 
 
 def invariant_factors(values: Iterable[int]) -> tuple[int, ...]:

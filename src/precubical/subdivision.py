@@ -29,6 +29,7 @@ from .core import (
     cell_faces,
     check_cells,
     check_valid,
+    shown,
 )
 
 Pair = tuple[str, Codes]
@@ -52,7 +53,7 @@ def normalize_pair(K: PrecubicalSet, base: str, codes: Codes, p: int) -> Pair:
             f"of dimension {K.dim_of(base)}"
         )
     if not all(0 <= c <= 2 * p for c in codes):
-        raise PcsError(f"cell codes {codes} out of range for grid {p}")
+        raise PcsError(f"cell codes {shown(codes)} out of range for grid {shown(p)}")
     kept: list[int] = []
     for c in codes:
         if c in (0, 2 * p):
@@ -92,14 +93,14 @@ def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
     subdivision names).
     """
     if p < 1:
-        raise PcsError(f"subdivision order must be >= 1, got {p}")
+        raise PcsError(f"subdivision order must be >= 1, got {shown(p)}")
     check_valid(K)
     if p == 1:
         # One interval per axis leaves the complex unchanged: keep the
         # original object and names instead of renaming every cube.
         pairs = {c.name: (c.name, (1,) * c.dim) for c in K.cubes()}
         return Subdivision(K, 1, K, pairs, {pair: name for name, pair in pairs.items()})
-    check_cells(f"the order-{p} subdivision", 2 * p - 1, K.counts())
+    check_cells(f"the order-{shown(p)} subdivision", 2 * p - 1, K.counts())
     top = 2 * p
     # intervals first, then the interior points: the order cells are named in
     interior = [*range(1, top, 2), *range(2, top, 2)]
@@ -139,10 +140,10 @@ def grid_complex(boxes: Iterable[Sequence[int]]) -> PrecubicalSet:
 def sub_standard(p: int, n: int) -> PrecubicalSet:
     """The subdivided standard n-cube, built on grid cells; (2p+1)**n <= MAX_CELLS."""
     if p < 1:
-        raise PcsError(f"subdivision order must be >= 1, got {p}")
+        raise PcsError(f"subdivision order must be >= 1, got {shown(p)}")
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    check_cells(f"the order-{p} subdivided {n}-cube", 2 * p + 1, {n: 1})
+    check_cells(f"the order-{shown(p)} subdivided {shown(n)}-cube", 2 * p + 1, {n: 1})
     return grid_complex(itertools.product(range(p), repeat=n))
 
 
@@ -155,7 +156,7 @@ def vertex_coordinates(K: PrecubicalSet, p: int, vertex: str) -> tuple[CubeId, t
     map to themselves with empty coordinates.
     """
     if p < 1:
-        raise PcsError(f"subdivision order must be >= 1, got {p}")
+        raise PcsError(f"subdivision order must be >= 1, got {shown(p)}")
     found = []
     for d in range(min(vertex.count("."), K.dim) + 1):  # no base cube is higher than K
         base, *points = vertex.rsplit(".", d)
@@ -164,7 +165,7 @@ def vertex_coordinates(K: PrecubicalSet, p: int, vertex: str) -> tuple[CubeId, t
         ):
             found.append((CubeId(base, d), tuple(Fraction(int(e), p) for e in points)))
     if not found:
-        raise PcsError(f"{vertex!r} is not a vertex of the order-{p} subdivision")
+        raise PcsError(f"{vertex!r} is not a vertex of the order-{shown(p)} subdivision")
     if len(found) > 1:
         raise PcsError(f"subdivision name collision on {vertex!r}; rename the source cubes")
     return found[0]

@@ -40,6 +40,7 @@ from precubical.core import (
 )
 from precubical import core
 from precubical.pcsfile import emit_pcs, parse_pcs
+from precubical.subdivision import normalize_pair, sub_standard, subdivide, vertex_coordinates
 
 
 def binom(n, k):
@@ -504,6 +505,34 @@ def test_attach_cube_refuses_a_huge_boundary_fast():
     # axes equal to an int still name their slot
     for boundary in ({(1.0, 0): "0", (True, 1): "1"}, {(Fraction(1), 0): "0", (1, 1): "1"}):
         assert attach_cube(K, 1, boundary, "x")[0] == standard_cube(1)
+
+
+BIG = 10**5000  # past the digits Python prints, on versions that limit them
+SIMPLEX = SemiSimplicialSet({"s": 1, "t": 0}, {("s", 0): "t", ("s", 1): "t"})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PrecubicalSet({"a": 1, "b": 0}, {("a", BIG, 0): "b"}),
+    lambda: standard_cube(1).face("x", BIG, 0),
+    lambda: SemiSimplicialSet({"s": 1, "t": 0}, {("s", BIG): "t"}),
+    lambda: SIMPLEX.face("s", BIG),
+    lambda: attach_cube(EMPTY, BIG, {}),
+    lambda: standard_cube(BIG),
+    lambda: subdivide(standard_cube(1), BIG),
+    lambda: subdivide(standard_cube(1), -BIG),
+    lambda: sub_standard(BIG, 1),
+    lambda: sub_standard(2, BIG),
+    lambda: vertex_coordinates(standard_cube(1), BIG, "y"),
+    lambda: normalize_pair(standard_cube(1), "x", (BIG,), 2),
+], ids=["axis", "face-axis", "simplex-index", "simplex-face", "attach-cube", "standard-cube",
+        "subdivide", "subdivide-negative", "sub-standard-order", "sub-standard-dimension",
+        "vertex-coordinates", "normalize-pair"])
+def test_huge_numbers_in_messages_are_shown_fast(call):
+    # the message stands in for the number instead of failing to print it
+    start = time.perf_counter()
+    with pytest.raises(PcsError, match="<100[+] digits>"):
+        call()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_face_ends_given_as_other_numbers_read_as_0_and_1():

@@ -2,6 +2,8 @@
 import itertools
 import random
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -85,17 +87,10 @@ def test_snf_random_matrices():
         snf_is_sound(M)
 
 
-def test_smith_normal_form_matches_determinantal_divisors(monkeypatch):
-    # unit pivots first, the leftover block through the dense reducer: the
-    # diagonal must be the one the determinantal divisors give
-    leftovers = []
-    reduce_block = homology._block_diagonal
-
-    def counted(D):
-        leftovers.append((len(D), len(D[0])))
-        return reduce_block(D)
-
-    monkeypatch.setattr(homology, "_block_diagonal", counted)
+def test_smith_normal_form_matches_determinantal_divisors():
+    # the diagonal must be the one the determinantal divisors give; only a
+    # non-unit pivot can split off an entry above 1, so many must be taken
+    with_torsion = []
     rng = random.Random(2001)
     pools = [
         (0, 0, 0, 1, -1),
@@ -111,45 +106,15 @@ def test_smith_normal_form_matches_determinantal_divisors(monkeypatch):
         diag = smith_normal_form(M)
         assert diag == smith_diagonal_by_minors(rows)
         assert len(diag) == rational_rank(M)
-    assert len(leftovers) > 100
-    assert any(m > 1 and n > 1 for m, n in leftovers)
-
-
-def test_smith_diagonal_matches_dense_smith_form(monkeypatch):
-    # sparse columns, unit pivots first, leftover through the dense reducer:
-    # the diagonal must be the one the dense reducer gives for the whole matrix
-    leftovers = []
-    dense = homology._block_diagonal
-
-    def counted(D):
-        leftovers.append((len(D), len(D[0])))
-        return dense(D)
-
-    monkeypatch.setattr(homology, "_block_diagonal", counted)
-    rng = random.Random(2001)
-    pools = [
-        (0, 0, 0, 1, -1),
-        (0, 0, 1, -1, 2, -2, 3),
-        (0, 2, -2, 4, 6, -3, 1),
-        (0, 0, 0, 2, 3, -4, 5, -6, 9),
-    ]
-    for trial in range(600):
-        m, n = rng.randint(0, 7), rng.randint(0, 7)
-        pool = pools[trial % len(pools)]
-        rows = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
-        M = Matrix(m, n, rows)
-        diag = smith_normal_form(M)
-        want = dense([list(r) for r in rows])
-        assert diag == want
-        assert len(diag) == rational_rank(M)
-        assert all(d > 0 for d in diag)
-    assert len(leftovers) > 100
-    assert any(m > 1 and n > 1 for m, n in leftovers)
+        if diag and diag[-1] > 1:
+            with_torsion.append(sum(d > 1 for d in diag))
+    assert len(with_torsion) > 100
+    assert any(k > 1 for k in with_torsion)
 
 
 def test_smith_normal_form_without_transforms_matches_dense():
     # the kernel returns the diagonal alone, the same from a dense-built and
-    # a column-built matrix, and the same as the dense reducer's
+    # a column-built matrix, and the same as the determinantal divisors give
     rng = random.Random(2002)
     for trial in range(300):
         m, n = rng.randint(0, 6), rng.randint(0, 6)
@@ -159,7 +124,40 @@ def test_smith_normal_form_without_transforms_matches_dense():
         diag = smith_normal_form(M)
         assert isinstance(diag, tuple)
         assert diag == smith_normal_form(Matrix.from_columns(m, M.columns))
-        assert diag == homology._block_diagonal([list(r) for r in rows])
+        assert diag == smith_diagonal_by_minors(rows)
+
+
+def timed_smith(M):
+    start = time.perf_counter()
+    diag = smith_normal_form(M)
+    assert time.perf_counter() - start < 1.0
+    return diag
+
+
+def test_diagonal_of_twos_is_fast():
+    n = 400
+    assert timed_smith(Matrix.from_columns(n, [{j: 2} for j in range(n)])) == (2,) * n
+
+
+def test_cyclic_bidiagonal_is_fast():
+    # its determinant is 2^n - (-3)^n, and the n - 1 minors leaving out the
+    # last row and column are coprime products of 2s and 3s
+    n = 400
+    M = Matrix.from_columns(n, [{j: 2, (j + 1) % n: 3} for j in range(n)])
+    assert timed_smith(M) == (1,) * (n - 1) + (abs(2**n - (-3) ** n),)
+
+
+def test_random_even_sparse_is_fast():
+    rng = random.Random(13)
+    n = 100
+    columns = [
+        {rng.randrange(n): 2 * rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(3)}
+        for _ in range(n)
+    ]
+    M = Matrix.from_columns(n, columns)
+    diag = timed_smith(M)
+    assert all(d % 2 == 0 for d in diag)
+    assert len(diag) == rational_rank(M)
 
 
 def test_smith_normal_form_sparse_frozen():
@@ -183,6 +181,22 @@ def test_matrix_from_columns():
     assert Matrix.from_columns(2, [{}, {}]) == Matrix(2, 2)
     with pytest.raises(ValueError):
         Matrix.from_columns(2, [{2: 1}])
+
+
+def test_matrix_refuses_non_integers():
+    # an entry equal to an int is stored as that int; any other is refused,
+    # since the arithmetic is exact
+    M = Matrix(1, 4, [[2.0, True, Fraction(4, 2), 0.0]])
+    assert M.columns == ({0: 2}, {0: 1}, {0: 2}, {})
+    assert all(type(x) is int for col in M.columns for x in col.values())
+    assert Matrix.from_columns(1, [{0: 2.0}]) == Matrix(1, 1, [[2]])
+    with pytest.raises(ValueError, match="matrix entry 0.5 is not an integer"):
+        Matrix(1, 2, [[0.5, Fraction(3, 2)]])
+    for x in (Fraction(3, 2), 2.7, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Matrix(1, 1, [[x]])
+        with pytest.raises(ValueError, match="is not an integer"):
+            Matrix.from_columns(1, [{0: x}])
 
 
 def test_rational_rank_frozen():
