@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 
 from .complexes import assemble_all
@@ -22,6 +23,7 @@ from .core import (
     boundary_cube,
     final_states,
     initial_states,
+    shown,
     standard_cube,
     time_reverse,
     validate,
@@ -73,10 +75,16 @@ def _natural(text: str) -> int:
 
 
 def _fraction(text: str) -> Fraction:
-    """argparse type: an exact rational such as 1/2 or 0.25."""
+    """argparse type: an exact rational such as 1/2, 0.25 or 1e-3.  Sizes are
+    read from the text before any number is built: a numerator or
+    denominator of 100 or more digits is refused."""
     try:
+        for part in text.split("/", 1):  # Decimal keeps the exponent apart
+            _, digits, exponent = Decimal(part).as_tuple()
+            if len(digits) + max(exponent, 0) >= 100 or exponent <= -99:
+                raise argparse.ArgumentTypeError(f"{text!r} needs 100 or more digits")
         return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except (ArithmeticError, TypeError, ValueError):
         raise argparse.ArgumentTypeError(
             f"expected a rational number, got {text!r}"
         ) from None
@@ -218,7 +226,7 @@ def _cmd_demo_no_germs(args, out, err) -> int:
         raise PathError(f"epsilon must be in (0, 1), got {eps}")
     first = int(1 / eps) + 1
     if args.steps < first:
-        raise PathError(f"need at least {first} steps for epsilon {eps}")
+        raise PathError(f"need at least {shown(first)} steps for epsilon {eps}")
     diagonal = diagonal_path(2, eps)
     edge = make_path(standard_carrier(1), eps, (0, eps), ((0,), (eps,)))
     boundary = embed_face(edge, 1, 0)

@@ -8,9 +8,12 @@ of the cube complex.
 
 Everything here is exact: breakpoint times and coordinates are Fractions,
 so path equality, distances and germ comparisons are decided, not
-approximated.  Paths are kept in canonical form (no breakpoint lying on the
-segment through its neighbours), so structural equality coincides with
-pointwise equality.
+approximated.  Paths are kept in canonical form (no breakpoint where the
+velocity stays the same), so structural equality coincides with pointwise
+equality.  Paths a user builds are converted and checked; the paths that
+`restrict`, `extend_full` and `convex_comb` derive from checked paths are
+natural by construction and adopted as they are.  Two paths are compared
+and combined in one merged walk over both breakpoint lists.
 
 The family `gamma_h` witnesses how germs behave badly: each gamma_h runs
 along the boundary edge until time h and is therefore germ-equal to a
@@ -20,10 +23,11 @@ to the diagonal, which never touches the boundary again after 0.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import STAR, CubeId
+from .core import STAR, CubeId, shown
 
 Rational = Fraction | int
 
@@ -33,32 +37,35 @@ class PathError(ValueError):
 
 
 def _frac(x, where: str) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
     if isinstance(x, float):
         raise PathError(f"{where}: floating point value {x!r}; use Fraction")
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError):
-        raise PathError(f"{where}: not a rational number: {x!r}") from None
+    raise PathError(f"{where}: not a rational number: {x!r}")
 
 
 def _canonical(times, values):
-    """Drop every breakpoint that lies on the straight segment through its
-    neighbours; the remaining data describes the same map."""
-    keep = [0]
-    for k in range(1, len(times) - 1):
-        j = keep[-1]
-        span = times[k + 1] - times[j]
-        u = (times[k] - times[j]) / span
-        straight = tuple(
-            a + (b - a) * u for a, b in zip(values[j], values[k + 1])
-        )
-        if values[k] != straight:
-            keep.append(k)
+    """Drop every breakpoint where the velocity does not change; the
+    remaining data describes the same map."""
+    velocity = [
+        tuple((y - x) / (t1 - t0) for x, y in zip(v0, v1))
+        for t0, t1, v0, v1 in zip(times, times[1:], values, values[1:])
+    ]
+    keep = [0, *(k for k in range(1, len(times) - 1) if velocity[k - 1] != velocity[k])]
     keep.append(len(times) - 1)
     return (
         tuple(times[k] for k in keep),
         tuple(values[k] for k in keep),
     )
+
+
+def _lerp(times, values, k: int, t: Fraction) -> tuple[Fraction, ...]:
+    """The point at time t on segment k, from breakpoint k - 1 to k."""
+    t0 = times[k - 1]
+    u = (t - t0) / (times[k] - t0)
+    return tuple(a + (b - a) * u for a, b in zip(values[k - 1], values[k]))
 
 
 @dataclass(frozen=True)
@@ -72,7 +79,8 @@ class PLNaturalPath:
     and the coordinate sum equal to the time at every breakpoint (which
     forces the start to be the corner).  The natural length is the final
     time; `make_path` additionally requires it to be short (< 1), while
-    `extend_full` builds full-length paths directly.
+    `extend_full` builds full-length paths directly.  `_adopt`, for paths
+    the library derives from checked ones, neither converts nor checks.
     """
 
     carrier: CubeId
@@ -105,7 +113,7 @@ class PLNaturalPath:
             if len(v) != n:
                 raise PathError(
                     f"breakpoint {k}: point has {len(v)} coordinates, "
-                    f"carrier has dimension {n}"
+                    f"carrier has dimension {shown(n)}"
                 )
         if times[0] != 0:
             raise PathError(f"breakpoint 0 must be at time 0, got {times[0]}")
@@ -117,7 +125,7 @@ class PLNaturalPath:
                 )
         if times[-1] > n:
             raise PathError(
-                f"natural length {times[-1]} exceeds the carrier dimension {n}"
+                f"natural length {times[-1]} exceeds the carrier dimension {shown(n)}"
             )
         times, values = _canonical(times, values)
         object.__setattr__(self, "times", times)
@@ -142,6 +150,16 @@ class PLNaturalPath:
                     f"time {times[k]}"
                 )
 
+    @classmethod
+    def _adopt(cls, carrier: CubeId, times: tuple, values: tuple) -> PLNaturalPath:
+        """A path from breakpoints already natural and canonical, stored as
+        given."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+        return self
+
     @property
     def dim(self) -> int:
         return self.carrier.dim
@@ -156,14 +174,7 @@ class PLNaturalPath:
         t = _frac(t, "time")
         if not 0 <= t <= self.eps:
             raise PathError(f"time {t} outside [0, {self.eps}]")
-        k = 1
-        while self.times[k] < t:
-            k += 1
-        u = (t - self.times[k - 1]) / (self.times[k] - self.times[k - 1])
-        return tuple(
-            a + (b - a) * u
-            for a, b in zip(self.values[k - 1], self.values[k])
-        )
+        return _lerp(self.times, self.values, max(bisect_left(self.times, t), 1), t)
 
     def __str__(self) -> str:
         stops = "; ".join(
@@ -201,24 +212,22 @@ def restrict(path: PLNaturalPath, eps2: Rational) -> PLNaturalPath:
         raise PathError(
             f"restriction length {eps2} outside (0, {path.eps}]"
         )
-    times = [t for t in path.times if t < eps2]
-    values = list(path.values[: len(times)])
-    times.append(eps2)
-    values.append(path.at(eps2))
-    return PLNaturalPath(path.carrier, tuple(times), tuple(values))
+    # the new last point lies on the old segment, so the prefix stays canonical
+    k = bisect_left(path.times, eps2)
+    return PLNaturalPath._adopt(
+        path.carrier, path.times[:k] + (eps2,), path.values[:k] + (path.at(eps2),)
+    )
 
 
 def extend_full(path: PLNaturalPath) -> PLNaturalPath:
     """Extend by one straight segment from the endpoint to the far corner,
     reaching 1_n at time n.  restrict() at the original length undoes it."""
     n = path.dim
+    if path.eps == n:
+        raise PathError(f"the path already reaches the far corner at time {shown(n)}")
     times = path.times + (Fraction(n),)
     values = path.values + ((Fraction(1),) * n,)
-    return PLNaturalPath(path.carrier, times, values)
-
-
-def _merged_times(a: PLNaturalPath, b: PLNaturalPath) -> list[Fraction]:
-    return sorted(set(a.times) | set(b.times))
+    return PLNaturalPath._adopt(path.carrier, *_canonical(times, values))
 
 
 def _check_comparable(a: PLNaturalPath, b: PLNaturalPath) -> None:
@@ -231,6 +240,25 @@ def _check_comparable(a: PLNaturalPath, b: PLNaturalPath) -> None:
         raise PathError(f"natural lengths differ: {a.eps} and {b.eps}")
 
 
+def _walk(a: PLNaturalPath, b: PLNaturalPath):
+    """(t, a(t), b(t)) at every breakpoint t of either path, in one pass
+    over both: a path's own breakpoint gives its stored point, the other
+    path's an interpolated one.  Both paths end at the same time."""
+    ta, va, tb, vb = a.times, a.values, b.times, b.values
+    i = j = 0
+    while i < len(ta):
+        s, t = ta[i], tb[j]
+        if s == t:
+            yield s, va[i], vb[j]
+            i, j = i + 1, j + 1
+        elif s < t:
+            yield s, va[i], _lerp(tb, vb, j, s)
+            i += 1
+        else:
+            yield t, _lerp(ta, va, i, t), vb[j]
+            j += 1
+
+
 def sup_distance(a: PLNaturalPath, b: PLNaturalPath) -> Fraction:
     """The exact sup over time of the max-norm distance.
 
@@ -238,14 +266,7 @@ def sup_distance(a: PLNaturalPath, b: PLNaturalPath) -> Fraction:
     so the supremum is attained at a breakpoint.
     """
     _check_comparable(a, b)
-    best = Fraction(0)
-    for t in _merged_times(a, b):
-        va, vb = a.at(t), b.at(t)
-        for x, y in zip(va, vb):
-            d = abs(x - y)
-            if d > best:
-                best = d
-    return best
+    return max(abs(x - y) for _, va, vb in _walk(a, b) for x, y in zip(va, vb))
 
 
 def convex_comb(u: Rational, a: PLNaturalPath, b: PLNaturalPath) -> PLNaturalPath:
@@ -255,12 +276,11 @@ def convex_comb(u: Rational, a: PLNaturalPath, b: PLNaturalPath) -> PLNaturalPat
     if not 0 <= u <= 1:
         raise PathError(f"combination weight {u} outside [0, 1]")
     _check_comparable(a, b)
-    times = _merged_times(a, b)
-    values = []
-    for t in times:
-        va, vb = a.at(t), b.at(t)
+    times, values = [], []
+    for t, va, vb in _walk(a, b):
+        times.append(t)
         values.append(tuple(x + (y - x) * u for x, y in zip(va, vb)))
-    return PLNaturalPath(a.carrier, tuple(times), tuple(values))
+    return PLNaturalPath._adopt(a.carrier, *_canonical(times, values))
 
 
 def zero_set(path: PLNaturalPath) -> frozenset[int]:
@@ -299,7 +319,7 @@ def embed_face(path: PLNaturalPath, i: int, alpha: int) -> PLNaturalPath:
         )
     n = path.dim
     if not 1 <= i <= n + 1:
-        raise PathError(f"axis {i} out of range 1..{n + 1}")
+        raise PathError(f"axis {shown(i)} out of range 1..{n + 1}")
     word = path.carrier.name
     if set(word) == {STAR} and len(word) == n:
         target = CubeId(STAR * (n + 1), n + 1)

@@ -101,7 +101,7 @@ def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
         pairs = {c.name: (c.name, (1,) * c.dim) for c in K.cubes()}
         return Subdivision(K, 1, K, pairs, {pair: name for name, pair in pairs.items()})
     check_cells(f"the order-{shown(p)} subdivision", 2 * p - 1, K.counts())
-    top = 2 * p
+    top = 2 * p if K.dim > 0 else 0  # vertices alone need no grid labels
     # intervals first, then the interior points: the order cells are named in
     interior = [*range(1, top, 2), *range(2, top, 2)]
     suffix = ["." + _label(c) for c in range(top + 1)]

@@ -9,8 +9,10 @@ group, the low degrees from an explicit augmentation matrix on the
 time-reversed complex, PCS text through a regex tokenizer that records
 every token's column, the axioms on (cube, axis, end)-keyed face tables
 instead of facet tuples, faces of the standard cube on words over {0, 1, x}
-instead of integer codes, and cube attachment by a walk down the face
-lattice instead of the facet identities.  Tests compare these against the
+instead of integer codes, cube attachment by a walk down the face lattice
+instead of the facet identities, and path distances and combinations by
+`PLNaturalPath.at` at the sorted union of breakpoint times, with canonical
+form by a straight-line test, instead of the merged walk and velocities.  Tests compare these against the
 library's own answers, so nothing in this file may call the function it is
 checking.
 """
@@ -121,28 +123,28 @@ def fraction_solve_is_consistent(M: Matrix, rhs: list[int]) -> bool:
 
 
 def rational_rank(M: Matrix) -> int:
-    """Rank over the rationals by fraction Gaussian elimination.
+    """Rank over the rationals by fraction Gaussian elimination, forward
+    only: each pivot clears the rows below it, and the rank is the number
+    of pivots.
 
     Kept free of any code shared with smith_normal_form on purpose: it is
     the cross-check route for every rank the package computes.
     """
     a = [[Fraction(x) for x in row] for row in M.data]
     rank = 0
-    col = 0
-    while rank < M.rows and col < M.cols:
+    for col in range(M.cols):
         pivot_row = next((i for i in range(rank, M.rows) if a[i][col]), None)
         if pivot_row is None:
-            col += 1
             continue
         a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(M.rows):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        pivot = a[rank]
+        for i in range(rank + 1, M.rows):
+            if a[i][col]:
+                f = a[i][col] / pivot[col]
+                a[i] = [x - f * y for x, y in zip(a[i], pivot)]
         rank += 1
-        col += 1
+        if rank == M.rows:
+            break
     return rank
 
 
@@ -409,3 +411,37 @@ def attach_reference(K, n, boundary, name=None):
     for (i, alpha), t in boundary.items():
         faces[(name, i, alpha)] = t
     return PrecubicalSet(dims, faces), name
+
+
+# -- natural paths ---------------------------------------------------------
+
+
+def canonical_reference(times, values):
+    """Drop every breakpoint that lies on the straight segment from the
+    last kept breakpoint to the next one."""
+    keep = [0]
+    for k in range(1, len(times) - 1):
+        j = keep[-1]
+        u = (times[k] - times[j]) / (times[k + 1] - times[j])
+        if values[k] != tuple(a + (b - a) * u for a, b in zip(values[j], values[k + 1])):
+            keep.append(k)
+    keep.append(len(times) - 1)
+    return tuple(times[k] for k in keep), tuple(values[k] for k in keep)
+
+
+def _merged_times(a, b):
+    return sorted(set(a.times) | set(b.times))
+
+
+def sup_distance_reference(a, b):
+    """The largest coordinate gap at the breakpoints of either path, each
+    point read through `at`."""
+    return max(abs(x - y) for t in _merged_times(a, b) for x, y in zip(a.at(t), b.at(t)))
+
+
+def convex_comb_reference(u, a, b):
+    """The canonical (times, values) of (1-u) a + u b, each point of a and
+    b read through `at` at the breakpoints of either path."""
+    times = _merged_times(a, b)
+    values = [tuple(x + (y - x) * u for x, y in zip(a.at(t), b.at(t))) for t in times]
+    return canonical_reference(times, values)

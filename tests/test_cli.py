@@ -262,6 +262,19 @@ def test_demo_no_germs_options():
     assert code == 2 and "rational" in err
 
 
+def test_huge_epsilon_exits_2_fast():
+    # sizes are read from the text: no exponent is expanded, and no number
+    # too long to print reaches a message
+    for text in ("1e-999999999", "1e-5000", "1e-99", "1e99", "9" * 100, "1/1" + "0" * 99):
+        start = time.perf_counter()
+        code, out, err = run("demo-no-germs", "--epsilon", text)
+        assert time.perf_counter() - start < 1.0, text
+        assert code == 2 and out == "" and "100 or more digits" in err, text
+    code, out, err = run("demo-no-germs", "--epsilon", "1e-98")
+    assert (code, out) == (2, "")
+    assert err == f"error: need at least {10**98 + 1} steps for epsilon 1/{10**98}\n"
+
+
 def test_library_errors_are_not_bad_input(monkeypatch):
     def broken(K):
         raise ValueError("a bug, not bad input")

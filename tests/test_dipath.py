@@ -1,12 +1,16 @@
 import random
+import time
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 
+from oracles import canonical_reference, convex_comb_reference, sup_distance_reference
 from precubical.core import CubeId
 from precubical.dipath import (
     PathError,
     PLNaturalPath,
+    _canonical,
     convex_comb,
     diagonal_path,
     embed_face,
@@ -267,3 +271,116 @@ def test_paths_are_values():
     g = gamma_h(F(1, 3), F(1, 2))
     again = PLNaturalPath(g.carrier, g.times, g.values)
     assert g == again and hash(g) == hash(again)
+
+
+def random_path(rng, n, eps, fractions):
+    """A natural path in the n-cube with breakpoints at the given fractions
+    of eps, each step split among the axes by weights from a small pool, so
+    that consecutive steps often share a direction."""
+    times = [F(0), *(eps * f for f in sorted(set(fractions))), eps]
+    values = [(F(0),) * n]
+    for t0, t1 in zip(times, times[1:]):
+        split = [rng.randint(0, 2) for _ in range(n)]
+        split[rng.randrange(n)] += 1
+        values.append(tuple(x + (t1 - t0) * F(s, sum(split)) for x, s in zip(values[-1], split)))
+    return times, values
+
+
+def random_pairs(count, seed):
+    """Seeded pairs of paths of one length in the n-cube, n = 1 to 4, whose
+    breakpoints are drawn from the grid eps * k/12: unequal counts, shared
+    breakpoints and straight paths all occur."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        n = 1 + trial % 4
+        eps = F(rng.randint(1, 9), 10)
+        grid = [F(k, 12) for k in range(1, 12)]
+        a, b = (
+            PLNaturalPath(standard_carrier(n), *random_path(rng, n, eps, rng.sample(grid, k)))
+            for k in (rng.randrange(7), rng.randrange(7))
+        )
+        yield a, b, F(rng.randint(0, 12), 12)
+
+
+def test_canonical_matches_straight_line_reference():
+    rng = random.Random(21)
+    dropped = 0
+    for trial in range(500):
+        n = 1 + trial % 4
+        grid = [F(k, 40) for k in range(1, 40)]
+        times, values = random_path(rng, n, F(1, 2), rng.sample(grid, rng.randrange(9)))
+        # pad with points on the segments: one collinear run per segment
+        padded_t, padded_v = [times[0]], [values[0]]
+        for k in range(1, len(times)):
+            t0, t1, v0, v1 = times[k - 1], times[k], values[k - 1], values[k]
+            for u in sorted({F(rng.randint(1, 7), 8) for _ in range(rng.randrange(3))}):
+                padded_t.append(t0 + (t1 - t0) * u)
+                padded_v.append(tuple(x + (y - x) * u for x, y in zip(v0, v1)))
+            padded_t.append(t1)
+            padded_v.append(v1)
+        for t, v in ((times, values), (padded_t, padded_v)):
+            want = canonical_reference(t, v)
+            assert _canonical(t, v) == want
+            dropped += len(t) - len(want[0])
+        assert _canonical(padded_t, padded_v) == _canonical(times, values)
+    assert dropped > 2000
+
+
+def test_walk_matches_merged_times_reference():
+    shared = unequal = ends = 0
+    for a, b, u in random_pairs(500, 5):
+        assert sup_distance(a, b) == sup_distance_reference(a, b)
+        c = convex_comb(u, a, b)
+        assert (c.times, c.values) == convex_comb_reference(u, a, b)
+        shared += len(set(a.times[1:-1]) & set(b.times[1:-1])) > 0
+        unequal += len(a.times) != len(b.times)
+        ends += u in (0, 1)
+    assert shared > 120 and unequal > 250 and ends > 50
+
+
+def test_derived_paths_are_natural_and_canonical():
+    for a, b, u in random_pairs(300, 6):
+        full = extend_full(a)
+        for p in (convex_comb(u, a, b), full, restrict(a, a.eps / 3), restrict(full, a.eps)):
+            assert_natural(p)
+            # the checked constructor keeps every breakpoint of a canonical path
+            assert p == PLNaturalPath(p.carrier, p.times, p.values)
+        assert restrict(full, a.eps) == a
+
+
+def test_walk_does_not_read_points_through_at(monkeypatch):
+    pairs = list(random_pairs(40, 7))
+    want = [(sup_distance(a, b), convex_comb(u, a, b)) for a, b, u in pairs]
+
+    def refuse(self, t):
+        raise AssertionError("sup_distance and convex_comb must not call at")
+
+    monkeypatch.setattr(PLNaturalPath, "at", refuse)
+    assert [(sup_distance(a, b), convex_comb(u, a, b)) for a, b, u in pairs] == want
+
+
+def test_extend_full_twice_is_refused():
+    for p in (diagonal_path(2, F(1, 2)), gamma_h(F(1, 5), F(1, 2)), sample(3, F(1, 2), 4, 1)):
+        with pytest.raises(PathError, match="far corner"):
+            extend_full(extend_full(p))
+
+
+def test_non_rational_numbers_are_refused_fast():
+    d = diagonal_path(2, F(1, 2))
+    start = time.perf_counter()
+    for x in ("1e-999999999", "1/4", Decimal("1e-999999999"), None):
+        with pytest.raises(PathError, match="not a rational number"):
+            restrict(d, x)
+        with pytest.raises(PathError, match="not a rational number"):
+            make_path(SQ, F(1, 2), (0, F(1, 2)), ((0, 0), (x, F(1, 4))))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_huge_numbers_in_path_messages_are_shown_fast():
+    edge = make_path(standard_carrier(1), F(1, 2), (0, F(1, 2)), ((0,), (F(1, 2),)))
+    start = time.perf_counter()
+    with pytest.raises(PathError, match="axis <100[+] digits>"):
+        embed_face(edge, 10**5000, 0)
+    with pytest.raises(PathError, match="dimension <100[+] digits>"):
+        PLNaturalPath(CubeId("x", 10**5000), edge.times, edge.values)
+    assert time.perf_counter() - start < 1.0

@@ -207,6 +207,18 @@ def test_vertex_coordinates_decodes_without_subdividing(monkeypatch):
     assert vertex_coordinates(K, 3, "a.b.2") == (CubeId("a.b", 1), (Fraction(2, 3),))
 
 
+def test_subdivide_vertices_at_a_huge_order_is_fast():
+    # vertices alone come through any order unchanged, with no grid built
+    K = PrecubicalSet({"a": 0, "b": 0}, {})
+    start = time.perf_counter()
+    for p in (10**6, 10**12):
+        S = subdivide(K, p)
+        assert S.complex == K and S.pairs == {"a": ("a", ()), "b": ("b", ())}
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(PcsError, match="more than 1000000 cells"):
+        subdivide(standard_cube(1), 10**6)
+
+
 def test_vertex_coordinates_of_a_long_name_fails_fast():
     # only split depths up to the top dimension of K can name a base cube
     start = time.perf_counter()
