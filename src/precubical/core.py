@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator, Mapping
 
 NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
@@ -47,7 +48,11 @@ class MorphismError(PcsError):
 
 def shown(x: object) -> str:
     """repr(x) for an error message, or "<100+ digits>" if x is, or is a
-    tuple holding, an int that long: Python may refuse to print it."""
+    tuple holding, an int that long: Python may refuse to print it.  A
+    Fraction shows as str(x), only such a numerator or denominator elided."""
+    if isinstance(x, Fraction):
+        q = shown(x.numerator)
+        return q if x.denominator == 1 else f"{q}/{shown(x.denominator)}"
     for i in x if isinstance(x, tuple) else (x,):
         if isinstance(i, int) and not -(10**100) < i < 10**100:
             return "<100+ digits>"
@@ -270,34 +275,39 @@ def validate(K: PrecubicalSet) -> list[Violation]:
     recorded faces costs little whatever its dimension.
     """
     out: list[Violation] = []
-    dims, facets = K._dims, K._facets
     for n in sorted(K._grades):
         for c in K._grades[n] if n else ():
-            F = facets.get(c, (None,) * (2 * n))
-            for k, t in enumerate(F):
-                if t is None:
-                    out.append(Violation("missing-face", c, (k // 2 + 1, k % 2)))
-                elif dims[t] != n - 1:
-                    where = (k // 2 + 1, k % 2, t, n - 1, dims[t])
-                    out.append(Violation("dimension-mismatch", c, where))
-            # G[2j + beta] is the facet tuple of face (j + 1, beta) if that has
-            # dimension n - 1, so each identity is two index reads
-            G = [facets.get(t) if t and dims[t] == n - 1 else None for t in F]
-            axes = [i for i in range(n) if G[2 * i] or G[2 * i + 1]]
-            for a, i in enumerate(axes):
-                for j in axes[a + 1 :]:
-                    for alpha in (0, 1):
-                        U = G[2 * i + alpha]
-                        for beta in (0, 1):
-                            T = G[2 * j + beta]
-                            if T and U:
-                                lhs, rhs = T[2 * i + alpha], U[2 * j - 2 + beta]
-                                if lhs and rhs and lhs != rhs:
-                                    where = (i + 1, j + 1, alpha, beta, lhs, rhs)
-                                    out.append(Violation("identity", c, where))
+            _cube_violations(K, c, K._facets.get(c, (None,) * (2 * n)), n, out)
     if not out:
         K._valid = True
     return out
+
+
+def _cube_violations(K: PrecubicalSet, c: str, F: tuple, n: int, out: list) -> None:
+    """Append to out the violations of the n-cube c with facet tuple F, in
+    `validate`'s order; c need not be in K yet, but every name in F is."""
+    dims, facets = K._dims, K._facets
+    for k, t in enumerate(F):
+        if t is None:
+            out.append(Violation("missing-face", c, (k // 2 + 1, k % 2)))
+        elif dims[t] != n - 1:
+            where = (k // 2 + 1, k % 2, t, n - 1, dims[t])
+            out.append(Violation("dimension-mismatch", c, where))
+    # G[2j + beta] is the facet tuple of face (j + 1, beta) if that has
+    # dimension n - 1, so each identity is two index reads
+    G = [facets.get(t) if t and dims[t] == n - 1 else None for t in F]
+    axes = [i for i in range(n) if G[2 * i] or G[2 * i + 1]]
+    for a, i in enumerate(axes):
+        for j in axes[a + 1 :]:
+            for alpha in (0, 1):
+                U = G[2 * i + alpha]
+                for beta in (0, 1):
+                    T = G[2 * j + beta]
+                    if T and U:
+                        lhs, rhs = T[2 * i + alpha], U[2 * j - 2 + beta]
+                        if lhs and rhs and lhs != rhs:
+                            where = (i + 1, j + 1, alpha, beta, lhs, rhs)
+                            out.append(Violation("identity", c, where))
 
 
 def violations_message(violations: list[Violation]) -> str:
@@ -484,23 +494,6 @@ def time_reverse(K: PrecubicalSet) -> PrecubicalSet:
     return PrecubicalSet._adopt(K._dims, rev, _valid=K._valid)
 
 
-def relabel(K: PrecubicalSet, mapping: Mapping[str, str]) -> PrecubicalSet:
-    """Rename cubes.  Names absent from `mapping` are kept; the result must
-    not collide."""
-
-    def m(name: str) -> str:
-        return mapping.get(name, name)
-
-    new_dims = {}
-    for name, d in K._dims.items():
-        new = m(name)
-        if new in new_dims:
-            raise PcsError(f"relabel collides on {new!r}")
-        new_dims[new] = d
-    new_faces = {(m(c), i, alpha): m(t) for (c, i, alpha), t in K.face_items()}
-    return PrecubicalSet(new_dims, new_faces)
-
-
 def attach_cube(
     K: PrecubicalSet,
     n: int,
@@ -512,10 +505,12 @@ def attach_cube(
     `boundary` sends each facet slot (i, alpha), 1 <= i <= n, to an existing
     (n-1)-cube of K.  The assignment must extend to a morphism from the
     boundary of the standard n-cube, which holds exactly when the facets
-    satisfy the precubical identities
-    face(t(j, beta), i, alpha) == face(t(i, alpha), j - 1, beta) for i < j;
-    otherwise MorphismError is raised with the first failure.  For n = 0 the
-    boundary is empty and the result is K plus a disjoint vertex.
+    have dimension n - 1 and satisfy the precubical identities
+    face(t(j, beta), i, alpha) == face(t(i, alpha), j - 1, beta) for i < j.
+    The new cube is checked as `validate` checks a cube, and a failure
+    raises MorphismError with the text of its first `Violation`; as there,
+    an identity that meets a hole of a leniently loaded K is skipped.  For
+    n = 0 the boundary is empty and the result is K plus a disjoint vertex.
 
     Alternatively `boundary` may name every cube of the boundary of the
     standard n-cube (keys are the proper face words); it is then checked as
@@ -539,27 +534,6 @@ def attach_cube(
         raise PcsError(
             f"boundary assignment must cover exactly the {shown(2 * n)} facet slots"
         )
-    boundary = {(int(i), check_end(alpha)): t for (i, alpha), t in boundary.items()}
-    for (i, alpha), t in boundary.items():
-        if K.dim_of(t) != n - 1:
-            raise PcsError(
-                f"facet ({i}, {SIDES[alpha]}) image {t!r} has dimension "
-                f"{K.dim_of(t)}, expected {n - 1}"
-            )
-    if words is not None:
-        PcsMorphism(shell, K, words)
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            for alpha in (0, 1):
-                for beta in (0, 1):
-                    lhs = K.face(boundary[(j, beta)], i, alpha)
-                    rhs = K.face(boundary[(i, alpha)], j - 1, beta)
-                    if lhs != rhs:
-                        a, b = SIDES[alpha], SIDES[beta]
-                        raise MorphismError(
-                            f"incompatible attachment: face ({i}, {a}) of facet ({j}, {b}) "
-                            f"is {lhs!r}, face ({j - 1}, {b}) of facet ({i}, {a}) is {rhs!r}"
-                        )
     if name is None:
         k = 0
         while f"cube{k}" in K:
@@ -569,10 +543,20 @@ def attach_cube(
         raise PcsError(f"cube name {name!r} already in use")
     elif not NAME_RE.match(name):
         raise PcsError(f"bad cube name {name!r}")
+    # a key equal to an int slot (1.0, True) finds it, and F holds the targets
+    F = tuple(boundary[(i, a)] for i in range(1, n + 1) for a in (0, 1))
+    for t in F:
+        K.dim_of(t)  # an unknown name raises UnknownCubeError
+    out: list[Violation] = []
+    _cube_violations(K, name, F, n, out)
+    if out:
+        raise MorphismError(str(out[0]))
+    if words is not None:
+        PcsMorphism(shell, K, words)
     dims, facets = dict(K._dims), dict(K._facets)
     dims[name] = n
     if n:
-        facets[name] = tuple(boundary[(i, a)] for i in range(1, n + 1) for a in (0, 1))
+        facets[name] = F
     return PrecubicalSet._adopt(dims, facets, _valid=K._valid), name
 
 
@@ -619,19 +603,3 @@ class PcsMorphism:
         if name not in self.mapping:
             raise UnknownCubeError(f"unknown cube {name!r}")
         return self.mapping[name]
-
-    @property
-    def is_isomorphism(self) -> bool:
-        """True when the mapping is bijective and its inverse is a morphism."""
-        if len(self.source) != len(self.target):
-            return False
-        inv: dict[str, str] = {}
-        for c, fc in self.mapping.items():
-            if fc in inv:
-                return False
-            inv[fc] = c
-        try:
-            PcsMorphism(self.target, self.source, inv)
-        except MorphismError:
-            return False
-        return True

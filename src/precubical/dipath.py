@@ -10,10 +10,10 @@ Everything here is exact: breakpoint times and coordinates are Fractions,
 so path equality, distances and germ comparisons are decided, not
 approximated.  Paths are kept in canonical form (no breakpoint where the
 velocity stays the same), so structural equality coincides with pointwise
-equality.  Paths a user builds are converted and checked; the paths that
-`restrict`, `extend_full` and `convex_comb` derive from checked paths are
-natural by construction and adopted as they are.  Two paths are compared
-and combined in one merged walk over both breakpoint lists.
+equality.  Paths a user builds are converted and checked; `sample` and the
+paths `restrict`, `extend_full` and `convex_comb` derive from checked ones
+are natural by construction and adopted as they are.  Two paths are
+compared and combined in one merged walk over both breakpoint lists.
 
 The family `gamma_h` witnesses how germs behave badly: each gamma_h runs
 along the boundary edge until time h and is therefore germ-equal to a
@@ -80,7 +80,7 @@ class PLNaturalPath:
     forces the start to be the corner).  The natural length is the final
     time; `make_path` additionally requires it to be short (< 1), while
     `extend_full` builds full-length paths directly.  `_adopt`, for paths
-    the library derives from checked ones, neither converts nor checks.
+    the library builds natural by construction, neither converts nor checks.
     """
 
     carrier: CubeId
@@ -116,16 +116,16 @@ class PLNaturalPath:
                     f"carrier has dimension {shown(n)}"
                 )
         if times[0] != 0:
-            raise PathError(f"breakpoint 0 must be at time 0, got {times[0]}")
+            raise PathError(f"breakpoint 0 must be at time 0, got {shown(times[0])}")
         for k in range(1, len(times)):
             if times[k] <= times[k - 1]:
                 raise PathError(
-                    f"breakpoint {k}: time {times[k]} does not increase "
-                    f"past {times[k - 1]}"
+                    f"breakpoint {k}: time {shown(times[k])} does not increase "
+                    f"past {shown(times[k - 1])}"
                 )
         if times[-1] > n:
             raise PathError(
-                f"natural length {times[-1]} exceeds the carrier dimension {shown(n)}"
+                f"natural length {shown(times[-1])} exceeds the carrier dimension {shown(n)}"
             )
         times, values = _canonical(times, values)
         object.__setattr__(self, "times", times)
@@ -135,19 +135,19 @@ class PLNaturalPath:
             for i, x in enumerate(v):
                 if not 0 <= x <= 1:
                     raise PathError(
-                        f"breakpoint {k}, coordinate {i + 1}: value {x} "
+                        f"breakpoint {k}, coordinate {i + 1}: value {shown(x)} "
                         f"outside [0, 1]"
                     )
                 if k and x < values[k - 1][i]:
                     raise PathError(
                         f"breakpoint {k}, coordinate {i + 1}: decreases "
-                        f"from {values[k - 1][i]} to {x}"
+                        f"from {shown(values[k - 1][i])} to {shown(x)}"
                     )
                 total += x
             if total != times[k]:
                 raise PathError(
-                    f"breakpoint {k}: coordinate sum {total} differs from "
-                    f"time {times[k]}"
+                    f"breakpoint {k}: coordinate sum {shown(total)} differs from "
+                    f"time {shown(times[k])}"
                 )
 
     @classmethod
@@ -173,7 +173,7 @@ class PLNaturalPath:
         """The point at time t, by linear interpolation."""
         t = _frac(t, "time")
         if not 0 <= t <= self.eps:
-            raise PathError(f"time {t} outside [0, {self.eps}]")
+            raise PathError(f"time {shown(t)} outside [0, {shown(self.eps)}]")
         return _lerp(self.times, self.values, max(bisect_left(self.times, t), 1), t)
 
     def __str__(self) -> str:
@@ -197,11 +197,11 @@ def make_path(carrier: CubeId, eps: Rational, breakpoints, values) -> PLNaturalP
     """
     eps = _frac(eps, "eps")
     if not 0 < eps < 1:
-        raise PathError(f"natural length must be in (0, 1), got {eps}")
+        raise PathError(f"natural length must be in (0, 1), got {shown(eps)}")
     times = tuple(_frac(t, f"breakpoint {k}") for k, t in enumerate(breakpoints))
     if not times or times[-1] != eps:
-        last = times[-1] if times else "nothing"
-        raise PathError(f"final breakpoint {last} must equal eps = {eps}")
+        last = shown(times[-1]) if times else "nothing"
+        raise PathError(f"final breakpoint {last} must equal eps = {shown(eps)}")
     return PLNaturalPath(carrier, times, tuple(tuple(v) for v in values))
 
 
@@ -210,7 +210,7 @@ def restrict(path: PLNaturalPath, eps2: Rational) -> PLNaturalPath:
     eps2 = _frac(eps2, "eps2")
     if not 0 < eps2 <= path.eps:
         raise PathError(
-            f"restriction length {eps2} outside (0, {path.eps}]"
+            f"restriction length {shown(eps2)} outside (0, {shown(path.eps)}]"
         )
     # the new last point lies on the old segment, so the prefix stays canonical
     k = bisect_left(path.times, eps2)
@@ -237,7 +237,7 @@ def _check_comparable(a: PLNaturalPath, b: PLNaturalPath) -> None:
             f"embed them into a common cube first"
         )
     if a.eps != b.eps:
-        raise PathError(f"natural lengths differ: {a.eps} and {b.eps}")
+        raise PathError(f"natural lengths differ: {shown(a.eps)} and {shown(b.eps)}")
 
 
 def _walk(a: PLNaturalPath, b: PLNaturalPath):
@@ -274,7 +274,7 @@ def convex_comb(u: Rational, a: PLNaturalPath, b: PLNaturalPath) -> PLNaturalPat
     common length are closed under it."""
     u = _frac(u, "u")
     if not 0 <= u <= 1:
-        raise PathError(f"combination weight {u} outside [0, 1]")
+        raise PathError(f"combination weight {shown(u)} outside [0, 1]")
     _check_comparable(a, b)
     times, values = [], []
     for t, va, vb in _walk(a, b):
@@ -347,7 +347,7 @@ def germ_equal(a: PLNaturalPath, b: PLNaturalPath, eps2: Rational) -> bool:
         )
     if not 0 < eps2 < min(a.eps, b.eps):
         raise PathError(
-            f"germ horizon {eps2} outside (0, {min(a.eps, b.eps)})"
+            f"germ horizon {shown(eps2)} outside (0, {shown(min(a.eps, b.eps))})"
         )
     return restrict(a, eps2) == restrict(b, eps2)
 
@@ -378,10 +378,10 @@ def gamma_h(h: Rational, eps: Rational = Fraction(1, 2)) -> PLNaturalPath:
     h = _frac(h, "h")
     eps = _frac(eps, "eps")
     if not 0 < h < eps < 1:
-        raise PathError(f"need 0 < h < eps < 1, got h = {h}, eps = {eps}")
+        raise PathError(f"need 0 < h < eps < 1, got h = {shown(h)}, eps = {shown(eps)}")
     lo, hi = (eps - h) / 2, (eps + h) / 2
     if not (0 < lo < 1 and 0 < hi < 1):
-        raise PathError(f"endpoint ({lo}, {hi}) escapes the open square")
+        raise PathError(f"endpoint ({shown(lo)}, {shown(hi)}) escapes the open square")
     zero = Fraction(0)
     return make_path(
         standard_carrier(2),
@@ -407,7 +407,7 @@ def sample(n: int, eps: Rational, m: int, seed: int) -> PLNaturalPath:
         raise PathError("interior breakpoint count must be >= 0")
     eps = _frac(eps, "eps")
     if not 0 < eps < 1:
-        raise PathError(f"natural length must be in (0, 1), got {eps}")
+        raise PathError(f"natural length must be in (0, 1), got {shown(eps)}")
     rng = random.Random(seed)
     steps = m + 1
     weights = [rng.randint(1, 9) for _ in range(steps)]
@@ -431,4 +431,4 @@ def sample(n: int, eps: Rational, m: int, seed: int) -> PLNaturalPath:
         values.append(
             tuple(x + dt * d for x, d in zip(values[-1], direction))
         )
-    return PLNaturalPath(standard_carrier(n), tuple(times), tuple(values))
+    return PLNaturalPath._adopt(standard_carrier(n), *_canonical(times, values))

@@ -120,10 +120,16 @@ def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
     for name, (base, codes) in pairs.items():
         dims[name] = sum(c % 2 for c in codes)
         if dims[name]:
-            facets[name] = tuple(
-                names[normalize_pair(K, base, raw, p) if 0 in raw or top in raw else (base, raw)]
-                for _, _, raw in cell_faces(codes)
-            )
+            B, F = K._facets[base], []
+            for _, alpha, raw in cell_faces(codes):
+                # only the moved code can reach the outer boundary, 0 or 2p:
+                # at position k that is face (k + 1, alpha) of the base
+                if top * alpha in raw:
+                    k = raw.index(top * alpha)
+                    F.append(names[(B[2 * k + alpha], raw[:k] + raw[k + 1 :])])
+                else:
+                    F.append(names[(base, raw)])
+            facets[name] = tuple(F)
     return Subdivision(K, p, PrecubicalSet._adopt(dims, facets, _valid=True), pairs, names)
 
 

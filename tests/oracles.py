@@ -10,7 +10,8 @@ time-reversed complex, PCS text through a regex tokenizer that records
 every token's column, the axioms on (cube, axis, end)-keyed face tables
 instead of facet tuples, faces of the standard cube on words over {0, 1, x}
 instead of integer codes, cube attachment by a walk down the face lattice
-instead of the facet identities, and path distances and combinations by
+instead of the facet identities, isomorphism of a morphism by checking its
+inverse as a morphism, and path distances and combinations by
 `PLNaturalPath.at` at the sorted union of breakpoint times, with canonical
 form by a straight-line test, instead of the merged walk and velocities.  Tests compare these against the
 library's own answers, so nothing in this file may call the function it is
@@ -26,6 +27,7 @@ from precubical.core import (
     MAX_CELLS,
     MorphismError,
     PcsError,
+    PcsMorphism,
     PrecubicalSet,
     Violation,
     extremal_cubes,
@@ -411,6 +413,22 @@ def attach_reference(K, n, boundary, name=None):
     for (i, alpha), t in boundary.items():
         faces[(name, i, alpha)] = t
     return PrecubicalSet(dims, faces), name
+
+
+def is_isomorphism(f: PcsMorphism) -> bool:
+    """Whether f is bijective and its inverse is a morphism."""
+    if len(f.source) != len(f.target):
+        return False
+    inv: dict[str, str] = {}
+    for c, fc in f.mapping.items():
+        if fc in inv:
+            return False
+        inv[fc] = c
+    try:
+        PcsMorphism(f.target, f.source, inv)
+    except MorphismError:
+        return False
+    return True
 
 
 # -- natural paths ---------------------------------------------------------

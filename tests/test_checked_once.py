@@ -7,11 +7,14 @@ pass the checking constructors, invalid complexes loaded leniently must
 still raise typed errors, and the library paths must not re-check.
 """
 import random
+from contextlib import suppress
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from corpus import corpus20, hollow_cube, hollow_square, l_shape, mutate, two_squares
+from oracles import cube_words
 from precubical.complexes import (
     SemiSimplicialSet,
     assemble_all,
@@ -23,8 +26,12 @@ from precubical.core import (
     PrecubicalSet,
     attach_cube,
     boundary_cube,
+    extremal_partition,
+    final_states,
+    initial_states,
     standard_cube,
     time_reverse,
+    truncate,
     validate,
 )
 from precubical.homology import (
@@ -34,7 +41,7 @@ from precubical.homology import (
     merging_homology,
 )
 from precubical.pcsfile import ParseError, emit_pcs, parse_pcs
-from precubical.subdivision import grid_complex, subdivide
+from precubical.subdivision import grid_complex, subdivide, vertex_coordinates
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -104,6 +111,51 @@ def test_lenient_invalid_complexes_raise_typed_errors():
             for name, call in CALLS.items():
                 assert call(K) == call(strict), (name, text)
     assert seen["invalid"] > 100 and seen["valid"] > 100, seen
+
+
+def _attachments(rng, K):
+    """Facet slots of a random cube of K, each hole filled with a random
+    cube, then slots and words drawn at random."""
+    names = [c.name for c in K.cubes()]
+    if K.dim > 0:
+        c = rng.choice([name for name in names if K.dim_of(name)])
+        n = K.dim_of(c)
+        yield n, {(i, a): K.face_or_none(c, i, a) or rng.choice(names)
+                  for i in range(1, n + 1) for a in (0, 1)}
+    n = rng.randint(0, K.dim + 1)
+    yield n, {(i, a): rng.choice(names) for i in range(1, n + 1) for a in (0, 1)}
+    yield n, {w: rng.choice(names) for w in cube_words(n) if w != "x" * n}
+
+
+def test_library_entry_points_on_invalid_lenient_loads_raise_only_pcs_errors():
+    # each entry point returns or raises PcsError on complexes that parse
+    # leniently but fail validate; any other exception fails the test
+    sources = [p.read_text() for p in sorted(DATA.glob("*.pcs"))]
+    rng = random.Random(20261019)
+    invalid = attached = 0
+    for trial in range(3000):
+        text = mutate(rng, sources[trial % len(sources)].splitlines())
+        try:
+            K = parse_pcs(text, validate=False)
+        except ParseError:
+            continue
+        if not validate(K):
+            continue
+        invalid += 1
+        v = _vertex(K)
+        calls = [final_states, initial_states, time_reverse, emit_pcs, branching_homology,
+                 merging_homology, lambda K: truncate(K, 1), lambda K: subdivide(K, 2),
+                 lambda K: pi0_components(K, v), lambda K: vertex_coordinates(K, 2, v + ".1")]
+        for side in "-+":
+            calls += [partial(extremal_partition, side=side), partial(assemble_all, side=side)]
+        for call in calls:
+            with suppress(PcsError):
+                call(K)
+        for n, boundary in _attachments(rng, K):
+            with suppress(PcsError):
+                attach_cube(K, n, boundary)
+                attached += 1
+    assert invalid > 200 and attached > 50, (invalid, attached)
 
 
 def test_library_paths_skip_the_checking_constructors(monkeypatch):

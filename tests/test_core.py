@@ -12,6 +12,7 @@ from oracles import (
     attach_reference,
     boundary_words_of,
     cube_words,
+    is_isomorphism,
     word_face,
 )
 from precubical.complexes import SemiSimplicialSet
@@ -28,11 +29,11 @@ from precubical.core import (
     attach_cube,
     boundary_cube,
     check_cells,
+    check_valid,
     extremal_cubes,
     extremal_vertex,
     final_states,
     initial_states,
-    relabel,
     standard_cube,
     time_reverse,
     truncate,
@@ -256,12 +257,11 @@ def test_time_reverse_of_boundary_square_is_isomorphic():
     flip = {"0": "1", "1": "0", "x": "x"}
     mapping = {c.name: "".join(flip[ch] for ch in c.name) for c in B.cubes()}
     iso = PcsMorphism(time_reverse(B), B, mapping)
-    assert iso.is_isomorphism
+    assert is_isomorphism(iso)
 
 
 def test_attach_cube_builds_square():
-    K = standard_cube(0)
-    K = relabel(K, {"e": "00"})
+    K = PrecubicalSet({"00": 0}, {})
     for v in ("01", "10", "11"):
         K, got = attach_cube(K, 0, {}, name=v)
         assert got == v
@@ -282,6 +282,42 @@ def test_attach_cube_rejects_incompatible_boundary():
     # swapping the two vertical edges breaks corner compatibility
     with pytest.raises(MorphismError):
         attach_cube(K, 2, {(1, 0): "1x", (1, 1): "0x", (2, 0): "x0", (2, 1): "x1"})
+
+
+def test_attach_cube_raises_the_first_violation_validate_reports():
+    # a refused facet assignment raises the first violation that validate
+    # finds on the cube once glued: a failed identity, or a facet of the
+    # wrong dimension (a MorphismError too)
+    K = boundary_cube(2)
+    swapped = {(1, 0): "1x", (1, 1): "0x", (2, 0): "x0", (2, 1): "x1"}
+    low = {(1, 0): "00", (1, 1): "1x", (2, 0): "x0", (2, 1): "x1"}
+    for boundary, kind in ((swapped, "identity"), (low, "dimension-mismatch")):
+        dims, faces = K.as_tables()
+        dims["sq"] = 2
+        faces.update({("sq", i, a): t for (i, a), t in boundary.items()})
+        first = validate(PrecubicalSet(dims, faces))[0]
+        assert first.kind == kind
+        with pytest.raises(MorphismError) as refused:
+            attach_cube(K, 2, boundary, "sq")
+        assert str(refused.value) == str(first)
+    assert str(first) == "sq: face (1, -) -> 00 has dimension 0, expected 1"
+    with pytest.raises(UnknownCubeError, match="unknown cube 'zz'"):
+        attach_cube(K, 2, {**low, (1, 0): "zz"})
+
+
+def test_attach_cube_skips_identities_that_meet_a_hole():
+    # on a lenient load the identities through a hole are skipped, as in
+    # validate; the result is not valid, and the hole is reported at its cube
+    dims, faces = boundary_cube(2).as_tables()
+    del faces[("0x", 1, 0)]
+    K = PrecubicalSet(dims, faces)
+    square = {(1, 0): "0x", (1, 1): "1x", (2, 0): "x0", (2, 1): "x1"}
+    L, _ = attach_cube(K, 2, square, "xx")
+    assert validate(L) == validate(K) == [Violation("missing-face", "0x", (1, 0))]
+    with pytest.raises(PcsError, match="0x: missing face"):
+        check_valid(L)
+    with pytest.raises(MorphismError, match="identity fails"):
+        attach_cube(K, 2, {**square, (1, 0): "1x", (1, 1): "0x"})
 
 
 def test_attach_cube_agrees_with_the_face_lattice_walk():
@@ -334,23 +370,14 @@ def test_attach_cube_fresh_names_deterministic():
         attach_cube(K, 1, {(1, 0): "a"})
 
 
-def test_relabel():
-    K = standard_cube(1)
-    L = relabel(K, {"x": "edge"})
-    assert L.dim_of("edge") == 1
-    assert L.face("edge", 1, 0) == "0"
-    with pytest.raises(PcsError):
-        relabel(K, {"0": "1"})
-
-
 def test_morphism_inclusion_not_iso():
     inc = {c.name: c.name for c in boundary_cube(2).cubes()}
     f = PcsMorphism(boundary_cube(2), standard_cube(2), inc)
-    assert not f.is_isomorphism
+    assert not is_isomorphism(f)
     ident = PcsMorphism(
         standard_cube(2), standard_cube(2), {c.name: c.name for c in standard_cube(2).cubes()}
     )
-    assert ident.is_isomorphism
+    assert is_isomorphism(ident)
 
 
 def test_morphism_must_commute_with_faces():

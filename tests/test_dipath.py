@@ -267,6 +267,18 @@ def test_sample_breakpoint_count():
     assert straight == diagonal_path(1, F(1, 2))
 
 
+def test_sample_is_the_path_the_checking_constructor_builds():
+    # sample adopts its breakpoints after canonical form, which for n = 1
+    # drops every interior one
+    for n in range(1, 5):
+        for m in (0, 1, 5, 30):
+            for seed in range(4):
+                p = sample(n, F(1, 2), m, seed)
+                assert_natural(p)
+                assert p == PLNaturalPath(p.carrier, p.times, p.values)
+                assert len(p.times) == (2 if n == 1 else m + 2)
+
+
 def test_paths_are_values():
     g = gamma_h(F(1, 3), F(1, 2))
     again = PLNaturalPath(g.carrier, g.times, g.values)
@@ -383,4 +395,25 @@ def test_huge_numbers_in_path_messages_are_shown_fast():
         embed_face(edge, 10**5000, 0)
     with pytest.raises(PathError, match="dimension <100[+] digits>"):
         PLNaturalPath(CubeId("x", 10**5000), edge.times, edge.values)
+    assert time.perf_counter() - start < 1.0
+
+
+HUGE = F(10**5000)  # past the digits Python prints, on versions that limit them
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda d: restrict(d, HUGE), "restriction length <100[+] digits> outside"),
+    (lambda d: d.at(-HUGE), "time <100[+] digits> outside"),
+    (lambda d: convex_comb(HUGE, d, d), "weight <100[+] digits> outside"),
+    (lambda d: make_path(SQ, HUGE, (0, 1), ((0, 0), (0, 1))), "got <100[+] digits>$"),
+    (lambda d: make_path(SQ, 1 / HUGE, (0, F(1, 2)), ((0, 0), (0, F(1, 2)))),
+     "final breakpoint 1/2 must equal eps = 1/<100[+] digits>$"),
+    (lambda d: gamma_h(1 / HUGE, HUGE), "h = 1/<100[+] digits>, eps = <100[+] digits>$"),
+], ids=["restrict", "at", "convex-comb", "make-path", "make-path-denominator", "gamma-h"])
+def test_huge_fractions_in_path_messages_are_shown_fast(call, shown):
+    # only a numerator or denominator that long is elided
+    d = diagonal_path(2, F(1, 2))
+    start = time.perf_counter()
+    with pytest.raises(PathError, match=shown):
+        call(d)
     assert time.perf_counter() - start < 1.0

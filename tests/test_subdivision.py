@@ -3,10 +3,12 @@ import random
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from corpus import hollow_cube, hollow_square, l_shape
+from corpus import corpus20, hollow_cube, hollow_square, l_shape
+from oracles import is_isomorphism
 from precubical.complexes import branching_complex
 from precubical.core import (
     CubeId,
@@ -14,12 +16,14 @@ from precubical.core import (
     PcsMorphism,
     PrecubicalSet,
     boundary_cube,
+    cell_faces,
     standard_cube,
     time_reverse,
     validate,
 )
 from precubical.homology import branching_homology, graded_iso
 from precubical import core, subdivision
+from precubical.pcsfile import parse_pcs
 from precubical.subdivision import (
     grid_complex,
     normalize_pair,
@@ -96,7 +100,7 @@ def test_subdivide_matches_sub_standard():
                 pair = normalize_pair(K, full, codes, p)
                 mapping[cell_name(codes)] = sub.names[pair]
             iso = PcsMorphism(S, sub.complex, mapping)
-            assert iso.is_isomorphism
+            assert is_isomorphism(iso)
 
 
 def test_subdivide_order_one_is_identity():
@@ -165,6 +169,21 @@ def test_normalize_pair_confluent():
             results = _all_reductions(K, full, codes, p)
             assert len(results) == 1
             assert normalize_pair(K, full, codes, p) == results.pop()
+
+
+def test_subdivided_faces_are_normal_forms_of_their_raw_codes():
+    # subdivide reads a face that reaches the outer boundary as one facet of
+    # the base cube; normalize_pair rewrites the raw codes one by one
+    data = Path(__file__).resolve().parent.parent / "data"
+    sources = [parse_pcs(path.read_text()) for path in sorted(data.glob("*.pcs"))]
+    sources += corpus20() + [f(n) for n in range(5) for f in (standard_cube, boundary_cube)]
+    for K in sources:
+        for p in (2, 3):
+            sub = subdivide(K, p)
+            for name, (base, codes) in sub.pairs.items():
+                for j, alpha, raw in cell_faces(codes):
+                    pair = normalize_pair(K, base, raw, p)
+                    assert sub.complex.face(name, j, alpha) == sub.names[pair]
 
 
 def test_subdivide_name_collision():
@@ -241,11 +260,11 @@ def test_vertex_coordinates_name_collision():
 def test_sub_compose_iso():
     iso = sub_compose_iso(standard_cube(1), 2, 3)
     assert len(iso.source) == 13 and len(iso.target) == 13
-    assert iso.is_isomorphism
+    assert is_isomorphism(iso)
     for K in (standard_cube(2), hollow_square(), l_shape()):
         for p, q in ((2, 3), (3, 2), (1, 3), (3, 1), (2, 2)):
             iso = sub_compose_iso(K, p, q)
-            assert iso.is_isomorphism
+            assert is_isomorphism(iso)
             assert len(iso.source) == len(subdivide(K, p * q).complex)
 
 
@@ -258,7 +277,7 @@ def test_subdivide_commutes_with_time_reverse():
             for name, (base, codes) in sub.pairs.items():
                 mapping[name] = flipped.names[(base, tuple(2 * p - c for c in codes))]
             iso = PcsMorphism(time_reverse(sub.complex), flipped.complex, mapping)
-            assert iso.is_isomorphism
+            assert is_isomorphism(iso)
 
 
 def test_branching_complex_survives_subdivision():
