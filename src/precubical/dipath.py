@@ -178,7 +178,7 @@ class PLNaturalPath:
 
     def __str__(self) -> str:
         stops = "; ".join(
-            f"{t} -> ({', '.join(map(str, v))})"
+            f"{shown(t)} -> ({', '.join(map(shown, v))})"
             for t, v in zip(self.times, self.values)
         )
         return f"path in {self.carrier.name} [{stops}]"

@@ -64,8 +64,14 @@ class Matrix:
         cols = tuple({i: _integer(x) for i, x in c.items() if x} for c in columns)
         if rows < 0 or any(not 0 <= i < rows for c in cols for i in c):
             raise ValueError("shape mismatch")
-        M = cls(rows, 0)
-        M.cols, M.columns = len(cols), cols
+        return cls._adopt(rows, cols)
+
+    @classmethod
+    def _adopt(cls, rows: int, columns: tuple[Column, ...]) -> "Matrix":
+        """The matrix on columns the library built: integer entries, none
+        zero, rows in range.  Neither copies nor checks."""
+        M = cls.__new__(cls)
+        M.rows, M.cols, M.columns = rows, len(columns), columns
         return M
 
     @property
@@ -262,8 +268,8 @@ class ChainComplex:
     boundaries[k - 1], for 1 <= k <= top, is the boundary C_k -> C_(k-1)
     as a `Matrix` (rows indexed by bases[k-1], columns by bases[k]).
     Consecutive boundaries must compose to zero.  The constructor checks
-    shapes and d∘d = 0; `chain_complex` builds through the trusted
-    `_adopt`, since simplicial boundaries satisfy both.
+    shapes and d∘d = 0; `chain_complex` builds it and its matrices through
+    the trusted `_adopt`s, since simplicial boundaries satisfy both.
     """
 
     def __init__(self, bases: Sequence[Sequence[str]], boundaries: Sequence[Matrix]):
@@ -317,9 +323,13 @@ def chain_complex(S: SemiSimplicialSet) -> ChainComplex:
             col: Column = {}
             for i, face in enumerate(S._facets[name]):
                 row = index[face]
-                col[row] = col.get(row, 0) + (-1) ** i
+                x = col.get(row, 0) + (-1) ** i
+                if x:
+                    col[row] = x
+                else:  # two faces that cancel
+                    del col[row]
             columns.append(col)
-        boundaries.append(Matrix.from_columns(len(index), columns))
+        boundaries.append(Matrix._adopt(len(index), tuple(columns)))
     return ChainComplex._adopt(bases, tuple(boundaries))
 
 

@@ -16,7 +16,10 @@ Forward references are fine; duplicate declarations are errors.
 `parse_pcs` reads a file in two passes: a syntax pass over every line, then
 duplicates and references in file order, so the first error reported is the
 first syntax error if there is one.  Each ParseError carries the 1-based
-line and column of the offending token.
+line and column of the offending token.  The syntax pass checks each
+distinct name, (axis, sign) pair and dimension token once, at its first
+line, and keeps one str object per cube name: every facet tuple holds the
+very object that keys the cube's dimension, so later lookups hit by identity.
 
 `parse_pcs` is strict by default (the complex must satisfy the precubical
 axioms); pass validate=False to accept structurally well-formed input with
@@ -79,7 +82,9 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
     # Syntax pass: (name, dim, line) and (cube, slot 2(i - 1) + end, target, line).
     cubes: list[tuple[str, int, int]] = []
     faces: list[tuple[str, int, str, int]] = []
-    names: set[str] = set()
+    names: dict[str, str] = {}
+    slots: dict[tuple[str, str], int] = {}
+    dim_values: dict[str, int] = {}
     for line_no, raw in numbered:
         tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not tokens:
@@ -89,38 +94,47 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
             if len(tokens) != 5:
                 raise error("face takes 4 arguments: name i -|+ target", line_no, 0)
             _, cube, axis, sign, target = tokens
-            if cube not in names:
+            c = names.get(cube)
+            if c is None:
                 if not NAME_RE.match(cube):
                     raise error(f"bad name {cube!r}", line_no, 1)
-                names.add(cube)
-            if target not in names:
+                c = names[cube] = cube
+            t = names.get(target)
+            if t is None:
                 if not NAME_RE.match(target):
                     raise error(f"bad name {target!r}", line_no, 4)
-                names.add(target)
-            try:
-                i = int(axis) if axis.isascii() and axis.isdigit() else -1
-            except ValueError:  # more digits than int() reads
-                i = -1
-            if i < 0:
-                raise error(f"bad face axis {axis!r}", line_no, 2)
-            if sign not in SIDES:
-                raise error(f"face end must be '-' or '+', got {sign!r}", line_no, 3)
-            faces.append((cube, 2 * i - 2 + (sign == PLUS), target, line_no))
+                t = names[target] = target
+            k = slots.get((axis, sign))
+            if k is None:
+                try:
+                    i = int(axis) if axis.isascii() and axis.isdigit() else -1
+                except ValueError:  # more digits than int() reads
+                    i = -1
+                if i < 0:
+                    raise error(f"bad face axis {axis!r}", line_no, 2)
+                if sign not in SIDES:
+                    raise error(f"face end must be '-' or '+', got {sign!r}", line_no, 3)
+                k = slots[axis, sign] = 2 * i - 2 + (sign == PLUS)
+            faces.append((c, k, t, line_no))
         elif directive == "cube":
             if len(tokens) != 3:
                 raise error("cube takes 2 arguments: name dim", line_no, 0)
             _, name, dim = tokens
-            if name not in names:
+            c = names.get(name)
+            if c is None:
                 if not NAME_RE.match(name):
                     raise error(f"bad name {name!r}", line_no, 1)
-                names.add(name)
-            try:
-                d = int(dim) if dim.isascii() and dim.isdigit() else -1
-            except ValueError:  # more digits than int() reads
-                d = -1
-            if not 0 <= d <= MAX_CELLS:
-                raise error(f"bad dimension {dim!r}", line_no, 2)
-            cubes.append((name, d, line_no))
+                c = names[name] = name
+            d = dim_values.get(dim)
+            if d is None:
+                try:
+                    d = int(dim) if dim.isascii() and dim.isdigit() else -1
+                except ValueError:  # more digits than int() reads
+                    d = -1
+                if not 0 <= d <= MAX_CELLS:
+                    raise error(f"bad dimension {dim!r}", line_no, 2)
+                dim_values[dim] = d
+            cubes.append((c, d, line_no))
         else:
             raise error(f"unknown directive {directive!r}", line_no, 0)
 

@@ -36,6 +36,7 @@ from precubical.core import (
 )
 from precubical.homology import (
     ChainComplex,
+    Matrix,
     branching_homology,
     chain_complex,
     merging_homology,
@@ -71,6 +72,8 @@ def test_library_objects_pass_the_checking_constructors():
                 assert SemiSimplicialSet(dims, faces) == B
                 C = chain_complex(B)
                 ChainComplex(C.bases, C.matrices)  # shapes and d∘d = 0
+                for M in C.matrices:  # integer entries, no zeros, rows in range
+                    assert M == Matrix.from_columns(M.rows, M.columns)
 
 
 def _vertex(K):
@@ -162,11 +165,14 @@ def test_library_paths_skip_the_checking_constructors(monkeypatch):
     text = emit_pcs(standard_cube(4))
     expected = branching_homology(standard_cube(4)), merging_homology(standard_cube(4))
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError(f"{type(self).__name__} checked library data again")
+    def refuse(constructor):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{constructor} checked library data again")
+        return call
 
     for cls in (PrecubicalSet, SemiSimplicialSet, ChainComplex):
-        monkeypatch.setattr(cls, "__init__", refuse)
+        monkeypatch.setattr(cls, "__init__", refuse(cls.__name__))
+    monkeypatch.setattr(Matrix, "from_columns", refuse("Matrix.from_columns"))
     K = parse_pcs(text)
     assert K == standard_cube(4)
     assert time_reverse(time_reverse(K)) == K

@@ -86,6 +86,20 @@ def test_make_path_errors():
         make_path(CubeId("v", 0), F(1, 2), (0, F(1, 2)), ((), ()))
 
 
+def test_str_of_paths_with_huge_breakpoints():
+    p = make_path(SQ, F(1, 2), (0, F(1, 4), F(1, 2)), ((0, 0), (F(1, 4), 0), (F(1, 4), F(1, 4))))
+    assert str(p) == "path in xx [0 -> (0, 0); 1/4 -> (1/4, 0); 1/2 -> (1/4, 1/4)]"
+    # a denominator past Python's integer string-conversion limit is elided
+    start = time.perf_counter()
+    t = F(1, 10**5000)
+    q = make_path(SQ, F(1, 2), (0, t, F(1, 2)), ((0, 0), (t, 0), (t, F(1, 2) - t)))
+    assert str(q) == (
+        "path in xx [0 -> (0, 0); 1/<100+ digits> -> (1/<100+ digits>, 0); "
+        "1/2 -> (1/<100+ digits>, <100+ digits>/<100+ digits>)]"
+    )
+    assert time.perf_counter() - start < 1
+
+
 def test_canonical_form():
     padded = make_path(
         SQ,

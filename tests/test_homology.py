@@ -319,6 +319,19 @@ def test_chain_complex_from_sparse_columns():
         )
 
 
+def test_chain_complex_drops_faces_that_cancel():
+    # a loop e at v, and a dunce cap f whose faces are e, e, e
+    loop = SemiSimplicialSet({"v": 0, "e": 1}, {("e", 0): "v", ("e", 1): "v"})
+    assert chain_complex(loop).boundary(1).columns == ({},)
+    assert homology_of(chain_complex(loop)) == GradedAbelianGroup.free(1, 1)
+    faces = {("e", 0): "v", ("e", 1): "v", ("f", 0): "e", ("f", 1): "e", ("f", 2): "e"}
+    cap = chain_complex(SemiSimplicialSet({"v": 0, "e": 1, "f": 2}, faces))
+    assert cap.boundary(2).columns == ({0: 1},)
+    for M in cap.matrices:
+        assert M == Matrix.from_columns(M.rows, M.columns)
+    assert homology_of(cap) == GradedAbelianGroup.free(1)
+
+
 def test_homology_of_spheres_and_disks():
     disk = homology_of(chain_complex(sset_from_facets([(1, 2, 3)])))
     assert disk == GradedAbelianGroup.free(1)

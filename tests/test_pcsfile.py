@@ -17,6 +17,7 @@ from precubical.core import (
     violations_message,
 )
 from precubical.pcsfile import ParseError, emit_pcs, parse_pcs
+from precubical.subdivision import subdivide
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -116,6 +117,38 @@ def test_error_bad_tokens():
     assert "bad face axis" in str(err("pcs 1\ncube a 1\ncube b 0\nface a x - b\n"))
     e = err("pcs 1\ncube a 1\ncube b 0\nface a 1 = b\n")
     assert "'-' or '+'" in str(e) and e.line == 4 and e.col == 10
+    # each distinct name, (axis, sign) pair and dimension token is checked
+    # at its first line: a bad token after good ones is still caught there
+    head = "pcs 1\ncube a 1\ncube b 0\nface a 1 - b\n"
+    cases = {
+        head + "face a 1 = b\n": ("face end must be '-' or '+', got '='", 5, 10),
+        head + "face a x - b\n": ("bad face axis 'x'", 5, 8),
+        head + "face a x = b\n": ("bad face axis 'x'", 5, 8),
+        head + "face a 1 - b*\n": ("bad name 'b*'", 5, 12),
+        head + "face a* 1 - b\n": ("bad name 'a*'", 5, 6),
+        head + "cube c 07x\n": ("bad dimension '07x'", 5, 8),
+        head + "cube c \uff10\n": ("bad dimension '\uff10'", 5, 8),
+        "pcs 1\ncube b 0\ncube c 07x\n": ("bad dimension '07x'", 3, 8),
+        "pcs 1\ncube b 0\ncube c 0\ncube b* 0\n": ("bad name 'b*'", 4, 6),
+    }
+    for text, expected in cases.items():
+        e = err(text)
+        assert (e.message, e.line, e.col) == expected == parse_reference(text), text
+
+
+def test_one_str_object_per_cube_name():
+    # every facet target and facet key is the very object keyed in dims
+    texts = [path.read_text() for path in sorted(DATA.glob("*.pcs"))]
+    texts += [emit_pcs(K) for K in (standard_cube(4), boundary_cube(4),
+                                    subdivide(boundary_cube(3), 2).complex)]
+    # faces before cubes: a name is first met as a face target
+    texts += ["pcs 1\n" + "\n".join(reversed(t.splitlines()[1:])) for t in texts[-3:]]
+    for text in texts:
+        K = parse_pcs(text)
+        key = {name: name for name in K._dims}
+        for c, F in K._facets.items():
+            assert c is key[c]
+            assert all(t is key[t] for t in F if t is not None)
 
 
 def test_error_unknown_and_duplicate():
