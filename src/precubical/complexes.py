@@ -27,7 +27,6 @@ from .core import (
     extremal_partition,
     side_end,
     shown,
-    standard_cube,
 )
 
 
@@ -210,21 +209,3 @@ def pi0_components(K: PrecubicalSet, vertex: str, side: str = MINUS) -> tuple[fr
             for i in range(1, K.dim_of(c) + 1):
                 uf.union(c, K.face(c, i, end))
     return tuple(uf.components())
-
-
-def nonempty_index(n: int, side: str = MINUS) -> frozenset[str]:
-    """Vertices of the standard n-cube with a nonempty branching complex.
-
-    Every vertex except the top one branches (except the bottom one, for
-    merging); the 0-cube has no branching at all.  Returned as vertex names
-    of standard_cube(n).
-    """
-    end = side_end(side)
-    if n < 0:
-        raise ValueError("dimension must be >= 0")
-    if n == 0:
-        return frozenset()
-    omit = str(1 - end) * n
-    return frozenset(
-        v.name for v in standard_cube(n).cubes(0) if v.name != omit
-    )

@@ -253,15 +253,6 @@ def graded_iso(a: GradedAbelianGroup, b: GradedAbelianGroup) -> bool:
     return a.groups == b.groups
 
 
-def direct_sum(a: GradedAbelianGroup, b: GradedAbelianGroup) -> GradedAbelianGroup:
-    out = []
-    for k in range(max(len(a.groups), len(b.groups))):
-        out.append(
-            (a.rank(k) + b.rank(k), invariant_factors(a.torsion(k) + b.torsion(k)))
-        )
-    return GradedAbelianGroup(out)
-
-
 class ChainComplex:
     """Free integer chain complex with named basis elements per degree.
 

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import (
     Codes,
-    CubeId,
     PcsError,
     PcsMorphism,
     PrecubicalSet,
@@ -135,46 +133,18 @@ def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
 
 def grid_complex(boxes: Iterable[Sequence[int]]) -> PrecubicalSet:
     """The cubical complex spanned by unit boxes of Z^d, each given by its
-    lower corner.  Cells are named by their codes, e.g. "0-1.1"."""
-    cells = {}
-    for box in boxes:
-        for codes in itertools.product(*[(2 * b, 2 * b + 1, 2 * b + 2) for b in box]):
-            cells[codes] = ".".join(map(_label, codes)) or "e"
-    return _grid(cells)
+    lower corner.  Cells are named by their codes, e.g. "0-1.1".
 
-
-def sub_standard(p: int, n: int) -> PrecubicalSet:
-    """The subdivided standard n-cube, built on grid cells; (2p+1)**n <= MAX_CELLS."""
-    if p < 1:
-        raise PcsError(f"subdivision order must be >= 1, got {shown(p)}")
-    if n < 0:
-        raise ValueError("dimension must be >= 0")
-    check_cells(f"the order-{shown(p)} subdivided {shown(n)}-cube", 2 * p + 1, {n: 1})
-    return grid_complex(itertools.product(range(p), repeat=n))
-
-
-def vertex_coordinates(K: PrecubicalSet, p: int, vertex: str) -> tuple[CubeId, tuple[Fraction, ...]]:
-    """Locate a vertex of subdivide(K, p) inside its base cube: returns the
-    base cube of K and exact coordinates in [0, 1]^dim.
-
-    The name is decoded, not looked up: a vertex over a d-cube of K is the
-    base name followed by d interior grid points.  Original vertices of K
-    map to themselves with empty coordinates.
+    Raises PcsError before building a box of more than MAX_CELLS cells, and
+    after any box that takes the distinct cells (boxes share faces) past it.
     """
-    if p < 1:
-        raise PcsError(f"subdivision order must be >= 1, got {shown(p)}")
-    found = []
-    for d in range(min(vertex.count("."), K.dim) + 1):  # no base cube is higher than K
-        base, *points = vertex.rsplit(".", d)
-        if base in K and K.dim_of(base) == d and all(
-            e.isascii() and e.isdigit() and e[0] != "0" and int(e) < p for e in points
-        ):
-            found.append((CubeId(base, d), tuple(Fraction(int(e), p) for e in points)))
-    if not found:
-        raise PcsError(f"{vertex!r} is not a vertex of the order-{shown(p)} subdivision")
-    if len(found) > 1:
-        raise PcsError(f"subdivision name collision on {vertex!r}; rename the source cubes")
-    return found[0]
+    cells: dict[Codes, None] = {}
+    for box in boxes:
+        check_cells("the grid complex", 3, {len(box): 1})
+        axes = [(2 * b, 2 * b + 1, 2 * b + 2) for b in box]
+        cells.update(dict.fromkeys(itertools.product(*axes)))
+        check_cells("the grid complex", 1, {0: len(cells)})  # shared faces count once
+    return _grid({codes: ".".join(map(_label, codes)) or "e" for codes in cells})
 
 
 def sub_compose_iso(K: PrecubicalSet, p: int, q: int) -> PcsMorphism:

@@ -11,15 +11,18 @@ every token's column, the axioms on (cube, axis, end)-keyed face tables
 instead of facet tuples, faces of the standard cube on words over {0, 1, x}
 instead of integer codes, cube attachment by a walk down the face lattice
 instead of the facet identities, isomorphism of a morphism by checking its
-inverse as a morphism, and path distances and combinations by
+inverse as a morphism, path distances and combinations by
 `PLNaturalPath.at` at the sorted union of breakpoint times, with canonical
-form by a straight-line test, instead of the merged walk and velocities.  Tests compare these against the
-library's own answers, so nothing in this file may call the function it is
-checking.
+form by a straight-line test, instead of the merged walk and velocities,
+the subdivided standard cube as a grid of unit boxes instead of pairs over
+the base cube, the vertices with a nonempty branching complex in closed
+form, and total groups summed degree by degree.  Tests compare these
+against the library's own answers, so nothing in this file may call the
+function it is checking.
 """
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from precubical.complexes import SemiSimplicialSet, UnionFind, pi0_components
@@ -42,6 +45,7 @@ from precubical.homology import (
     homology_of,
     invariant_factors,
 )
+from precubical.subdivision import grid_complex
 
 
 def betti_numbers(C: ChainComplex) -> list[int]:
@@ -85,6 +89,14 @@ def merging_group_direct(K) -> GradedAbelianGroup:
                 invariant_factors(torsion + H.torsion(n)),
             )
     return GradedAbelianGroup([(degree0, ()), (degree1, ())] + higher)
+
+
+def direct_sum(a: GradedAbelianGroup, b: GradedAbelianGroup) -> GradedAbelianGroup:
+    """The direct sum of two graded groups, degree by degree."""
+    return GradedAbelianGroup(
+        (a.rank(k) + b.rank(k), invariant_factors(a.torsion(k) + b.torsion(k)))
+        for k in range(max(len(a.groups), len(b.groups)))
+    )
 
 
 def low_degrees_via_matrix(K, side: str = "-") -> tuple[int, int]:
@@ -343,6 +355,14 @@ def cube_words(n: int) -> list[str]:
     return words
 
 
+def nonempty_index(n: int, side: str = "-") -> frozenset[str]:
+    """Vertices of the standard n-cube with a nonempty branching (side '-')
+    or merging (side '+') complex: every vertex but the top one (the bottom
+    one for merging), and none for n = 0."""
+    omit = ("1" if side == "-" else "0") * n
+    return frozenset(w for w in cube_words(n) if n and "x" not in w and w != omit)
+
+
 def boundary_words_of(K, c):
     """The boundary of cube c as a word assignment: each proper face word
     of the standard cube to the face of c it picks out.  Fixing axes from
@@ -429,6 +449,12 @@ def is_isomorphism(f: PcsMorphism) -> bool:
     except MorphismError:
         return False
     return True
+
+
+def sub_standard(p: int, n: int) -> PrecubicalSet:
+    """The order-p subdivided standard n-cube as the grid of its p**n unit
+    boxes, cells named by their codes."""
+    return grid_complex(product(range(p), repeat=n))
 
 
 # -- natural paths ---------------------------------------------------------

@@ -15,6 +15,7 @@ from oracles import (
     boundary_words_of,
     composite_is_zero,
     is_isomorphism,
+    nonempty_index,
     rational_rank,
     smith_diagonal_by_minors,
     word_face,
@@ -22,7 +23,6 @@ from oracles import (
 from precubical.complexes import (
     assemble_all,
     branching_complex,
-    nonempty_index,
     pi0_components,
 )
 from precubical.core import (

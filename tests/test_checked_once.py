@@ -42,7 +42,7 @@ from precubical.homology import (
     merging_homology,
 )
 from precubical.pcsfile import ParseError, emit_pcs, parse_pcs
-from precubical.subdivision import grid_complex, subdivide, vertex_coordinates
+from precubical.subdivision import grid_complex, subdivide
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -148,7 +148,7 @@ def test_library_entry_points_on_invalid_lenient_loads_raise_only_pcs_errors():
         v = _vertex(K)
         calls = [final_states, initial_states, time_reverse, emit_pcs, branching_homology,
                  merging_homology, lambda K: truncate(K, 1), lambda K: subdivide(K, 2),
-                 lambda K: pi0_components(K, v), lambda K: vertex_coordinates(K, 2, v + ".1")]
+                 lambda K: pi0_components(K, v)]
         for side in "-+":
             calls += [partial(extremal_partition, side=side), partial(assemble_all, side=side)]
         for call in calls:

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from corpus import corpus20, l_shape, two_squares
+from oracles import nonempty_index
 from precubical.complexes import (
     BranchingComplex,
     SemiSimplicialSet,
@@ -12,7 +13,6 @@ from precubical.complexes import (
     UnionFind,
     assemble_all,
     branching_complex,
-    nonempty_index,
     pi0_components,
 )
 from precubical.core import (
@@ -151,7 +151,6 @@ def test_bad_side_is_refused_first():
         lambda side: extremal_vertex(K, "xx", side),
         lambda side: extremal_partition(EMPTY, side),
         lambda side: extremal_cubes(K, "00", side),
-        lambda side: nonempty_index(2, side),
         lambda side: assemble_all(holes, side),
         lambda side: branching_complex(holes, "v", side),
         lambda side: pi0_components(holes, "v", side),

@@ -41,7 +41,7 @@ from precubical.core import (
 )
 from precubical import core
 from precubical.pcsfile import emit_pcs, parse_pcs
-from precubical.subdivision import normalize_pair, sub_standard, subdivide, vertex_coordinates
+from precubical.subdivision import normalize_pair, subdivide
 
 
 def binom(n, k):
@@ -547,13 +547,9 @@ SIMPLEX = SemiSimplicialSet({"s": 1, "t": 0}, {("s", 0): "t", ("s", 1): "t"})
     lambda: standard_cube(BIG),
     lambda: subdivide(standard_cube(1), BIG),
     lambda: subdivide(standard_cube(1), -BIG),
-    lambda: sub_standard(BIG, 1),
-    lambda: sub_standard(2, BIG),
-    lambda: vertex_coordinates(standard_cube(1), BIG, "y"),
     lambda: normalize_pair(standard_cube(1), "x", (BIG,), 2),
 ], ids=["axis", "face-axis", "simplex-index", "simplex-face", "attach-cube", "standard-cube",
-        "subdivide", "subdivide-negative", "sub-standard-order", "sub-standard-dimension",
-        "vertex-coordinates", "normalize-pair"])
+        "subdivide", "subdivide-negative", "normalize-pair"])
 def test_huge_numbers_in_messages_are_shown_fast(call):
     # the message stands in for the number instead of failing to print it
     start = time.perf_counter()

@@ -1,6 +1,7 @@
 """Exact integer homology: Smith normal form, chain complexes, graded groups."""
 import itertools
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -12,6 +13,7 @@ from corpus import corpus20, hollow_cube, hollow_square, l_shape, two_squares
 from oracles import (
     betti_numbers,
     composite_is_zero,
+    direct_sum,
     low_degrees_via_matrix,
     merging_group_direct,
     rational_rank,
@@ -30,7 +32,6 @@ from precubical.homology import (
     Matrix,
     branching_homology,
     chain_complex,
-    direct_sum,
     graded_iso,
     group_str,
     homology_of,
@@ -218,11 +219,23 @@ def test_public_names_resolve():
         assert hasattr(precubical, name), name
     gone = {
         homology: ("smith_diagonal", "rational_det_is_unit", "rational_rank"),
-        subdivision: ("Interval", "Point", "SubCube", "SubPair"),
+        subdivision: ("Interval", "Point", "SubCube", "SubPair", "vertex_coordinates"),
+        precubical: ("UnionFind", "normalize_pair", "sub_standard", "vertex_coordinates",
+                     "nonempty_index", "direct_sum"),
     }
     for module, names in gone.items():
         for name in names:
             assert not hasattr(module, name) and name not in precubical.__all__
+
+
+def test_readme_tour_prints_what_its_comments_say(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (tour,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(tour, {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == ["H0=Z, H1=0, H2=Z", "H0=Z, H1=0, H2=Z", "1/16"]
+    comments = [line.split("# ")[1] for line in tour.splitlines() if line.startswith("print(")]
+    assert [c[: len(p)] for c, p in zip(comments, printed)] == printed
 
 
 def test_invariant_factors():

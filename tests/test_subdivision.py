@@ -1,17 +1,15 @@
 import itertools
 import random
 import time
-from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
 from corpus import corpus20, hollow_cube, hollow_square, l_shape
-from oracles import is_isomorphism
+from oracles import is_isomorphism, sub_standard
 from precubical.complexes import branching_complex
 from precubical.core import (
-    CubeId,
     PcsError,
     PcsMorphism,
     PrecubicalSet,
@@ -22,16 +20,9 @@ from precubical.core import (
     validate,
 )
 from precubical.homology import branching_homology, graded_iso
-from precubical import core, subdivision
+from precubical import core
 from precubical.pcsfile import parse_pcs
-from precubical.subdivision import (
-    grid_complex,
-    normalize_pair,
-    sub_compose_iso,
-    sub_standard,
-    subdivide,
-    vertex_coordinates,
-)
+from precubical.subdivision import grid_complex, normalize_pair, sub_compose_iso, subdivide
 
 
 def cell_name(codes):
@@ -194,38 +185,6 @@ def test_subdivide_name_collision():
         subdivide(K, 2)
 
 
-def test_vertex_coordinates():
-    K = standard_cube(2)
-    assert vertex_coordinates(K, 2, "xx.1.1") == (
-        CubeId("xx", 2),
-        (Fraction(1, 2), Fraction(1, 2)),
-    )
-    assert vertex_coordinates(K, 2, "00") == (CubeId("00", 0), ())
-    assert vertex_coordinates(K, 2, "x0.1") == (CubeId("x0", 1), (Fraction(1, 2),))
-    assert vertex_coordinates(standard_cube(1), 4, "x.3") == (
-        CubeId("x", 1),
-        (Fraction(3, 4),),
-    )
-    with pytest.raises(PcsError):
-        vertex_coordinates(K, 2, "nope")
-    with pytest.raises(PcsError):
-        vertex_coordinates(K, 2, "xx.0-1.1")
-    for not_a_vertex in ("xx.0.1", "xx.2.1", "xx.01.1", "xx.1", "x0.1.1", "00.1"):
-        with pytest.raises(PcsError):
-            vertex_coordinates(K, 2, not_a_vertex)
-
-
-def test_vertex_coordinates_decodes_without_subdividing(monkeypatch):
-    def refuse(K, p):
-        raise AssertionError("vertex_coordinates must not subdivide")
-
-    monkeypatch.setattr(subdivision, "subdivide", refuse)
-    test_vertex_coordinates()
-    # base names may contain dots
-    K = PrecubicalSet({"a.b": 1, "u": 0, "v": 0}, {("a.b", 1, 0): "u", ("a.b", 1, 1): "v"})
-    assert vertex_coordinates(K, 3, "a.b.2") == (CubeId("a.b", 1), (Fraction(2, 3),))
-
-
 def test_subdivide_vertices_at_a_huge_order_is_fast():
     # vertices alone come through any order unchanged, with no grid built
     K = PrecubicalSet({"a": 0, "b": 0}, {})
@@ -238,23 +197,12 @@ def test_subdivide_vertices_at_a_huge_order_is_fast():
         subdivide(standard_cube(1), 10**6)
 
 
-def test_vertex_coordinates_of_a_long_name_fails_fast():
-    # only split depths up to the top dimension of K can name a base cube
+def test_grid_complex_of_a_huge_box_is_refused_fast():
+    # a box's 3**d cells are counted before any of them is built
     start = time.perf_counter()
-    with pytest.raises(PcsError, match="is not a vertex of the order-2 subdivision"):
-        vertex_coordinates(standard_cube(2), 2, "xx" + ".1" * 32_000)
+    with pytest.raises(PcsError, match="the grid complex would have more than 1000000 cells"):
+        grid_complex([(0,) * 13])
     assert time.perf_counter() - start < 1.0
-
-
-def test_vertex_coordinates_name_collision():
-    # at p = 2 the midpoint of edge E and the vertex E.1 share a name
-    dims = {"E.1": 0, "v": 0, "E": 1}
-    faces = {("E", 1, 0): "E.1", ("E", 1, 1): "v"}
-    K = PrecubicalSet(dims, faces)
-    with pytest.raises(PcsError, match="collision"):
-        vertex_coordinates(K, 2, "E.1")
-    assert vertex_coordinates(K, 1, "E.1") == (CubeId("E.1", 0), ())
-    assert vertex_coordinates(K, 3, "E.2") == (CubeId("E", 1), (Fraction(2, 3),))
 
 
 def test_sub_compose_iso():
@@ -324,14 +272,16 @@ def test_random_complexes_subdivide_cleanly():
 def test_size_guard_counts_subdivisions_exactly(monkeypatch):
     with pytest.raises(PcsError, match="more than 1000000 cells"):
         subdivide(hollow_cube(), 1000)
-    with pytest.raises(PcsError, match="more than 1000000 cells"):
-        sub_standard(1000, 2)
-    # the hollow square at p = 2 has 4 + 4 * 3 cells; the 2-cube 5 * 5
+    with pytest.raises(PcsError, match="the grid complex would have more than 1000000 cells"):
+        grid_complex(itertools.product(range(1000), repeat=2))
+    # the hollow square at p = 2 has 4 + 4 * 3 cells; the 2 x 2 grid 5 * 5
+    # from 4 boxes of 9, which share faces
     monkeypatch.setattr(core, "MAX_CELLS", 16)
     assert len(subdivide(hollow_square(), 2).complex) == 16
     with pytest.raises(PcsError):
         subdivide(hollow_square(), 3)
+    monkeypatch.setattr(core, "MAX_CELLS", 24)
     with pytest.raises(PcsError):
-        sub_standard(2, 2)
+        grid_complex(itertools.product(range(2), repeat=2))
     monkeypatch.setattr(core, "MAX_CELLS", 25)
-    assert len(sub_standard(2, 2)) == 25
+    assert len(grid_complex(itertools.product(range(2), repeat=2))) == 25
