@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .complexes import assemble_all
 from .core import (
+    CubeId,
     PcsError,
     PrecubicalSet,
     boundary_cube,
@@ -36,7 +37,6 @@ from .dipath import (
     germ_equal,
     make_path,
     restrict,
-    standard_carrier,
     sup_distance,
     zero_set,
 )
@@ -228,8 +228,8 @@ def _cmd_demo_no_germs(args, out, err) -> int:
     if args.steps < first:
         raise PathError(f"need at least {shown(first)} steps for epsilon {eps}")
     diagonal = diagonal_path(2, eps)
-    edge = make_path(standard_carrier(1), eps, (0, eps), ((0,), (eps,)))
-    boundary = embed_face(edge, 1, 0)
+    edge = make_path(CubeId("0x", 1), eps, (0, eps), ((0,), (eps,)))
+    boundary = embed_face(edge, standard_cube(2), "xx", 1)
     print(f"family gamma_h in the square, eps = {eps}", file=out)
     print(
         "each path follows the boundary edge until h = 1/m, then heads "

@@ -11,9 +11,11 @@ so path equality, distances and germ comparisons are decided, not
 approximated.  Paths are kept in canonical form (no breakpoint where the
 velocity stays the same), so structural equality coincides with pointwise
 equality.  Paths a user builds are converted and checked; `sample` and the
-paths `restrict`, `extend_full` and `convex_comb` derive from checked ones
-are natural by construction and adopted as they are.  Two paths are
-compared and combined in one merged walk over both breakpoint lists.
+paths `restrict`, `extend_full`, `convex_comb` and `embed_face` derive from
+checked ones are natural by construction and adopted as they are.  A
+carrier names a cube: `embed_face` checks that it is the face (i, -) of a
+cube c of a complex K and moves the path onto c.  Two paths are compared
+and combined in one merged walk over both breakpoint lists.
 
 The family `gamma_h` witnesses how germs behave badly: each gamma_h runs
 along the boundary edge until time h and is therefore germ-equal to a
@@ -27,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import STAR, CubeId, shown
+from .core import STAR, CubeId, PrecubicalSet, check_valid, shown
 
 Rational = Fraction | int
 
@@ -230,12 +232,16 @@ def extend_full(path: PLNaturalPath) -> PLNaturalPath:
     return PLNaturalPath._adopt(path.carrier, *_canonical(times, values))
 
 
-def _check_comparable(a: PLNaturalPath, b: PLNaturalPath) -> None:
+def _check_carriers(a: PLNaturalPath, b: PLNaturalPath) -> None:
     if a.carrier != b.carrier:
         raise PathError(
             f"paths live on {a.carrier.name!r} and {b.carrier.name!r}; "
             f"embed them into a common cube first"
         )
+
+
+def _check_comparable(a: PLNaturalPath, b: PLNaturalPath) -> None:
+    _check_carriers(a, b)
     if a.eps != b.eps:
         raise PathError(f"natural lengths differ: {shown(a.eps)} and {shown(b.eps)}")
 
@@ -293,58 +299,30 @@ def zero_set(path: PLNaturalPath) -> frozenset[int]:
     )
 
 
-def _word_target(word: str, i: int) -> str | None:
-    """The word obtained by freeing the letter that the lower face on axis
-    i fixed to 0; None when no letter qualifies."""
-    stars = 0
-    for pos, ch in enumerate(word):
-        if ch == STAR:
-            stars += 1
-        elif ch == "0" and stars == i - 1:
-            return word[:pos] + STAR + word[pos + 1 :]
-    return None
+def embed_face(path: PLNaturalPath, K: PrecubicalSet, c: str, i: int) -> PLNaturalPath:
+    """View a path on the face (i, -) of the cube c of K as a path on c,
+    inserting the constant coordinate 0 at axis i.
 
-
-def embed_face(path: PLNaturalPath, i: int, alpha: int) -> PLNaturalPath:
-    """View a path on a face as a path on the bigger cube, inserting the
-    constant coordinate alpha at axis i.
-
-    Only alpha = 0 keeps the start at the corner, so alpha = 1 is rejected.
-    The target carrier name is inferred for standard-cube words: a full
-    word gains an axis, a face word frees the letter the face had fixed.
+    The carrier must be that face; K's own lookups refuse an unknown cube,
+    a hole or an axis out of range.  Only the lower face keeps the start at
+    the corner, so a path on face (i, +) is refused as a mismatch.
     """
-    if alpha != 0:
+    check_valid(K)
+    face, n = K.face(c, i, 0), K.dim_of(c) - 1
+    if path.carrier != CubeId(face, n):
         raise PathError(
-            "embedding on an upper face would not start at the corner"
+            f"carrier {path.carrier.name!r} of dimension {shown(path.dim)} is not "
+            f"face ({i}, -) of {c!r}, which is {face!r} of dimension {n}"
         )
-    n = path.dim
-    if not 1 <= i <= n + 1:
-        raise PathError(f"axis {shown(i)} out of range 1..{n + 1}")
-    word = path.carrier.name
-    if set(word) == {STAR} and len(word) == n:
-        target = CubeId(STAR * (n + 1), n + 1)
-    else:
-        freed = _word_target(word, i) if set(word) <= {"0", "1", STAR} else None
-        if freed is None:
-            raise PathError(
-                f"cannot name the target cube from carrier {word!r}"
-            )
-        target = CubeId(freed, n + 1)
-    zero = Fraction(0)
-    values = tuple(
-        v[: i - 1] + (zero,) + v[i - 1 :] for v in path.values
-    )
-    return PLNaturalPath(target, path.times, values)
+    zero, k = Fraction(0), int(i) - 1
+    values = tuple(v[:k] + (zero,) + v[k:] for v in path.values)
+    return PLNaturalPath._adopt(CubeId(c, n + 1), path.times, values)
 
 
 def germ_equal(a: PLNaturalPath, b: PLNaturalPath, eps2: Rational) -> bool:
     """Whether the two paths agree on the initial interval [0, eps2]."""
     eps2 = _frac(eps2, "eps2")
-    if a.carrier != b.carrier:
-        raise PathError(
-            f"paths live on {a.carrier.name!r} and {b.carrier.name!r}; "
-            f"embed them into a common cube first"
-        )
+    _check_carriers(a, b)
     if not 0 < eps2 < min(a.eps, b.eps):
         raise PathError(
             f"germ horizon {shown(eps2)} outside (0, {shown(min(a.eps, b.eps))})"

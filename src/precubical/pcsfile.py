@@ -55,6 +55,14 @@ def _col(line_text: str, k: int) -> int:
     return [match.start() + 1 for match in _TOKEN_RE.finditer(line_text)][k]
 
 
+def _digits_value(token: str) -> int:
+    """The value of a token of ASCII decimal digits, or -1 for any other."""
+    try:
+        return int(token) if token.isascii() and token.isdigit() else -1
+    except ValueError:  # more digits than int() reads
+        return -1
+
+
 def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
     """Parse PCS text into a precubical set.
 
@@ -85,6 +93,14 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
     names: dict[str, str] = {}
     slots: dict[tuple[str, str], int] = {}
     dim_values: dict[str, int] = {}
+
+    def new_name(token: str, line_no: int, k: int) -> str:
+        """A name token seen for the first time, checked and recorded."""
+        if not NAME_RE.match(token):
+            raise error(f"bad name {token!r}", line_no, k)
+        names[token] = token
+        return token
+
     for line_no, raw in numbered:
         tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not tokens:
@@ -94,22 +110,11 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
             if len(tokens) != 5:
                 raise error("face takes 4 arguments: name i -|+ target", line_no, 0)
             _, cube, axis, sign, target = tokens
-            c = names.get(cube)
-            if c is None:
-                if not NAME_RE.match(cube):
-                    raise error(f"bad name {cube!r}", line_no, 1)
-                c = names[cube] = cube
-            t = names.get(target)
-            if t is None:
-                if not NAME_RE.match(target):
-                    raise error(f"bad name {target!r}", line_no, 4)
-                t = names[target] = target
+            c = names.get(cube) or new_name(cube, line_no, 1)
+            t = names.get(target) or new_name(target, line_no, 4)
             k = slots.get((axis, sign))
             if k is None:
-                try:
-                    i = int(axis) if axis.isascii() and axis.isdigit() else -1
-                except ValueError:  # more digits than int() reads
-                    i = -1
+                i = _digits_value(axis)
                 if i < 0:
                     raise error(f"bad face axis {axis!r}", line_no, 2)
                 if sign not in SIDES:
@@ -120,17 +125,10 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
             if len(tokens) != 3:
                 raise error("cube takes 2 arguments: name dim", line_no, 0)
             _, name, dim = tokens
-            c = names.get(name)
-            if c is None:
-                if not NAME_RE.match(name):
-                    raise error(f"bad name {name!r}", line_no, 1)
-                c = names[name] = name
+            c = names.get(name) or new_name(name, line_no, 1)
             d = dim_values.get(dim)
             if d is None:
-                try:
-                    d = int(dim) if dim.isascii() and dim.isdigit() else -1
-                except ValueError:  # more digits than int() reads
-                    d = -1
+                d = _digits_value(dim)
                 if not 0 <= d <= MAX_CELLS:
                     raise error(f"bad dimension {dim!r}", line_no, 2)
                 dim_values[dim] = d

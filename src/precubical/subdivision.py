@@ -32,6 +32,8 @@ from .core import (
 
 Pair = tuple[str, Codes]
 
+_COORDINATE_BOUND = 10**99  # grid box coordinates have fewer than 100 digits
+
 
 def _label(code: int) -> str:
     a = code // 2
@@ -135,12 +137,18 @@ def grid_complex(boxes: Iterable[Sequence[int]]) -> PrecubicalSet:
     """The cubical complex spanned by unit boxes of Z^d, each given by its
     lower corner.  Cells are named by their codes, e.g. "0-1.1".
 
-    Raises PcsError before building a box of more than MAX_CELLS cells, and
-    after any box that takes the distinct cells (boxes share faces) past it.
+    Raises PcsError before building a box of more than MAX_CELLS cells or
+    with a coordinate that is not an int of fewer than 100 digits, and after
+    any box that takes the distinct cells (boxes share faces) past it.
     """
     cells: dict[Codes, None] = {}
     for box in boxes:
         check_cells("the grid complex", 3, {len(box): 1})
+        for b in box:
+            if not isinstance(b, int) or not -_COORDINATE_BOUND < b < _COORDINATE_BOUND:
+                raise PcsError(
+                    f"grid box coordinate {shown(b)} is not an int of fewer than 100 digits"
+                )
         axes = [(2 * b, 2 * b + 1, 2 * b + 2) for b in box]
         cells.update(dict.fromkeys(itertools.product(*axes)))
         check_cells("the grid complex", 1, {0: len(cells)})  # shared faces count once

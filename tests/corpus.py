@@ -1,10 +1,12 @@
 """Shared test fixtures: small named complexes, a frozen seeded corpus of
 random complexes (dim <= 3, <= 40 cubes each), built as grid complexes, and
-a mutation generator for PCS text."""
+a mutation generator for PCS text, and sampled paths on faces of cubes."""
 import itertools
 import random
+from fractions import Fraction
 
-from precubical.core import PrecubicalSet, boundary_cube, truncate
+from precubical.core import CubeId, PrecubicalSet, boundary_cube, truncate
+from precubical.dipath import PLNaturalPath, sample
 from precubical.subdivision import grid_complex
 
 
@@ -95,3 +97,15 @@ def mutate(rng, lines):
                 parts.insert(at, rng.choice(POOL))
             lines[k] = " ".join(parts)
     return "\n".join(lines) + rng.choice(("", "\n"))
+
+
+def face_paths(K, rng):
+    """(c, i, path) for three sampled short paths on the face (i, -) of every
+    cube c of dimension >= 2, each path carried by that face."""
+    for n in range(1, K.dim):
+        for c in K.cubes(n + 1):
+            for i in range(1, n + 2):
+                face = CubeId(K.face(c.name, i, 0), n)
+                for m in (0, 2, 5):
+                    p = sample(n, Fraction(rng.randint(1, 9), 10), m, rng.randrange(10**6))
+                    yield c.name, i, PLNaturalPath(face, p.times, p.values)

@@ -27,6 +27,7 @@ from precubical.complexes import (
 )
 from precubical.core import (
     STAR,
+    CubeId,
     attach_cube,
     boundary_cube,
     final_states,
@@ -42,6 +43,7 @@ from precubical.dipath import (
     extend_full,
     gamma_h,
     germ_equal,
+    make_path,
     restrict,
     sample,
     sup_distance,
@@ -245,7 +247,8 @@ def test_09_short_path_family_and_germ_failure():
     # the boundary on any initial stretch: germs cannot tell them apart
     eps = Fraction(1, 2)
     diagonal = diagonal_path(2, eps)
-    edge = embed_face(diagonal_path(1, eps), 1, 0)
+    on_face = make_path(CubeId("0x", 1), eps, (0, eps), ((0,), (eps,)))
+    edge = embed_face(on_face, standard_cube(2), "xx", 1)
     for m in range(3, 65):
         h = Fraction(1, m)
         bent = gamma_h(h, eps)

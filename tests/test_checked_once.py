@@ -1,10 +1,11 @@
 """Each fact is checked once, where data enters.
 
-Library constructions build complexes, per-vertex complexes and chain
-complexes through trusted routes that skip the public constructors'
-checks.  These tests hold the skipped checks instead: library output must
-pass the checking constructors, invalid complexes loaded leniently must
-still raise typed errors, and the library paths must not re-check.
+Library constructions build complexes, per-vertex complexes, chain
+complexes and embedded paths through trusted routes that skip the public
+constructors' checks.  These tests hold the skipped checks instead:
+library output must pass the checking constructors, invalid complexes
+loaded leniently must still raise typed errors, and the library paths must
+not re-check.
 """
 import random
 from contextlib import suppress
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import corpus20, hollow_cube, hollow_square, l_shape, mutate, two_squares
+from corpus import corpus20, face_paths, hollow_cube, hollow_square, l_shape, mutate, two_squares
 from oracles import cube_words
 from precubical.complexes import (
     SemiSimplicialSet,
@@ -34,6 +35,7 @@ from precubical.core import (
     truncate,
     validate,
 )
+from precubical.dipath import PLNaturalPath, embed_face
 from precubical.homology import (
     ChainComplex,
     Matrix,
@@ -57,6 +59,7 @@ def library_complexes():
 
 
 def test_library_objects_pass_the_checking_constructors():
+    rng = random.Random(18)
     for K in library_complexes():
         for side in "-+":
             R = time_reverse(K) if side == "+" else K
@@ -74,6 +77,9 @@ def test_library_objects_pass_the_checking_constructors():
                 ChainComplex(C.bases, C.matrices)  # shapes and d∘d = 0
                 for M in C.matrices:  # integer entries, no zeros, rows in range
                     assert M == Matrix.from_columns(M.rows, M.columns)
+        for c, i, p in face_paths(K, rng):  # paths embedded from faces of its cubes
+            e = embed_face(p, K, c, i)
+            assert PLNaturalPath(e.carrier, e.times, e.values) == e
 
 
 def _vertex(K):

@@ -2,11 +2,13 @@ import random
 import time
 from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from corpus import face_paths
 from oracles import canonical_reference, convex_comb_reference, sup_distance_reference
-from precubical.core import CubeId
+from precubical.core import CubeId, PcsError, UnknownCubeError, boundary_cube, standard_cube
 from precubical.dipath import (
     PathError,
     PLNaturalPath,
@@ -24,6 +26,9 @@ from precubical.dipath import (
     sup_distance,
     zero_set,
 )
+from precubical.pcsfile import parse_pcs
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 SQ = standard_carrier(2)
 
@@ -204,37 +209,80 @@ def test_zero_set():
 
 
 def test_embed_face():
-    edge = make_path(standard_carrier(1), F(1, 2), (0, F(1, 2)), ((0,), (F(1, 2),)))
-    lifted = embed_face(edge, 1, 0)
+    edge = make_path(CubeId("0x", 1), F(1, 2), (0, F(1, 2)), ((0,), (F(1, 2),)))
+    square = standard_cube(2)
+    lifted = embed_face(edge, square, "xx", 1)
     assert lifted.carrier == SQ
     assert lifted.values == ((0, 0), (0, F(1, 2)))
     assert zero_set(lifted) == {1}
-    second = embed_face(edge, 2, 0)
+    second = embed_face(PLNaturalPath(CubeId("x0", 1), edge.times, edge.values), square, "xx", 2)
     assert second.values == ((0, 0), (F(1, 2), 0))
-    with pytest.raises(PathError, match="corner"):
-        embed_face(edge, 1, 1)
-    # a path on a named face frees the letter that the face had fixed
-    face_path = make_path(CubeId("0x", 1), F(1, 2), (0, F(1, 2)), ((0,), (F(1, 2),)))
-    assert embed_face(face_path, 1, 0).carrier == CubeId("xx", 2)
-    with pytest.raises(PathError, match="target cube"):
-        embed_face(
-            make_path(CubeId("1x", 1), F(1, 2), (0, F(1, 2)), ((0,), (F(1, 2),))),
-            1,
-            0,
-        )
+    # the carrier must be face (i, -) of the target: a path on the upper
+    # face would not start at the corner
+    upper = PLNaturalPath(CubeId("1x", 1), edge.times, edge.values)
+    with pytest.raises(PathError, match=r"'1x' of dimension 1 is not face \(1, -\) of 'xx'"):
+        embed_face(upper, square, "xx", 1)
+    with pytest.raises(PathError, match="is not face"):
+        embed_face(edge, square, "xx", 2)
+    with pytest.raises(PathError, match="is not face"):
+        embed_face(lifted, standard_cube(3), "xxx", 1)
+    # a path on a face of a cube of any complex, named as that complex names it
+    L = parse_pcs((DATA / "l-shape.pcs").read_text())
+    c = L.cubes(2)[0].name
+    on_face = PLNaturalPath(CubeId(L.face(c, 2, 0), 1), edge.times, edge.values)
+    assert embed_face(on_face, L, c, 2) == PLNaturalPath(CubeId(c, 2), edge.times, second.values)
+    # the complex refuses its own bad lookups
+    with pytest.raises(UnknownCubeError):
+        embed_face(edge, square, "zz", 1)
+    with pytest.raises(PcsError, match="axis 3 out of range 1..2"):
+        embed_face(edge, square, "xx", 3)
+    with pytest.raises(PcsError, match="axis 1 out of range 1..0"):
+        embed_face(edge, square, "00", 1)
+    holed = parse_pcs("pcs 1\ncube a 0\ncube e 1\ncube s 2\nface e 1 - a\n", validate=False)
+    with pytest.raises(PcsError, match="not a precubical set"):
+        embed_face(edge, holed, "s", 1)
 
 
 def test_embed_commutes_with_restrict():
+    square = standard_cube(2)
     for seed in range(20):
         p = sample(2, F(1, 2), seed % 3, seed)
+        p = PLNaturalPath(CubeId("x0x", 2), p.times, p.values)
         e2 = F(1, 3)
-        assert embed_face(restrict(p, e2), 2, 0) == restrict(embed_face(p, 2, 0), e2)
+        assert embed_face(restrict(p, e2), standard_cube(3), "xxx", 2) == restrict(
+            embed_face(p, standard_cube(3), "xxx", 2), e2
+        )
+
+
+def test_embed_face_is_natural_on_every_lower_face():
+    # sampled paths on every face (i, -) of every cube of dimension >= 2:
+    # each embedding is the path the checking constructor builds, zero on
+    # axis i, and commutes with restrict; the same path on face (i, +),
+    # another cube in each of these complexes, is refused
+    complexes = [parse_pcs(p.read_text()) for p in sorted(DATA.glob("*.pcs"))]
+    complexes += [standard_cube(n) for n in range(1, 5)]
+    complexes += [boundary_cube(n) for n in range(2, 5)]
+    rng = random.Random(18)
+    embedded = 0
+    for K in complexes:
+        for c, i, p in face_paths(K, rng):
+            e = embed_face(p, K, c, i)
+            assert_natural(e)
+            assert e == PLNaturalPath(CubeId(c, p.dim + 1), e.times, e.values)
+            assert zero_set(e) == {i} | {j + (j >= i) for j in zero_set(p)}
+            e2 = p.eps * F(rng.randint(1, 9), 10)
+            assert embed_face(restrict(p, e2), K, c, i) == restrict(e, e2)
+            upper = CubeId(K.face(c, i, 1), p.dim)
+            with pytest.raises(PathError, match="is not face"):
+                embed_face(PLNaturalPath(upper, p.times, p.values), K, c, i)
+            embedded += 1
+    assert embedded == 603
 
 
 def test_germ_equal():
     eps = F(1, 2)
-    edge = make_path(standard_carrier(1), eps, (0, eps), ((0,), (eps,)))
-    boundary = embed_face(edge, 1, 0)
+    edge = make_path(CubeId("0x", 1), eps, (0, eps), ((0,), (eps,)))
+    boundary = embed_face(edge, standard_cube(2), "xx", 1)
     d = diagonal_path(2, eps)
     for m in (3, 7, 20):
         g = gamma_h(F(1, m), eps)
@@ -403,10 +451,10 @@ def test_non_rational_numbers_are_refused_fast():
 
 
 def test_huge_numbers_in_path_messages_are_shown_fast():
-    edge = make_path(standard_carrier(1), F(1, 2), (0, F(1, 2)), ((0,), (F(1, 2),)))
+    edge = make_path(CubeId("0x", 1), F(1, 2), (0, F(1, 2)), ((0,), (F(1, 2),)))
     start = time.perf_counter()
-    with pytest.raises(PathError, match="axis <100[+] digits>"):
-        embed_face(edge, 10**5000, 0)
+    with pytest.raises(PcsError, match="axis <100[+] digits>"):
+        embed_face(edge, standard_cube(2), "xx", 10**5000)
     with pytest.raises(PathError, match="dimension <100[+] digits>"):
         PLNaturalPath(CubeId("x", 10**5000), edge.times, edge.values)
     assert time.perf_counter() - start < 1.0

@@ -205,6 +205,17 @@ def test_grid_complex_of_a_huge_box_is_refused_fast():
     assert time.perf_counter() - start < 1.0
 
 
+def test_grid_complex_refuses_bad_coordinates_fast():
+    # each coordinate is checked before its box is built: an int of fewer
+    # than 100 digits
+    start = time.perf_counter()
+    for coordinate in (0.5, "a", 10**5000, -(10**99), 10**99):
+        with pytest.raises(PcsError, match="not an int of fewer than 100 digits"):
+            grid_complex([(0, 0), (1, coordinate)])
+    assert time.perf_counter() - start < 1.0
+    assert len(grid_complex([(10**99 - 1, -(10**99) + 1)])) == 9
+
+
 def test_sub_compose_iso():
     iso = sub_compose_iso(standard_cube(1), 2, 3)
     assert len(iso.source) == 13 and len(iso.target) == 13
