@@ -238,7 +238,7 @@ class PrecubicalSet(CellStore):
             return t
         d = self.dim_of(name)
         alpha = check_end(alpha)
-        if not 1 <= i <= d:
+        if not 1 <= i <= d or i != int(i):
             raise PcsError(f"face axis {shown(i)} out of range 1..{d} on cube {name!r}")
         raise MissingFaceError(f"cube {name!r} has no face ({i}, {SIDES[alpha]})")
 

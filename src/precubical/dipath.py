@@ -14,8 +14,12 @@ equality.  Paths a user builds are converted and checked; `sample` and the
 paths `restrict`, `extend_full`, `convex_comb` and `embed_face` derive from
 checked ones are natural by construction and adopted as they are.  A
 carrier names a cube: `embed_face` checks that it is the face (i, -) of a
-cube c of a complex K and moves the path onto c.  Two paths are compared
-and combined in one merged walk over both breakpoint lists.
+cube c of a complex K and moves the path onto c.
+
+Two paths are compared and combined in one merged walk over both
+breakpoint lists.  The walk, canonical form and `sample` compute on
+integers, one common denominator per step, and build a Fraction only for a
+stored coordinate or a returned distance; `at` interpolates on Fractions.
 
 The family `gamma_h` witnesses how germs behave badly: each gamma_h runs
 along the boundary edge until time h and is therefore germ-equal to a
@@ -28,6 +32,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import STAR, CubeId, PrecubicalSet, check_valid, shown
 
@@ -48,19 +53,38 @@ def _frac(x, where: str) -> Fraction:
     raise PathError(f"{where}: not a rational number: {x!r}")
 
 
+def _point(t, v) -> tuple:
+    """The breakpoint (t, v) on integers: (n, r, d, V) with t = n/r and
+    v = V/d, d the lcm of the point's denominators."""
+    d = lcm(*(x.denominator for x in v))
+    return t.numerator, t.denominator, d, tuple(x.numerator * (d // x.denominator) for x in v)
+
+
+def _keep(points) -> list[int]:
+    """The indices of the breakpoints (n, r, d, V) where the velocity
+    changes, and both ends.  A velocity dV/(L dt), dV over the lcm L of the
+    ends' denominators and dt = e/f, is kept as (L e, f, dV) to cross-multiply."""
+    velocity = []
+    for (n0, r0, d0, V0), (n1, r1, d1, V1) in zip(points, points[1:]):
+        L = lcm(d0, d1)
+        k0, k1 = L // d0, L // d1
+        dV = [y * k1 - x * k0 for x, y in zip(V0, V1)]
+        velocity.append((L * (n1 * r0 - n0 * r1), r0 * r1, dV))
+    keep = [0]
+    for k in range(1, len(points) - 1):
+        (s, f, U), (s2, f2, W) = velocity[k - 1], velocity[k]
+        x, y = f * s2, f2 * s
+        if any(u * x != w * y for u, w in zip(U, W)):
+            keep.append(k)
+    keep.append(len(points) - 1)
+    return keep
+
+
 def _canonical(times, values):
     """Drop every breakpoint where the velocity does not change; the
     remaining data describes the same map."""
-    velocity = [
-        tuple((y - x) / (t1 - t0) for x, y in zip(v0, v1))
-        for t0, t1, v0, v1 in zip(times, times[1:], values, values[1:])
-    ]
-    keep = [0, *(k for k in range(1, len(times) - 1) if velocity[k - 1] != velocity[k])]
-    keep.append(len(times) - 1)
-    return (
-        tuple(times[k] for k in keep),
-        tuple(values[k] for k in keep),
-    )
+    keep = _keep([_point(t, v) for t, v in zip(times, values)])
+    return tuple(times[k] for k in keep), tuple(values[k] for k in keep)
 
 
 def _lerp(times, values, k: int, t: Fraction) -> tuple[Fraction, ...]:
@@ -227,9 +251,11 @@ def extend_full(path: PLNaturalPath) -> PLNaturalPath:
     n = path.dim
     if path.eps == n:
         raise PathError(f"the path already reaches the far corner at time {shown(n)}")
-    times = path.times + (Fraction(n),)
-    values = path.values + ((Fraction(1),) * n,)
-    return PLNaturalPath._adopt(path.carrier, *_canonical(times, values))
+    # the prefix is canonical, so only the old endpoint can drop
+    times, values = _canonical(
+        path.times[-2:] + (Fraction(n),), path.values[-2:] + ((Fraction(1),) * n,)
+    )
+    return PLNaturalPath._adopt(path.carrier, path.times[:-2] + times, path.values[:-2] + values)
 
 
 def _check_carriers(a: PLNaturalPath, b: PLNaturalPath) -> None:
@@ -246,23 +272,44 @@ def _check_comparable(a: PLNaturalPath, b: PLNaturalPath) -> None:
         raise PathError(f"natural lengths differ: {shown(a.eps)} and {shown(b.eps)}")
 
 
+def _adopt_points(carrier: CubeId, times, points) -> PLNaturalPath:
+    """The path through the breakpoints (n, r, d, V) at the given times, in
+    canonical form, with one Fraction per stored coordinate."""
+    keep = _keep(points)
+    values = tuple(tuple(Fraction(x, points[k][2]) for x in points[k][3]) for k in keep)
+    return PLNaturalPath._adopt(carrier, tuple(times[k] for k in keep), values)
+
+
+def _at(points, k: int, n: int, r: int) -> tuple:
+    """(d, V): the point V/d at time n/r on segment k of the breakpoints
+    (n, r, d, V), from k - 1 to k; its far end has weight P/Q."""
+    (n0, r0, d0, V0), (n1, r1, d1, V1) = points[k - 1], points[k]
+    P, Q = (n * r0 - n0 * r) * r1, (n1 * r0 - n0 * r1) * r
+    L = lcm(d0, d1)
+    k0, k1 = L // d0 * (Q - P), L // d1 * P
+    return L * Q, tuple(x * k0 + y * k1 for x, y in zip(V0, V1))
+
+
 def _walk(a: PLNaturalPath, b: PLNaturalPath):
-    """(t, a(t), b(t)) at every breakpoint t of either path, in one pass
-    over both: a path's own breakpoint gives its stored point, the other
-    path's an interpolated one.  Both paths end at the same time."""
-    ta, va, tb, vb = a.times, a.values, b.times, b.values
+    """(t, d, A, B) at every breakpoint t of either path, in one pass over
+    both, with a(t) = A/d and b(t) = B/d, d the lcm of their denominators:
+    a path's own breakpoint gives its stored point, the other path's an
+    interpolated one.  Both paths end at the same time."""
+    pa = [_point(t, v) for t, v in zip(a.times, a.values)]
+    pb = [_point(t, v) for t, v in zip(b.times, b.values)]
     i = j = 0
-    while i < len(ta):
-        s, t = ta[i], tb[j]
-        if s == t:
-            yield s, va[i], vb[j]
-            i, j = i + 1, j + 1
-        elif s < t:
-            yield s, va[i], _lerp(tb, vb, j, s)
-            i += 1
-        else:
-            yield t, _lerp(ta, va, i, t), vb[j]
-            j += 1
+    while i < len(pa):
+        (n, r, da, A), (m, s, db, B) = pa[i], pb[j]
+        x, y = n * s, m * r  # a's time and b's, over r s
+        if x > y:
+            da, A = _at(pa, i, m, s)
+        elif y > x:
+            db, B = _at(pb, j, n, r)
+        d = lcm(da, db)
+        ka, kb = d // da, d // db
+        t = a.times[i] if x <= y else b.times[j]
+        yield t, d, tuple(v * ka for v in A), tuple(v * kb for v in B)
+        i, j = i + (x <= y), j + (y <= x)
 
 
 def sup_distance(a: PLNaturalPath, b: PLNaturalPath) -> Fraction:
@@ -272,7 +319,12 @@ def sup_distance(a: PLNaturalPath, b: PLNaturalPath) -> Fraction:
     so the supremum is attained at a breakpoint.
     """
     _check_comparable(a, b)
-    return max(abs(x - y) for _, va, vb in _walk(a, b) for x, y in zip(va, vb))
+    best, over = 0, 1
+    for _, d, A, B in _walk(a, b):
+        gap = max(abs(x - y) for x, y in zip(A, B))
+        if gap * over > best * d:
+            best, over = gap, d
+    return Fraction(best, over)
 
 
 def convex_comb(u: Rational, a: PLNaturalPath, b: PLNaturalPath) -> PLNaturalPath:
@@ -282,11 +334,13 @@ def convex_comb(u: Rational, a: PLNaturalPath, b: PLNaturalPath) -> PLNaturalPat
     if not 0 <= u <= 1:
         raise PathError(f"combination weight {shown(u)} outside [0, 1]")
     _check_comparable(a, b)
-    times, values = [], []
-    for t, va, vb in _walk(a, b):
+    p, q = u.numerator, u.denominator
+    times, points = [], []
+    for t, d, A, B in _walk(a, b):
         times.append(t)
-        values.append(tuple(x + (y - x) * u for x, y in zip(va, vb)))
-    return PLNaturalPath._adopt(a.carrier, *_canonical(times, values))
+        C = tuple((q - p) * x + p * y for x, y in zip(A, B))
+        points.append((t.numerator, t.denominator, q * d, C))
+    return _adopt_points(a.carrier, times, points)
 
 
 def zero_set(path: PLNaturalPath) -> frozenset[int]:
@@ -387,26 +441,21 @@ def sample(n: int, eps: Rational, m: int, seed: int) -> PLNaturalPath:
     if not 0 < eps < 1:
         raise PathError(f"natural length must be in (0, 1), got {shown(eps)}")
     rng = random.Random(seed)
-    steps = m + 1
-    weights = [rng.randint(1, 9) for _ in range(steps)]
-    total = sum(weights)
-    times = [Fraction(0)]
+    weights = [rng.randint(1, 9) for _ in range(m + 1)]
+    e, f = eps.numerator, eps.denominator * sum(weights)  # each time is W/f
+    W, d, V = 0, 1, (0,) * n
+    times, points = [Fraction(0)], [(W, f, d, V)]
+    prev = [0] * n, 1  # the last step's direction split/S; the zero split matches none
     for w in weights:
-        times.append(times[-1] + eps * Fraction(w, total))
-    times[-1] = eps
-    values = [(Fraction(0),) * n]
-    prev_dir = None
-    for k in range(steps):
-        dt = times[k + 1] - times[k]
         while True:
             split = [rng.randint(0, 9) for _ in range(n)]
-            if sum(split) == 0:
-                continue
-            direction = tuple(Fraction(s, sum(split)) for s in split)
-            if n == 1 or direction != prev_dir:
+            S = sum(split)
+            if S and (n == 1 or any(x * prev[1] != y * S for x, y in zip(split, prev[0]))):
                 break
-        prev_dir = direction
-        values.append(
-            tuple(x + dt * d for x, d in zip(values[-1], direction))
-        )
-    return PLNaturalPath._adopt(standard_carrier(n), *_canonical(times, values))
+        prev = split, S
+        W, new = W + e * w, lcm(d, f * S)
+        k, step = new // d, e * w * (new // (f * S))
+        d, V = new, tuple(x * k + step * y for x, y in zip(V, split))
+        times.append(Fraction(W, f))
+        points.append((W, f, d, V))
+    return _adopt_points(standard_carrier(n), times, points)

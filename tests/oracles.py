@@ -13,13 +13,15 @@ instead of integer codes, cube attachment by a walk down the face lattice
 instead of the facet identities, isomorphism of a morphism by checking its
 inverse as a morphism, path distances and combinations by
 `PLNaturalPath.at` at the sorted union of breakpoint times, with canonical
-form by a straight-line test, instead of the merged walk and velocities,
+form by a straight-line test, instead of the merged walk and velocities on
+integers, sampled paths by Fraction sums instead of integer numerators,
 the subdivided standard cube as a grid of unit boxes instead of pairs over
 the base cube, the vertices with a nonempty branching complex in closed
 form, and total groups summed degree by degree.  Tests compare these
 against the library's own answers, so nothing in this file may call the
 function it is checking.
 """
+import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
@@ -488,4 +490,27 @@ def convex_comb_reference(u, a, b):
     b read through `at` at the breakpoints of either path."""
     times = _merged_times(a, b)
     values = [tuple(x + (y - x) * u for x, y in zip(a.at(t), b.at(t))) for t in times]
+    return canonical_reference(times, values)
+
+
+def sample_reference(n, eps, m, seed):
+    """The canonical (times, values) of `sample(n, eps, m, seed)`, drawn
+    from the same random stream with every time and coordinate a Fraction."""
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 9) for _ in range(m + 1)]
+    times = [Fraction(0)]
+    for w in weights:
+        times.append(times[-1] + eps * Fraction(w, sum(weights)))
+    values = [(Fraction(0),) * n]
+    prev_dir = None
+    for t0, t1 in zip(times, times[1:]):
+        while True:
+            split = [rng.randint(0, 9) for _ in range(n)]
+            if sum(split) == 0:
+                continue
+            direction = tuple(Fraction(s, sum(split)) for s in split)
+            if n == 1 or direction != prev_dir:
+                break
+        prev_dir = direction
+        values.append(tuple(x + (t1 - t0) * d for x, d in zip(values[-1], direction)))
     return canonical_reference(times, values)

@@ -477,6 +477,19 @@ def test_face_axes_given_as_other_numbers_read_as_ints():
     assert M == standard_cube(1) and emit_pcs(M) == emit_pcs(standard_cube(1))
 
 
+def test_face_lookup_refuses_a_non_integral_axis():
+    # an axis strictly between two axes is out of range, not a hole: the
+    # lookup words it as the constructor does
+    K = standard_cube(2)
+    for axis, shown in ((Fraction(3, 2), "3/2"), (1.5, "1.5")):
+        message = f"face axis {shown} out of range 1..2 on cube 'xx'"
+        assert _failure(lambda: K.face("xx", axis, 0)) == (PcsError, message)
+        assert _failure(lambda: K.face("xx", axis, 1)) == (PcsError, message)
+        assert _failure(
+            lambda: PrecubicalSet({"xx": 2, "v": 0}, {("xx", axis, 0): "v"})
+        ) == (PcsError, message)
+
+
 def test_holes_of_facet_tuples_are_bounded():
     # a cube's facet tuple is allocated with its first face; the holes of all
     # tuples may exceed the faces by at most MAX_CELLS

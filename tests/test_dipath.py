@@ -7,7 +7,12 @@ from pathlib import Path
 import pytest
 
 from corpus import face_paths
-from oracles import canonical_reference, convex_comb_reference, sup_distance_reference
+from oracles import (
+    canonical_reference,
+    convex_comb_reference,
+    sample_reference,
+    sup_distance_reference,
+)
 from precubical.core import CubeId, PcsError, UnknownCubeError, boundary_cube, standard_cube
 from precubical.dipath import (
     PathError,
@@ -243,6 +248,15 @@ def test_embed_face():
         embed_face(edge, holed, "s", 1)
 
 
+def test_embed_face_refuses_a_non_integral_axis():
+    edge = make_path(CubeId("0x", 1), F(1, 2), (0, F(1, 2)), ((0,), (F(1, 2),)))
+    for axis, shown in ((F(3, 2), "3/2"), (1.5, "1.5")):
+        with pytest.raises(PcsError) as caught:
+            embed_face(edge, standard_cube(2), "xx", axis)
+        assert type(caught.value) is PcsError
+        assert str(caught.value) == f"face axis {shown} out of range 1..2 on cube 'xx'"
+
+
 def test_embed_commutes_with_restrict():
     square = standard_cube(2)
     for seed in range(20):
@@ -341,6 +355,14 @@ def test_sample_is_the_path_the_checking_constructor_builds():
                 assert len(p.times) == (2 if n == 1 else m + 2)
 
 
+def test_sample_matches_fraction_reference():
+    # every (n, m) with n = 1..4 and m = 0..30 occurs, m = 0 and n = 1 included
+    for seed in range(320):
+        n, m, eps = 1 + seed % 4, seed % 31, F(1 + seed % 9, 10)
+        p = sample(n, eps, m, seed)
+        assert (p.times, p.values) == sample_reference(n, eps, m, seed)
+
+
 def test_paths_are_values():
     g = gamma_h(F(1, 3), F(1, 2))
     again = PLNaturalPath(g.carrier, g.times, g.values)
@@ -431,6 +453,62 @@ def test_walk_does_not_read_points_through_at(monkeypatch):
 
     monkeypatch.setattr(PLNaturalPath, "at", refuse)
     assert [(sup_distance(a, b), convex_comb(u, a, b)) for a, b, u in pairs] == want
+
+
+def primes_above_a_million(count):
+    """The first `count` primes above 10**6, by a sieve of one segment."""
+    lo, span = 10**6, 40_000
+    prime = [True] * span
+    for p in range(2, 1021):  # 1021**2 is past the segment
+        for k in range(-lo % p, span, p):
+            prime[k] = False
+    return [lo + k for k in range(span) if prime[k]][:count]
+
+
+def unrelated_denominators(rng, primes):
+    """A natural path of length 1/2 in the square whose interior breakpoint k
+    has time and point over 4 m p_k alone, p_k its own prime."""
+    m = len(primes) + 1
+    times, values = [F(0)], [(F(0), F(0))]
+    for k, p in enumerate(primes, 1):
+        t, x = F(k * p + 1, 2 * m * p), F(k * p + rng.randint(1, p // 3), 4 * m * p)
+        times.append(t)
+        values.append((x, t - x))
+    return PLNaturalPath(SQ, (*times, F(1, 2)), (*values, (F(1, 4), F(1, 4))))
+
+
+def growing_denominators(rng, primes):
+    """A natural path of length 1/4 in the square with breakpoint k at time
+    k/(4m) + 1/(8m p_k) and its point summed from the increments, so that
+    the point's denominator takes in every prime so far."""
+    m = len(primes) + 1
+    times = [F(0), *(F(k, 4 * m) + F(1, 8 * m * p) for k, p in enumerate(primes, 1)), F(1, 4)]
+    values, r = [(F(0), F(0))], None
+    for t0, t1 in zip(times, times[1:]):
+        r = rng.choice([x for x in range(9) if x != r])  # a new velocity each step
+        (x, y), dt = values[-1], t1 - t0
+        values.append((x + dt * F(r, 8), y + dt * F(8 - r, 8)))
+    return PLNaturalPath(SQ, times, values)
+
+
+def test_hostile_denominators_stay_bounded():
+    # one prime per breakpoint of either path; or, on shared times, points
+    # whose denominators grow to about 3,000 digits
+    rng, primes = random.Random(31), primes_above_a_million(2000)
+    families = (
+        [unrelated_denominators(rng, primes[:1000]), unrelated_denominators(rng, primes[1000:])],
+        [growing_denominators(rng, primes[:500]) for _ in range(2)],
+    )
+    for (a, b), count in zip(families, (1000, 500)):
+        assert len(a.times) == len(b.times) == count + 2
+        u = F(1, 3)
+        start = time.perf_counter()
+        d, c = sup_distance(a, b), convex_comb(u, a, b)
+        canonical = [_canonical(p.times, p.values) for p in (a, b)]
+        assert time.perf_counter() - start < 2
+        assert d == sup_distance_reference(a, b)
+        assert (c.times, c.values) == convex_comb_reference(u, a, b)
+        assert canonical == [canonical_reference(p.times, p.values) for p in (a, b)]
 
 
 def test_extend_full_twice_is_refused():
