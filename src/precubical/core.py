@@ -19,6 +19,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
@@ -270,17 +271,51 @@ def validate(K: PrecubicalSet) -> list[Violation]:
     target has the wrong dimension, and each failed instance of the identity
     face(face(c, j, b), i, a) == face(face(c, i, a), j - 1, b) for i < j.
     Identity instances are only checked when all four lookups land, since
-    the holes involved are already reported; so only pairs of recorded faces
-    of the right dimension are visited, and a declared cube with few
-    recorded faces costs little whatever its dimension.
+    the holes involved are already reported.  Each dimension layer is first
+    checked as a whole (`_layer_holds`); only a layer that fails is walked
+    cube by cube, visiting only pairs of recorded faces of the right
+    dimension, so a declared cube with few recorded faces costs little
+    whatever its dimension.
     """
     out: list[Violation] = []
     for n in sorted(K._grades):
-        for c in K._grades[n] if n else ():
-            _cube_violations(K, c, K._facets.get(c, (None,) * (2 * n)), n, out)
+        if n and not _layer_holds(K, n):
+            for c in K._grades[n]:
+                _cube_violations(K, c, K._facets.get(c, (None,) * (2 * n)), n, out)
     if not out:
         K._valid = True
     return out
+
+
+def _layer_holds(K: PrecubicalSet, n: int) -> bool:
+    """True only if no n-cube of K has a violation, n >= 1: every cube has
+    a facet tuple without holes, of targets of dimension n - 1 that have
+    facet tuples; and for each k = 2(i - 1) + a, face(face(c, j, b), i, a)
+    and face(face(c, i, a), j - 1, b) over all cubes c, j > i and b, as
+    two flat lists in one order, are equal.  A hole in a face's own tuple
+    is None in a list, and `validate` skips such an instance, so equal
+    lists mean no violation; unequal ones send the layer to the walk."""
+    dims, facets = K._dims, K._facets
+    Fs = list(map(facets.get, K._grades[n]))
+    if None in Fs:
+        return False
+    N = len(Fs)
+    flat = list(itertools.chain.from_iterable(zip(*Fs)))  # face m of cube c at m * N + c
+    if set(map(dims.get, flat)) != {n - 1}:  # a hole reads dims.get(None)
+        return False
+    if n == 1:
+        return True
+    G = list(map(facets.get, flat))  # their facet tuples, in the same order
+    if None in G:
+        return False
+    for k in range(2 * n - 2):
+        i2 = k & ~1  # 2(i - 1); the faces m = 2(j - 1) + b, j > i, start at i2 + 2
+        lhs = list(map(itemgetter(k), G[(i2 + 2) * N :]))
+        # the rows p = m - 2 >= i2 of the facet tuples of the faces k
+        rows = itertools.islice(zip(*G[k * N : (k + 1) * N]), i2, None)
+        if lhs != list(itertools.chain.from_iterable(rows)):
+            return False
+    return True
 
 
 def _cube_violations(K: PrecubicalSet, c: str, F: tuple, n: int, out: list) -> None:

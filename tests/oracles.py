@@ -17,9 +17,10 @@ form by a straight-line test, instead of the merged walk and velocities on
 integers, sampled paths by Fraction sums instead of integer numerators,
 the subdivided standard cube as a grid of unit boxes instead of pairs over
 the base cube, the vertices with a nonempty branching complex in closed
-form, and total groups summed degree by degree.  Tests compare these
-against the library's own answers, so nothing in this file may call the
-function it is checking.
+form, total groups summed degree by degree, and the total group with
+every vertex's homology computed afresh instead of once per shape of
+per-vertex complex.  Tests compare these against the library's own
+answers, so nothing in this file may call the function it is checking.
 """
 import random
 import re
@@ -27,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from precubical.complexes import SemiSimplicialSet, UnionFind, pi0_components
+from precubical.complexes import SemiSimplicialSet, UnionFind, assemble_all, pi0_components
 from precubical.core import (
     MAX_CELLS,
     MorphismError,
@@ -99,6 +100,21 @@ def direct_sum(a: GradedAbelianGroup, b: GradedAbelianGroup) -> GradedAbelianGro
         (a.rank(k) + b.rank(k), invariant_factors(a.torsion(k) + b.torsion(k)))
         for k in range(max(len(a.groups), len(b.groups)))
     )
+
+
+def branching_homology_per_vertex(K, side: str = "-") -> GradedAbelianGroup:
+    """Branching (merging) homology with every vertex's complex taken through
+    `chain_complex` and `homology_of` afresh, its reduced group shifted up a
+    degree and added by `direct_sum`; a final state adds a Z in degree 0."""
+    total = GradedAbelianGroup([])
+    for B in assemble_all(K, side).values():
+        if len(B) == 0:
+            total = direct_sum(total, GradedAbelianGroup.free(1))
+            continue
+        H = homology_of(chain_complex(B))
+        reduced = ((H.rank(0) - 1, H.torsion(0)),) + H.groups[1:]
+        total = direct_sum(total, GradedAbelianGroup(((0, ()),) + reduced))
+    return total
 
 
 def low_degrees_via_matrix(K, side: str = "-") -> tuple[int, int]:

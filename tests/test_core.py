@@ -13,6 +13,7 @@ from oracles import (
     boundary_words_of,
     cube_words,
     is_isomorphism,
+    validate_reference,
     word_face,
 )
 from precubical.complexes import SemiSimplicialSet
@@ -444,6 +445,93 @@ def test_validate_declared_cube_without_faces_is_fast():
         Violation("missing-face", "a", (1, 1)),
     ]
     assert found[-1] == Violation("missing-face", "a", (3000, 1))
+
+
+def _defects_in_a_large_layer():
+    """standard_cube(7) with one defect in a layer of hundreds of cubes: in
+    the 3-cube 0x1x0x1 a hole, a vertex as a face, or two faces swapped; or
+    the face (1, +) of the 2-cube xx00000 moved to a parallel edge, which
+    breaks only identities with alpha = + in the five 3-cubes above it."""
+    dims, faces = standard_cube(7).as_tables()
+    c = "0x1x0x1"
+    hole, wrong, swapped, parallel = dict(faces), dict(faces), dict(faces), dict(faces)
+    del hole[(c, 2, 0)]
+    wrong[(c, 2, 1)] = "0000000"
+    swapped[(c, 1, 0)], swapped[(c, 2, 0)] = faces[(c, 2, 0)], faces[(c, 1, 0)]
+    parallel.update({("e2", 1, 0): "1000000", ("e2", 1, 1): "1100000", ("xx00000", 1, 1): "e2"})
+    return [PrecubicalSet(dims, f) for f in (hole, wrong, swapped)] + [
+        PrecubicalSet({**dims, "e2": 1}, parallel)
+    ]
+
+
+def test_validate_finds_one_defect_in_a_large_layer():
+    # a layer is checked as a whole first; the one bad cube must still be
+    # reported exactly as the per-cube walk reports it, strict parsing too
+    messages = [
+        "not a precubical set: 0x1x0x1: missing face (2, -)",
+        "not a precubical set: 0x1x0x1: face (2, +) -> 0000000 has dimension 0, "
+        "expected 2; 0x1x0xx: identity fails for i=2, j=4, alpha=+, beta=+: "
+        "face(4,+) then face(2,+) gives 0000000, face(2,+) then face(3,+) gives "
+        "0x110x1; 0x1xxx1: identity fails for i=2, j=3, alpha=+, beta=-: "
+        "face(3,-) then face(2,+) gives 0000000, face(2,+) then face(2,-) gives "
+        "0x110x1; 0xxx0x1: identity fails for i=2, j=3, alpha=+, beta=+: "
+        "face(3,+) then face(2,+) gives 0x110x1, face(2,+) then face(2,+) gives "
+        "0000000; xx1x0x1: identity fails for i=1, j=3, alpha=-, beta=+: "
+        "face(3,+) then face(1,-) gives 0x110x1, face(1,-) then face(2,+) gives "
+        "0000000",
+        "not a precubical set: 0x1x0x1: identity fails for i=1, j=2, alpha=-, "
+        "beta=+: face(2,+) then face(1,-) gives 00110x1, face(1,-) then "
+        "face(1,+) gives 01100x1; 0x1x0x1: identity fails for i=1, j=2, "
+        "alpha=+, beta=-: face(2,-) then face(1,+) gives 00110x1, face(1,+) "
+        "then face(1,-) gives 01100x1; 0x1x0x1: identity fails for i=1, j=3, "
+        "alpha=-, beta=-: face(3,-) then face(1,-) gives 001x001, face(1,-) "
+        "then face(2,-) gives 0x10001; 0x1x0x1: identity fails for i=1, j=3, "
+        "alpha=-, beta=+: face(3,+) then face(1,-) gives 001x011, face(1,-) "
+        "then face(2,+) gives 0x10011; 0x1x0x1: identity fails for i=2, j=3, "
+        "alpha=-, beta=-: face(3,-) then face(2,-) gives 0x10001, face(2,-) "
+        "then face(2,-) gives 001x001; and 9 more",
+        "not a precubical set: "
+        + "; ".join(
+            f"{c}: identity fails for i=1, j=3, alpha=+, beta=-: face(3,-) then "
+            "face(1,+) gives e2, face(1,+) then face(2,-) gives 1x00000"
+            for c in ("xx0000x", "xx000x0", "xx00x00", "xx0x000", "xxx0000")
+        ),
+    ]
+    for K, message, count in zip(_defects_in_a_large_layer(), messages, (1, 5, 14, 5)):
+        found = validate(K)
+        assert len(found) == count
+        assert found == validate_reference(*K.as_tables())
+        with pytest.raises(PcsError) as e:
+            parse_pcs(emit_pcs(K))
+        assert str(e.value) == message
+
+
+def test_valid_layers_are_checked_whole(monkeypatch):
+    # a layer without violations passes its bulk check, so no cube of a
+    # valid complex is walked one by one
+    def walked(*args):
+        raise AssertionError("a valid layer was walked cube by cube")
+
+    monkeypatch.setattr(core, "_cube_violations", walked)
+    for n in range(6):
+        assert validate(standard_cube(n)) == validate(boundary_cube(n)) == []
+    assert validate(subdivide(boundary_cube(3), 3).complex) == []
+
+
+def test_validate_hostile_nested_cubes_is_bounded():
+    # an n-cube whose faces are all one (n-1)-cube whose faces are all one
+    # face-less (n-2)-cube: only the holes of the last are violations, and
+    # the 2n(n - 1) identity instances of the n-cube, all of which hold,
+    # are checked in 2n - 2 flat list comparisons
+    n = 700
+    dims = {"a": n, "b": n - 1, "c": n - 2}
+    faces = {("a", i, e): "b" for i in range(1, n + 1) for e in (0, 1)}
+    faces.update({("b", i, e): "c" for i in range(1, n) for e in (0, 1)})
+    K = PrecubicalSet(dims, faces)
+    start = time.perf_counter()
+    found = validate(K)
+    assert time.perf_counter() - start < 1.0
+    assert found == [Violation("missing-face", "c", (i, e)) for i in range(1, n - 1) for e in (0, 1)]
 
 
 def test_size_guard_counts_exactly(monkeypatch):

@@ -12,6 +12,7 @@ import pytest
 from corpus import corpus20, hollow_cube, hollow_square, l_shape, two_squares
 from oracles import (
     betti_numbers,
+    branching_homology_per_vertex,
     composite_is_zero,
     direct_sum,
     low_degrees_via_matrix,
@@ -25,7 +26,7 @@ from precubical.complexes import (
     branching_complex,
     pi0_components,
 )
-from precubical.core import boundary_cube, standard_cube, time_reverse, truncate
+from precubical.core import PrecubicalSet, boundary_cube, standard_cube, time_reverse, truncate
 from precubical.homology import (
     ChainComplex,
     GradedAbelianGroup,
@@ -40,7 +41,7 @@ from precubical.homology import (
     smith_normal_form,
 )
 from precubical.pcsfile import parse_pcs
-from precubical.subdivision import grid_complex
+from precubical.subdivision import grid_complex, subdivide
 import precubical
 from precubical import homology, subdivision
 
@@ -495,26 +496,82 @@ def test_merging_side_never_reverses_time(monkeypatch):
             assert pi0_components(K, v, "+") == components[v]
 
 
+def same_sizes_other_shapes():
+    """Per-vertex complexes of equal sizes but different faces: at v two
+    edges joined by two squares (a circle), at w two squares each with one
+    edge as both start faces (two loops)."""
+    dims = {name: 0 for name in ("v", "x", "y", "z", "w", "u1", "u2", "q1", "q2")}
+    faces = {}
+    edges = {"e1": ("v", "x"), "e2": ("v", "y"), "a": ("y", "z"), "b": ("x", "z"),
+             "f1": ("w", "u1"), "f2": ("w", "u2"), "g1": ("u1", "q1"), "g2": ("u2", "q2")}
+    for e, ends in edges.items():
+        dims[e] = 1
+        faces[(e, 1, 0)], faces[(e, 1, 1)] = ends
+    squares = {"s1": ("e1", "a", "e2", "b"), "s2": ("e1", "a", "e2", "b"),
+               "t1": ("f1", "g1", "f1", "g1"), "t2": ("f2", "g2", "f2", "g2")}
+    for s, F in squares.items():
+        dims[s] = 2
+        faces.update({(s, k // 2 + 1, k % 2): t for k, t in enumerate(F)})
+    return PrecubicalSet(dims, faces)
+
+
+def test_shapes_computed_once_match_every_vertex_computed():
+    # the total group, with one homology per shape of per-vertex complex,
+    # against every vertex's homology computed and summed on its own
+    K = same_sizes_other_shapes()
+    assert branching_homology(K) == GradedAbelianGroup.free(3, 1, 3)
+    data = Path(__file__).resolve().parent.parent / "data"
+    sources = [parse_pcs(p.read_text()) for p in sorted(data.glob("*.pcs"))]
+    fixtures = [K] + corpus20() + sources
+    fixtures += [standard_cube(n) for n in range(1, 6)]
+    fixtures += [boundary_cube(n) for n in range(2, 6)]
+    fixtures += [subdivide(K, p).complex for K in sources for p in (2, 3)]
+    for K in fixtures:
+        for side in "-+":
+            assert branching_homology(K, side) == branching_homology_per_vertex(K, side)
+
+
+def test_homology_runs_once_per_shape(monkeypatch):
+    # the 63 nonempty per-vertex complexes of the standard 6-cube have 6
+    # shapes, one per number of axes leaving the vertex
+    calls = []
+
+    def counted(C):
+        calls.append(C)
+        return homology_of(C)
+
+    monkeypatch.setattr(homology, "homology_of", counted)
+    assert branching_homology(standard_cube(6)) == GradedAbelianGroup.free(1)
+    assert len(calls) == 6
+
+
 def test_torsion_summed_across_vertices(monkeypatch):
-    # chosen per-vertex groups with torsion, folded into the total group
-    # as direct sums of each vertex's shifted reduced group
+    # chosen groups with torsion, one per shape of per-vertex complex (told
+    # apart here by the sizes of its chain groups), folded into the total
+    # group as direct sums of each vertex's shifted reduced group: a shape's
+    # group is computed once and counted once per vertex of that shape
     K = boundary_cube(3)
     chosen = {
-        "000": GradedAbelianGroup([(1, ()), (0, (2,))]),
-        "100": GradedAbelianGroup([(2, ()), (1, (3,)), (0, (4,))]),
-        "010": GradedAbelianGroup([(1, ()), (0, ()), (0, (2,))]),
+        (3, 3): GradedAbelianGroup([(1, ()), (0, (2,))]),  # vertex 000
+        (2, 1): GradedAbelianGroup([(2, ()), (1, (3,)), (0, (4,))]),  # 100, 010, 001
+        (1,): GradedAbelianGroup([(1, ()), (0, ()), (0, (2,))]),  # 110, 101, 011
     }
-    by_basis, per_vertex = {}, {}
+    calls = []
+
+    def chosen_group(C):
+        calls.append(C)
+        return chosen[tuple(map(len, C.bases))]
+
+    per_vertex = {}
     for v, B in assemble_all(K).items():
         if len(B):
-            C = chain_complex(B)
-            by_basis[C.bases[0]] = v
-            per_vertex[v] = chosen.get(v) or homology_of(C)
-    monkeypatch.setattr(homology, "homology_of", lambda C: per_vertex[by_basis[C.bases[0]]])
+            per_vertex[v] = chosen[tuple(map(len, chain_complex(B).bases))]
+    monkeypatch.setattr(homology, "homology_of", chosen_group)
 
     total = GradedAbelianGroup.free(1)  # the final state 111
     for H in per_vertex.values():
         reduced = ((H.rank(0) - 1, H.torsion(0)),) + H.groups[1:]
         total = direct_sum(total, GradedAbelianGroup(((0, ()),) + reduced))
     assert branching_homology(K) == total
-    assert total == GradedAbelianGroup([(1, ()), (1, ()), (1, (6,)), (0, (2, 4))])
+    assert len(calls) == 3
+    assert total == GradedAbelianGroup([(1, ()), (3, ()), (3, (3, 3, 6)), (0, (2, 2, 2, 4, 4, 4))])
