@@ -175,9 +175,15 @@ def emit_pcs(K: PrecubicalSet) -> str:
     Deterministic: cubes sorted by (dim, name), then faces in the same
     order with axes ascending, '-' before '+'.  parse_pcs inverts it.
     """
+    grades, facets = K._grades, K._facets
+    width = max(map(len, facets.values()), default=0)
+    labels = [f" {k // 2 + 1} {SIDES[k % 2]} " for k in range(width)]
     out = ["pcs 1"]
-    for cube in K.cubes():
-        out.append(f"cube {cube.name} {cube.dim}")
-    for (c, i, alpha), t in K.face_items():
-        out.append(f"face {c} {i} {SIDES[alpha]} {t}")
+    for d in sorted(grades):
+        tail = f" {d}"
+        out += ["cube " + c + tail for c in grades[d]]
+    for d in sorted(grades):
+        for c in grades[d] if d else ():
+            head = "face " + c
+            out += [head + label + t for label, t in zip(labels, facets.get(c, ())) if t]
     return "\n".join(out) + "\n"

@@ -11,11 +11,17 @@ boundary: a pair touching it is identified with a pair over the base's face
 on that side, so normal forms use only the codes 1 .. 2p - 1 and a base
 d-cube contributes exactly (2p - 1)^d cells.  Subdividing by 1 changes
 nothing, and `sub_compose_iso` maps Sub_p(Sub_q(K)) onto Sub_pq(K).
+
+`subdivide` builds a template per base dimension d: each grid cell's name
+suffix, codes, dimension and faces, a face being a position among the
+base's own cells or those of one of its facets.  It walks the bases by
+(dim, name), so a facet's cells are named before a cube reads them.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .core import (
@@ -92,6 +98,13 @@ def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
     with each other (possible only when cube names of K already look like
     subdivision names).
     """
+    try:
+        order = int(p)
+    except (TypeError, ValueError, OverflowError):
+        order = None
+    if order is None or order != p:  # as a face axis: 2.0 and True are ints
+        raise PcsError(f"subdivision order must be an integer, got {shown(p)}")
+    p = order
     if p < 1:
         raise PcsError(f"subdivision order must be >= 1, got {shown(p)}")
     check_valid(K)
@@ -107,29 +120,44 @@ def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
     suffix = ["." + _label(c) for c in range(top + 1)]
     pairs: dict[str, Pair] = {}
     names: dict[Pair, str] = {}
-    for cube in K.cubes():
-        for codes in itertools.product(interior, repeat=cube.dim):
-            name = cube.name + "".join(suffix[c] for c in codes)
-            if name in pairs:
+    dims, facets, cells = {}, {}, {}  # cells: each base's cell names, in grid order
+    for d in sorted(K._grades):
+        # A face is read from the base's cells, then its facets' in slot
+        # order: only the moved code can reach 0 or 2p, and at position k
+        # that is facet 2k + alpha, a (d - 1)-cube whose cells are named.
+        grid = list(itertools.product(interior, repeat=d))
+        own = dict(zip(grid, itertools.count()))
+        lower = dict(zip(itertools.product(interior, repeat=max(d - 1, 0)), itertools.count()))
+        tails, cell_dims, live, reads = [], [], [], []
+        for j, codes in enumerate(grid):
+            at = []
+            for _, alpha, raw in cell_faces(codes):
+                if top * alpha in raw:
+                    k = raw.index(top * alpha)
+                    facet_start = len(own) + (2 * k + alpha) * len(lower)
+                    at.append(facet_start + lower[raw[:k] + raw[k + 1 :]])
+                else:
+                    at.append(own[raw])
+            tails.append("".join(suffix[c] for c in codes))
+            cell_dims.append(len(at) // 2)
+            if at:
+                live.append(j)
+                reads.append(itemgetter(*at))
+        for base in K._grades[d]:
+            row = [base + tail for tail in tails]
+            if not pairs.keys().isdisjoint(row):
+                name = next(name for name in row if name in pairs)
                 raise PcsError(
                     f"subdivision name collision on {name!r}; rename the source cubes"
                 )
-            pairs[name] = (cube.name, codes)
-            names[(cube.name, codes)] = name
-    dims, facets = {}, {}
-    for name, (base, codes) in pairs.items():
-        dims[name] = sum(c % 2 for c in codes)
-        if dims[name]:
-            B, F = K._facets[base], []
-            for _, alpha, raw in cell_faces(codes):
-                # only the moved code can reach the outer boundary, 0 or 2p:
-                # at position k that is face (k + 1, alpha) of the base
-                if top * alpha in raw:
-                    k = raw.index(top * alpha)
-                    F.append(names[(B[2 * k + alpha], raw[:k] + raw[k + 1 :])])
-                else:
-                    F.append(names[(base, raw)])
-            facets[name] = tuple(F)
+            base_pairs = [(base, codes) for codes in grid]
+            pairs.update(zip(row, base_pairs))
+            names.update(zip(base_pairs, row))
+            dims.update(zip(row, cell_dims))
+            if d:
+                pool = row + [name for t in K._facets[base] for name in cells[t]]
+                facets.update(zip([row[j] for j in live], [read(pool) for read in reads]))
+            cells[base] = row
     return Subdivision(K, p, PrecubicalSet._adopt(dims, facets, _valid=True), pairs, names)
 
 

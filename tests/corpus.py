@@ -1,6 +1,7 @@
-"""Shared test fixtures: small named complexes, a frozen seeded corpus of
-random complexes (dim <= 3, <= 40 cubes each), built as grid complexes, and
-a mutation generator for PCS text, and sampled paths on faces of cubes."""
+"""Shared test fixtures: small named complexes, a precubical set glued to
+itself with torsion in its homology, a frozen seeded corpus of random
+complexes (dim <= 3, <= 40 cubes each), built as grid complexes, and a
+mutation generator for PCS text, and sampled paths on faces of cubes."""
 import itertools
 import random
 from fractions import Fraction
@@ -26,6 +27,22 @@ def two_squares():
 def l_shape():
     """Three solid squares in an L: a 2x2 block missing its top-right."""
     return grid_complex([(0, 0), (1, 0), (0, 1)])
+
+
+def glued_torsion():
+    """One vertex v0, one loop e0, three squares s0-s2 whose four faces are
+    all e0, and three 3-cubes c0-c2 glued from the squares.  Branching
+    boundaries: c0 -> s1, c1 -> s2, c2 -> 2 s0 - s2, so H2 = Z/2; merging:
+    s2, 2 s0 - s2 and 2 s1 - s2, so H2 = Z/2 + Z/2."""
+    # faces (1,-), (1,+), (2,-), (2,+), (3,-), (3,+)
+    cubes = {"c0": "s1 s2 s0 s2 s0 s2", "c1": "s2 s0 s2 s2 s2 s0", "c2": "s0 s1 s2 s2 s0 s1"}
+    dims = {"v0": 0, "e0": 1, "s0": 2, "s1": 2, "s2": 2, "c0": 3, "c1": 3, "c2": 3}
+    faces = {("e0", 1, alpha): "v0" for alpha in (0, 1)}
+    for s in ("s0", "s1", "s2"):
+        faces.update({(s, i, alpha): "e0" for i in (1, 2) for alpha in (0, 1)})
+    for c, F in cubes.items():
+        faces.update({(c, k // 2 + 1, k % 2): t for k, t in enumerate(F.split())})
+    return PrecubicalSet(dims, faces)
 
 
 def delete_cube(K, name):

@@ -17,10 +17,14 @@ form by a straight-line test, instead of the merged walk and velocities on
 integers, sampled paths by Fraction sums instead of integer numerators,
 the subdivided standard cube as a grid of unit boxes instead of pairs over
 the base cube, the vertices with a nonempty branching complex in closed
-form, total groups summed degree by degree, and the total group with
+form, total groups summed degree by degree, the total group with
 every vertex's homology computed afresh instead of once per shape of
-per-vertex complex.  Tests compare these against the library's own
-answers, so nothing in this file may call the function it is checking.
+per-vertex complex, subdivision with every face of every cell found by
+`cell_faces` and looked up by its (base, codes) pair instead of read from
+a template per base dimension, and PCS text from `cubes` and `face_items`
+instead of the grades and facet tuples.  Tests compare these against the
+library's own answers, so nothing in this file may call the function it
+is checking.
 """
 import random
 import re
@@ -36,6 +40,7 @@ from precubical.core import (
     PcsMorphism,
     PrecubicalSet,
     Violation,
+    cell_faces,
     extremal_cubes,
     initial_states,
     time_reverse,
@@ -473,6 +478,51 @@ def sub_standard(p: int, n: int) -> PrecubicalSet:
     """The order-p subdivided standard n-cube as the grid of its p**n unit
     boxes, cells named by their codes."""
     return grid_complex(product(range(p), repeat=n))
+
+
+def subdivide_reference(K, p: int):
+    """The (pairs, names, dims, facets) tables of `subdivide(K, p)` for a
+    valid K, each cell's faces by `cell_faces` on its codes: a face whose
+    moved code reaches 0 or 2p lies on the base's facet on that side."""
+    if p == 1:
+        pairs = {c.name: (c.name, (1,) * c.dim) for c in K.cubes()}
+        return pairs, {pair: name for name, pair in pairs.items()}, K._dims, K._facets
+    top = 2 * p if K.dim > 0 else 0
+    interior = [*range(1, top, 2), *range(2, top, 2)]
+    suffix = [f".{c // 2}-{c // 2 + 1}" if c % 2 else f".{c // 2}" for c in range(top + 1)]
+    pairs, names = {}, {}
+    for cube in K.cubes():
+        for codes in product(interior, repeat=cube.dim):
+            name = cube.name + "".join(suffix[c] for c in codes)
+            if name in pairs:
+                raise PcsError(
+                    f"subdivision name collision on {name!r}; rename the source cubes"
+                )
+            pairs[name] = (cube.name, codes)
+            names[(cube.name, codes)] = name
+    dims, facets = {}, {}
+    for name, (base, codes) in pairs.items():
+        dims[name] = sum(c % 2 for c in codes)
+        if dims[name]:
+            B, F = K._facets[base], []
+            for _, alpha, raw in cell_faces(codes):
+                if top * alpha in raw:
+                    k = raw.index(top * alpha)
+                    F.append(names[(B[2 * k + alpha], raw[:k] + raw[k + 1 :])])
+                else:
+                    F.append(names[(base, raw)])
+            facets[name] = tuple(F)
+    return pairs, names, dims, facets
+
+
+def emit_reference(K) -> str:
+    """PCS text of K: cubes by (dim, name), then each face entry."""
+    out = ["pcs 1"]
+    for cube in K.cubes():
+        out.append(f"cube {cube.name} {cube.dim}")
+    for (c, i, alpha), t in K.face_items():
+        out.append(f"face {c} {i} {'-+'[alpha]} {t}")
+    return "\n".join(out) + "\n"
 
 
 # -- natural paths ---------------------------------------------------------

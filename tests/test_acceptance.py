@@ -9,7 +9,7 @@ complexes (dimension <= 3, at most 40 cubes each).
 import random
 from fractions import Fraction
 
-from corpus import corpus20, hollow_cube, hollow_square, l_shape, two_squares
+from corpus import corpus20, glued_torsion, hollow_cube, hollow_square, l_shape, two_squares
 from oracles import (
     EMPTY_WORD_NAME,
     boundary_words_of,
@@ -202,6 +202,12 @@ def test_06_branching_homology_reference_values():
         assert graded_iso(branching_homology(standard_cube(n)), free(1))
     assert graded_iso(branching_homology(boundary_cube(2)), free(1, 1))
     assert graded_iso(branching_homology(boundary_cube(3)), free(1, 0, 1))
+    # torsion from a precubical set glued to itself: Z/2 branching, and
+    # Z/2 + Z/2 merging
+    glued = GradedAbelianGroup([(0, ()), (0, ()), (0, (2,))])
+    assert graded_iso(branching_homology(glued_torsion()), glued)
+    glued = GradedAbelianGroup([(0, ()), (0, ()), (0, (2, 2))])
+    assert graded_iso(merging_homology(glued_torsion()), glued)
     for K in CORPUS:
         assert branching_homology(K).rank(0) == len(final_states(K))
 

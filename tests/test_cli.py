@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import mutate
+from corpus import glued_torsion, mutate
 from oracles import parse_reference
 from precubical import cli
 from precubical.cli import run_command
@@ -153,6 +154,38 @@ def test_check_sub():
     assert "branching original H2 = Z" in out
     assert "branching subdivided H2 = Z" in out
     assert "preserves both homologies" in out
+
+
+def test_glued_torsion_through_the_cli(tmp_path):
+    # torsion of a precubical set glued to itself, from its emitted file
+    path = tmp_path / "glued.pcs"
+    path.write_text(emit_pcs(glued_torsion()))
+    branching = "branching H0 = 0\nbranching H1 = 0\nbranching H2 = Z/2\n"
+    merging = "merging H0 = 0\nmerging H1 = 0\nmerging H2 = Z/2 + Z/2\n"
+    assert run("validate", str(path))[0] == 0
+    assert run("homology", str(path)) == (0, branching, "")
+    assert run("homology", "--merging", str(path)) == (0, merging, "")
+    code, out, err = run("check-sub", str(path), "-p", "3")
+    assert code == 0 and err == ""
+    for side, text in (("branching", branching), ("merging", merging)):
+        for which in ("original", "subdivided"):
+            assert text.replace(f"{side} H", f"{side} {which} H") in out
+    assert out.endswith("subdivision by 3 preserves both homologies\n")
+
+
+def test_subdivided_bytes_do_not_depend_on_the_hash_seed():
+    # no order may leak from set or hash iteration: the subdivided hollow
+    # cube is byte for byte the same under two hash seeds, on every Python
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-m", "precubical.cli", "subdivide", str(DATA / "hollow-cube.pcs"),
+            "-p", "3"]
+    for seed in ("0", "1"):
+        proc = subprocess.run(argv, capture_output=True, env=dict(env, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert (proc.stdout.count(b"\n"), len(proc.stdout)) == (651, 15508)
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "eab48d28a1a5dbaa625a4fac59c307ced83f13345c8ea0cfeac3a7c228ebad27"
+        )
 
 
 def test_std_cube_and_boundary():

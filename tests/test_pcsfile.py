@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from corpus import corpus20, mutate
-from oracles import parse_reference, validate_reference
+from oracles import emit_reference, parse_reference, validate_reference
 from precubical.core import (
     EMPTY,
     PrecubicalSet,
@@ -286,6 +286,26 @@ def test_facet_tuples_match_keyed_tables_on_mutations():
             assert parse_pcs(text) == K
         seen["tables"] += 1
     assert seen["tables"] > 100 and seen["violations"] > 50, seen
+
+
+def test_emit_matches_reference_on_mutants_with_holes():
+    # emit writes from the grades and facet tuples, skipping holes, the
+    # text the (cube, axis, end) view gives; mutants loaded leniently
+    # bring holes, faces of the wrong dimension and broken identities
+    sources = [p.read_text() for p in sorted(DATA.glob("*.pcs"))]
+    sources += [emit_pcs(K) for K in corpus20()]
+    rng = random.Random(20261020)
+    holes = 0
+    for n in range(600):
+        text = mutate(rng, sources[n % len(sources)].splitlines())
+        try:
+            K = parse_pcs(text, validate=False)
+        except ParseError:
+            continue
+        holes += any(None in F for F in K._facets.values())
+        assert emit_pcs(K) == emit_reference(K), text
+        assert parse_pcs(emit_pcs(K), validate=False) == K
+    assert holes > 20, holes
 
 
 def test_positioned_errors_come_before_the_slot_bound():

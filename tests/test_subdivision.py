@@ -1,13 +1,21 @@
 import itertools
+import math
 import random
 import time
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from corpus import corpus20, hollow_cube, hollow_square, l_shape
-from oracles import is_isomorphism, sub_standard
+from corpus import corpus20, glued_torsion, hollow_cube, hollow_square, l_shape
+from oracles import (
+    branching_homology_per_vertex,
+    emit_reference,
+    is_isomorphism,
+    sub_standard,
+    subdivide_reference,
+)
 from precubical.complexes import branching_complex
 from precubical.core import (
     PcsError,
@@ -19,9 +27,9 @@ from precubical.core import (
     time_reverse,
     validate,
 )
-from precubical.homology import branching_homology, graded_iso
+from precubical.homology import branching_homology, graded_iso, merging_homology
 from precubical import core
-from precubical.pcsfile import parse_pcs
+from precubical.pcsfile import emit_pcs, parse_pcs
 from precubical.subdivision import grid_complex, normalize_pair, sub_compose_iso, subdivide
 
 
@@ -162,13 +170,19 @@ def test_normalize_pair_confluent():
             assert normalize_pair(K, full, codes, p) == results.pop()
 
 
+def sources():
+    """data/*.pcs, the random corpus, the cubes and their boundaries of
+    dimension 0-4 and the glued fixture."""
+    data = Path(__file__).resolve().parent.parent / "data"
+    out = [parse_pcs(path.read_text()) for path in sorted(data.glob("*.pcs"))]
+    out += corpus20() + [f(n) for n in range(5) for f in (standard_cube, boundary_cube)]
+    return out + [glued_torsion()]
+
+
 def test_subdivided_faces_are_normal_forms_of_their_raw_codes():
     # subdivide reads a face that reaches the outer boundary as one facet of
     # the base cube; normalize_pair rewrites the raw codes one by one
-    data = Path(__file__).resolve().parent.parent / "data"
-    sources = [parse_pcs(path.read_text()) for path in sorted(data.glob("*.pcs"))]
-    sources += corpus20() + [f(n) for n in range(5) for f in (standard_cube, boundary_cube)]
-    for K in sources:
+    for K in sources():
         for p in (2, 3):
             sub = subdivide(K, p)
             for name, (base, codes) in sub.pairs.items():
@@ -177,12 +191,84 @@ def test_subdivided_faces_are_normal_forms_of_their_raw_codes():
                     assert sub.complex.face(name, j, alpha) == sub.names[pair]
 
 
+def test_subdivide_matches_reference():
+    # the template route and the per-cell route build the same tables in
+    # the same order and emit the same text; past p = 1, which returns K
+    # itself, every facet entry is the very str that keys its dims
+    for K in sources():
+        for p in (1, 2, 3, 4):
+            sub = subdivide(K, p)
+            pairs, names, dims, facets = subdivide_reference(K, p)
+            L = sub.complex
+            assert list(sub.pairs.items()) == list(pairs.items())
+            assert list(sub.names.items()) == list(names.items())
+            assert list(L._dims.items()) == list(dims.items())
+            assert list(L._facets.items()) == list(facets.items())
+            key = {c: c for c in L._dims}
+            for c, F in L._facets.items() if p > 1 else ():
+                assert c is key[c] and all(t is key[t] for t in F)
+            assert emit_pcs(L) == emit_reference(L)
+
+
 def test_subdivide_name_collision():
+    # a base vertex named like a cell of another base, and two bases of
+    # dimension 1 and 2 with a cell name in common ("a.0-1.0-1" is the
+    # edge's first cell and the square's): both routes name the same cell
     dims = {"E.1": 0, "v": 0, "E": 1}
     faces = {("E", 1, 0): "E.1", ("E", 1, 1): "v"}
-    K = PrecubicalSet(dims, faces)
-    with pytest.raises(PcsError):
-        subdivide(K, 2)
+    square_dims, square_faces = standard_cube(2).as_tables()
+    dims2 = {"a" if c == "xx" else c: d for c, d in square_dims.items()} | {"a.0-1": 1}
+    faces2 = {("a" if k[0] == "xx" else k[0], *k[1:]): t for k, t in square_faces.items()}
+    faces2 |= {("a.0-1", 1, 0): "00", ("a.0-1", 1, 1): "11"}
+    for K, name in ((PrecubicalSet(dims, faces), "E.1"),
+                    (PrecubicalSet(dims2, faces2), "a.0-1.0-1")):
+        message = f"subdivision name collision on {name!r}; rename the source cubes"
+        with pytest.raises(PcsError) as e:
+            subdivide(K, 2)
+        assert str(e.value) == message
+        with pytest.raises(PcsError) as e:
+            subdivide_reference(K, 2)
+        assert str(e.value) == message
+
+
+def test_subdivide_order_must_be_an_integer():
+    # as for a face axis, a value equal to an int is read as that int and
+    # any other is refused before the complex is looked at, also on a
+    # complex of vertices only, where no grid is built
+    vertices = PrecubicalSet({"a": 0, "b": 0}, {})
+    unchecked = parse_pcs("pcs 1\ncube a 1\n", validate=False)
+    for K in (standard_cube(1), vertices):
+        sub = subdivide(K, 2.0)
+        assert type(sub.order) is int and sub.order == 2
+        assert sub.complex == subdivide(K, 2).complex
+        assert subdivide(K, True).order == 1 and subdivide(K, True).complex is K
+        iso = sub_compose_iso(K, 2.0, 3.0)
+        assert iso.mapping == sub_compose_iso(K, 2, 3).mapping and is_isomorphism(iso)
+        for p in (1.5, 2.5, Fraction(5, 2), "2", None, math.inf, math.nan):
+            for call in (lambda: subdivide(K, p), lambda: subdivide(unchecked, p),
+                         lambda: sub_compose_iso(K, p, 2), lambda: sub_compose_iso(K, 2, p)):
+                with pytest.raises(PcsError, match="subdivision order must be an integer"):
+                    call()
+
+
+def test_glued_torsion_survives_subdivision():
+    # one vertex, a loop, squares and 3-cubes glued to themselves: torsion
+    # from a precubical set through both homologies, the per-vertex route
+    # and subdivision at p = 2, 3, 4
+    K = glued_torsion()
+    assert validate(K) == []
+    branching = ((0, ()), (0, ()), (0, (2,)))
+    merging = ((0, ()), (0, ()), (0, (2, 2)))
+    assert branching_homology(K).groups == branching
+    assert merging_homology(K).groups == merging
+    assert branching_homology_per_vertex(K).groups == branching
+    assert branching_homology_per_vertex(K, "+").groups == merging
+    for p, cells in ((2, 112), (3, 456), (4, 1184)):
+        L = subdivide(K, p).complex
+        assert len(L) == cells and validate(L) == []
+        assert branching_homology(L).groups == branching
+        assert merging_homology(L).groups == merging
+    assert is_isomorphism(sub_compose_iso(K, 2, 3))
 
 
 def test_subdivide_vertices_at_a_huge_order_is_fast():
