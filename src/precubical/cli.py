@@ -5,6 +5,12 @@ exporting per-vertex branching complexes, computing branching/merging
 homology (text or JSON), subdividing, checking subdivision invariance, and
 printing the convergent family of boundary-hugging paths.  Exit codes: 0 on
 success, 1 when an analysis check fails, 2 on bad input.
+
+Arguments that several commands share are defined once in `_build_parser`:
+the input `file`, `--merging` (stored as the side, '+' instead of the
+default '-'), the grid order `-p`, the cube dimension `n` and `-o/--output`.
+The four commands that emit a complex (`subdivide`, `std-cube`, `boundary`,
+`reverse`) differ only in the complex they build; one handler writes it.
 """
 from __future__ import annotations
 
@@ -18,6 +24,9 @@ from fractions import Fraction
 
 from .complexes import assemble_all
 from .core import (
+    MINUS,
+    PLUS,
+    SIDES,
     CubeId,
     PcsError,
     PrecubicalSet,
@@ -45,7 +54,6 @@ from .homology import (
     branching_homology,
     graded_iso,
     group_str,
-    merging_homology,
 )
 from .pcsfile import ParseError, emit_pcs, parse_pcs
 from .subdivision import subdivide
@@ -90,24 +98,18 @@ def _fraction(text: str) -> Fraction:
         ) from None
 
 
-def _write_text(text: str, out, dest: str | None) -> None:
-    if dest is None:
-        out.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
-def _side_name(merging: bool) -> str:
-    return "merging" if merging else "branching"
+_SIDE_NAMES = {MINUS: "branching", PLUS: "merging"}
+_SHOWN_VIOLATIONS = 100  # validate lists at most this many, then counts the rest
 
 
 def _cmd_validate(args, out, err) -> int:
     K = _read_complex(args.file, strict=False)
     problems = validate(K)
     if problems:
-        for v in problems:
+        for v in problems[:_SHOWN_VIOLATIONS]:
             print(f"violation: {v}", file=err)
+        if len(problems) > _SHOWN_VIOLATIONS:
+            print(f"... and {len(problems) - _SHOWN_VIOLATIONS} more", file=err)
         print(f"{args.file}: {len(problems)} violation(s)", file=err)
         return 2
     print(f"{args.file}: ok ({len(K)} cubes, dimension {K.dim})", file=out)
@@ -127,16 +129,14 @@ def _cmd_info(args, out, err) -> int:
 
 
 def _cmd_complex(args, out, err) -> int:
-    K = _read_complex(args.file)
-    side = "+" if args.merging else "-"
-    complexes = assemble_all(K, side)
+    complexes = assemble_all(_read_complex(args.file), args.side)
     if args.vertex is not None:
         if args.vertex not in complexes:
             raise PcsError(f"unknown vertex {args.vertex!r}")
         complexes = {args.vertex: complexes[args.vertex]}
     for v in sorted(complexes):
         B = complexes[v]
-        print(f"vertex {v} {_side_name(args.merging)}", file=out)
+        print(f"vertex {v} {_SIDE_NAMES[args.side]}", file=out)
         for s in B.simplices():
             print(f"simplex {s.name} {s.dim}", file=out)
         for s in B.simplices():
@@ -165,12 +165,8 @@ def _print_group(label: str, G: GradedAbelianGroup, out) -> None:
 
 
 def _cmd_homology(args, out, err) -> int:
-    K = _read_complex(args.file)
-    if args.merging:
-        G = merging_homology(K)
-    else:
-        G = branching_homology(K)
-    side = _side_name(args.merging)
+    G = branching_homology(_read_complex(args.file), args.side)
+    side = _SIDE_NAMES[args.side]
     if args.json:
         print(json.dumps(_group_report(side, G), indent=2), file=out)
     else:
@@ -178,10 +174,14 @@ def _cmd_homology(args, out, err) -> int:
     return 0
 
 
-def _cmd_subdivide(args, out, err) -> int:
-    K = _read_complex(args.file)
-    sub = subdivide(K, args.p)
-    _write_text(emit_pcs(sub.complex), out, args.output)
+def _cmd_emit(args, out, err) -> int:
+    """Write the PCS text of the complex the command builds."""
+    text = emit_pcs(args.build(args))
+    if args.output is None:
+        out.write(text)
+    else:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
     return 0
 
 
@@ -189,35 +189,18 @@ def _cmd_check_sub(args, out, err) -> int:
     K = _read_complex(args.file)
     L = subdivide(K, args.p).complex
     ok = True
-    for merging in (False, True):
-        compute = merging_homology if merging else branching_homology
-        G, GL = compute(K), compute(L)
-        side = _side_name(merging)
-        _print_group(f"{side} original", G, out)
-        _print_group(f"{side} subdivided", GL, out)
+    for side in SIDES:
+        G, GL = branching_homology(K, side), branching_homology(L, side)
+        name = _SIDE_NAMES[side]
+        _print_group(f"{name} original", G, out)
+        _print_group(f"{name} subdivided", GL, out)
         if not graded_iso(G, GL):
             ok = False
-            print(f"{side} homology differs", file=out)
+            print(f"{name} homology differs", file=out)
     if ok:
         print(f"subdivision by {args.p} preserves both homologies", file=out)
         return 0
     return 1
-
-
-def _cmd_std_cube(args, out, err) -> int:
-    _write_text(emit_pcs(standard_cube(args.n)), out, args.output)
-    return 0
-
-
-def _cmd_boundary(args, out, err) -> int:
-    _write_text(emit_pcs(boundary_cube(args.n)), out, args.output)
-    return 0
-
-
-def _cmd_reverse(args, out, err) -> int:
-    K = _read_complex(args.file)
-    _write_text(emit_pcs(time_reverse(K)), out, args.output)
-    return 0
 
 
 def _cmd_demo_no_germs(args, out, err) -> int:
@@ -270,76 +253,45 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a PCS file against the axioms")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_validate)
+    def arg(*names, **options):
+        return names, options
 
-    p = sub.add_parser("info", help="print cube counts and states")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_info)
+    def command(name, summary, *arguments, **defaults):
+        p = sub.add_parser(name, help=summary)
+        for names, options in arguments:
+            p.add_argument(*names, **options)
+        p.set_defaults(**defaults)
 
-    p = sub.add_parser(
-        "complex", help="list the per-vertex branching complexes"
-    )
-    p.add_argument("file")
-    p.add_argument("--vertex", help="only this vertex")
-    p.add_argument(
-        "--merging", action="store_true", help="use the merging side"
-    )
-    p.set_defaults(handler=_cmd_complex)
+    # the arguments several commands share, each defined once
+    file = arg("file")
+    side = arg("--merging", dest="side", action="store_const", const=PLUS, default=MINUS,
+               help="use the merging side")
+    order = arg("-p", type=int, required=True, help="grid order (>= 1)")
+    n = arg("n", type=_natural)
+    output = arg("-o", "--output", help="write here instead of stdout")
 
-    p = sub.add_parser("homology", help="branching or merging homology")
-    p.add_argument("file")
-    p.add_argument(
-        "--merging", action="store_true", help="use the merging side"
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable")
-    p.set_defaults(handler=_cmd_homology)
-
-    p = sub.add_parser("subdivide", help="emit the subdivided complex")
-    p.add_argument("file")
-    p.add_argument("-p", type=int, required=True, help="grid order (>= 1)")
-    p.add_argument("-o", "--output", help="write here instead of stdout")
-    p.set_defaults(handler=_cmd_subdivide)
-
-    p = sub.add_parser(
-        "check-sub",
-        help="verify homology is unchanged by subdivision",
-    )
-    p.add_argument("file")
-    p.add_argument("-p", type=int, required=True, help="grid order (>= 1)")
-    p.set_defaults(handler=_cmd_check_sub)
-
-    p = sub.add_parser("std-cube", help="emit the standard n-cube")
-    p.add_argument("n", type=_natural)
-    p.add_argument("-o", "--output", help="write here instead of stdout")
-    p.set_defaults(handler=_cmd_std_cube)
-
-    p = sub.add_parser("boundary", help="emit the boundary of the n-cube")
-    p.add_argument("n", type=_natural)
-    p.add_argument("-o", "--output", help="write here instead of stdout")
-    p.set_defaults(handler=_cmd_boundary)
-
-    p = sub.add_parser("reverse", help="emit the time-reversed complex")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", help="write here instead of stdout")
-    p.set_defaults(handler=_cmd_reverse)
-
-    p = sub.add_parser(
-        "demo-no-germs",
-        help="print the boundary-hugging family converging to the diagonal",
-    )
-    p.add_argument(
-        "--epsilon",
-        type=_fraction,
-        default="1/2",
-        help="natural length (rational, default 1/2)",
-    )
-    p.add_argument(
-        "--steps", type=int, default=16, help="largest m in the table"
-    )
-    p.set_defaults(handler=_cmd_demo_no_germs)
-
+    command("validate", "check a PCS file against the axioms", file, handler=_cmd_validate)
+    command("info", "print cube counts and states", file, handler=_cmd_info)
+    command("complex", "list the per-vertex branching complexes", file,
+            arg("--vertex", help="only this vertex"), side, handler=_cmd_complex)
+    command("homology", "branching or merging homology", file, side,
+            arg("--json", action="store_true", help="machine-readable"),
+            handler=_cmd_homology)
+    command("subdivide", "emit the subdivided complex", file, order, output, handler=_cmd_emit,
+            build=lambda a: subdivide(_read_complex(a.file), a.p).complex)
+    command("check-sub", "verify homology is unchanged by subdivision", file, order,
+            handler=_cmd_check_sub)
+    command("std-cube", "emit the standard n-cube", n, output, handler=_cmd_emit,
+            build=lambda a: standard_cube(a.n))
+    command("boundary", "emit the boundary of the n-cube", n, output, handler=_cmd_emit,
+            build=lambda a: boundary_cube(a.n))
+    command("reverse", "emit the time-reversed complex", file, output, handler=_cmd_emit,
+            build=lambda a: time_reverse(_read_complex(a.file)))
+    command("demo-no-germs", "print the boundary-hugging family converging to the diagonal",
+            arg("--epsilon", type=_fraction, default="1/2",
+                help="natural length (rational, default 1/2)"),
+            arg("--steps", type=int, default=16, help="largest m in the table"),
+            handler=_cmd_demo_no_germs)
     return parser
 
 
@@ -359,10 +311,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         return code if isinstance(code, int) else 0
     try:
         return args.handler(args, out, err)
-    except (ParseError, PcsError, PathError) as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except OSError as exc:
+    except (PcsError, PathError, OSError) as exc:  # ParseError is a PcsError
         print(f"error: {exc}", file=err)
         return 2
 

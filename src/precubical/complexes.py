@@ -27,6 +27,7 @@ from .core import (
     extremal_partition,
     side_end,
     shown,
+    whole_in,
 )
 
 
@@ -99,7 +100,7 @@ class SemiSimplicialSet(CellStore):
         for (s, i), t in faces.items():
             if s not in self._dims or t not in self._dims:
                 raise PcsError(f"face ({s!r}, {shown(i)}) involves unknown simplices")
-            if not 0 <= i <= self._dims[s] or self._dims[s] == 0:
+            if self._dims[s] == 0 or not whole_in(i, 0, self._dims[s]):
                 raise PcsError(f"face index {shown(i)} out of range on {s!r}")
             if self._dims[t] != self._dims[s] - 1:
                 raise PcsError(f"face ({s!r}, {i}) drops to wrong dimension")

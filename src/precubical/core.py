@@ -60,6 +60,15 @@ def shown(x: object) -> str:
     return repr(x)
 
 
+def whole_in(i: object, lo: int, hi: int) -> bool:
+    """Whether the index i is a whole number in lo..hi; False, not a
+    TypeError, for an index that is no number, such as a str or None."""
+    try:
+        return lo <= i <= hi and i == int(i)
+    except TypeError:
+        return False
+
+
 def side_end(side: str) -> int:
     """The face end a side reads: 0 (start) for '-', 1 (finish) for '+'."""
     if side not in SIDES:
@@ -214,7 +223,7 @@ class PrecubicalSet(CellStore):
             if target not in self._dims:
                 raise UnknownCubeError(f"face of {c!r} targets unknown cube {target!r}")
             alpha, n = check_end(alpha), self._dims[c]
-            if not 1 <= i <= n or i != int(i):
+            if not whole_in(i, 1, n):
                 raise PcsError(f"face axis {shown(i)} out of range 1..{n} on cube {c!r}")
             recorded.setdefault(c, {})[2 * int(i) - 2 + alpha] = target
         self._facets = seal_facets(self._dims, recorded)
@@ -239,7 +248,7 @@ class PrecubicalSet(CellStore):
             return t
         d = self.dim_of(name)
         alpha = check_end(alpha)
-        if not 1 <= i <= d or i != int(i):
+        if not whole_in(i, 1, d):
             raise PcsError(f"face axis {shown(i)} out of range 1..{d} on cube {name!r}")
         raise MissingFaceError(f"cube {name!r} has no face ({i}, {SIDES[alpha]})")
 

@@ -1,8 +1,11 @@
+import argparse
 import hashlib
 import io
 import json
 import os
 import random
+import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -14,8 +17,9 @@ from corpus import glued_torsion, mutate
 from oracles import parse_reference
 from precubical import cli
 from precubical.cli import run_command
-from precubical.core import standard_cube, time_reverse
+from precubical.core import boundary_cube, standard_cube, time_reverse
 from precubical.pcsfile import emit_pcs, parse_pcs
+from precubical.subdivision import subdivide
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -40,6 +44,26 @@ def test_validate_reports_violations(tmp_path):
     code, out, err = run("validate", str(bad))
     assert code == 2
     assert "violation" in err and "1 violation(s)" in err
+
+
+def test_validate_output_is_bounded(tmp_path):
+    # a cube declared without faces misses all 2n of them: validate lists
+    # the first 100 violations and counts the rest
+    huge = tmp_path / "huge.pcs"
+    huge.write_text("pcs 1\ncube a 200000\n")
+    code, out, err = run("validate", str(huge))
+    lines = err.splitlines()
+    assert (code, out, len(lines)) == (2, "", 102)
+    assert lines[0] == "violation: a: missing face (1, -)"
+    assert lines[99] == "violation: a: missing face (50, +)"
+    assert lines[100:] == ["... and 399900 more", f"{huge}: 400000 violation(s)"]
+    assert len(err) < 4000 + len(str(huge))
+    # exactly 100 violations are all listed, with no count line
+    huge.write_text("pcs 1\ncube a 50\n")
+    code, out, err = run("validate", str(huge))
+    lines = err.splitlines()
+    assert (code, len(lines)) == (2, 101)
+    assert lines[-2:] == ["violation: a: missing face (50, +)", f"{huge}: 100 violation(s)"]
 
 
 def test_validate_syntax_error(tmp_path):
@@ -203,6 +227,50 @@ def test_std_cube_and_boundary():
     assert code == 2 and "integer >= 0" in err
 
 
+def _library(build, name):
+    return lambda: build(parse_pcs((DATA / name).read_text()))
+
+
+@pytest.mark.parametrize("argv, build", [
+    (["std-cube", "3"], lambda: standard_cube(3)),
+    (["boundary", "3"], lambda: boundary_cube(3)),
+    (["reverse", str(DATA / "l-shape.pcs")], _library(time_reverse, "l-shape.pcs")),
+    (["subdivide", str(DATA / "square.pcs"), "-p", "2"],
+     _library(lambda K: subdivide(K, 2).complex, "square.pcs")),
+], ids=["std-cube", "boundary", "reverse", "subdivide"])
+def test_emit_commands_write_the_library_complex(tmp_path, argv, build):
+    # stdout and the -o file hold the same bytes as emit_pcs of the library result
+    want = emit_pcs(build())
+    assert run(*argv) == (0, want, "")
+    dest = tmp_path / "out.pcs"
+    assert run(*argv, "-o", str(dest)) == (0, "", "")
+    assert dest.read_bytes() == want.encode("utf-8")
+
+
+def test_every_subcommand_answers_help():
+    (commands,) = [action.choices for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert len(commands) == 10
+    for name in commands:
+        code, out, err = run(name, "--help")
+        assert (code, err) == (0, ""), name
+        assert out.startswith(f"usage: pcs {name} "), name
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    # every line of the README's command-line block exits 0 without a complaint
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(lines) == 11 and all(argv[0] == "pcs" for argv in lines)
+    shutil.copytree(DATA, tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        code, out, err = run(*argv[1:])
+        assert (code, err) == (0, ""), argv
+    assert parse_pcs((tmp_path / "sub3.pcs").read_text()).counts()[2] == 9
+
+
 def test_hostile_sizes_exit_2_fast():
     hollow = str(DATA / "hollow-cube.pcs")
     for argv in (["std-cube", "20"], ["boundary", "20"], ["std-cube", "1000000000"],
@@ -327,7 +395,7 @@ def test_huge_epsilon_exits_2_fast():
 
 
 def test_library_errors_are_not_bad_input(monkeypatch):
-    def broken(K):
+    def broken(K, side):
         raise ValueError("a bug, not bad input")
 
     monkeypatch.setattr(cli, "branching_homology", broken)

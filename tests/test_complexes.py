@@ -53,6 +53,10 @@ def test_union_find():
 def test_semi_simplicial_rejects_holes_and_broken_identities():
     with pytest.raises(PcsError):
         SemiSimplicialSet({"s": 1, "a": 0}, {("s", 0): "a"})
+    # an index that is no whole number is out of range, not a missing face
+    for index, shown in (("1", "'1'"), (None, "None"), (0.5, "0.5")):
+        with pytest.raises(PcsError, match=f"^face index {re.escape(shown)} out of range on 's'$"):
+            SemiSimplicialSet({"s": 1, "a": 0}, {("s", 0): "a", ("s", index): "a"})
     # a triangle on vertices v0 < v1 < v2: d_i drops the i-th vertex
     dims = {"t": 2, "e0": 1, "e1": 1, "e2": 1, "v0": 0, "v1": 0, "v2": 0}
     faces = {

@@ -184,6 +184,7 @@ def test_face_lookup_errors_in_order():
     assert _failure(lambda: S.face("e", 2)) == (PcsError, "face index 2 out of range on 'e'")
     assert _failure(lambda: S.face("e", -1)) == (PcsError, "face index -1 out of range on 'e'")
     assert _failure(lambda: S.face("u", 0)) == (PcsError, "face index 0 out of range on 'u'")
+    assert _failure(lambda: S.face("e", "1")) == (PcsError, "face index '1' out of range on 'e'")
 
 
 def test_extremal_vertex_route_independent():
@@ -566,10 +567,10 @@ def test_face_axes_given_as_other_numbers_read_as_ints():
 
 
 def test_face_lookup_refuses_a_non_integral_axis():
-    # an axis strictly between two axes is out of range, not a hole: the
-    # lookup words it as the constructor does
+    # an axis strictly between two axes, or no number at all, is out of
+    # range, not a hole: the lookup words it as the constructor does
     K = standard_cube(2)
-    for axis, shown in ((Fraction(3, 2), "3/2"), (1.5, "1.5")):
+    for axis, shown in ((Fraction(3, 2), "3/2"), (1.5, "1.5"), ("1", "'1'"), (None, "None")):
         message = f"face axis {shown} out of range 1..2 on cube 'xx'"
         assert _failure(lambda: K.face("xx", axis, 0)) == (PcsError, message)
         assert _failure(lambda: K.face("xx", axis, 1)) == (PcsError, message)

@@ -250,7 +250,7 @@ def test_embed_face():
 
 def test_embed_face_refuses_a_non_integral_axis():
     edge = make_path(CubeId("0x", 1), F(1, 2), (0, F(1, 2)), ((0,), (F(1, 2),)))
-    for axis, shown in ((F(3, 2), "3/2"), (1.5, "1.5")):
+    for axis, shown in ((F(3, 2), "3/2"), (1.5, "1.5"), ("1", "'1'"), (None, "None")):
         with pytest.raises(PcsError) as caught:
             embed_face(edge, standard_cube(2), "xx", axis)
         assert type(caught.value) is PcsError
