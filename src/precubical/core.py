@@ -69,6 +69,18 @@ def whole_in(i: object, lo: int, hi: int) -> bool:
         return False
 
 
+def whole(x: object, what: str, error=PcsError) -> int:
+    """x as an int if it equals one, as 2.0 and True do; for anything else,
+    such as 1.5, "2" or None, raise error naming `what` and x."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise error(f"{what} must be an integer, got {shown(x)}")
+    return n
+
+
 def side_end(side: str) -> int:
     """The face end a side reads: 0 (start) for '-', 1 (finish) for '+'."""
     if side not in SIDES:
@@ -450,11 +462,12 @@ def _cube_cells(n: int, what: str) -> dict[Codes, str]:
 
 def standard_cube(n: int) -> PrecubicalSet:
     """The standard n-cube: one top cell, all faces, 3**n <= MAX_CELLS cubes."""
-    return _grid(_cube_cells(n, "the standard"))
+    return _grid(_cube_cells(whole(n, "dimension"), "the standard"))
 
 
 def boundary_cube(n: int) -> PrecubicalSet:
     """The boundary of the standard n-cube; empty for n = 0."""
+    n = whole(n, "dimension")
     cells = _cube_cells(n, "the boundary of the standard")
     del cells[(1,) * n]
     return _grid(cells)

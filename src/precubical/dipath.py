@@ -20,6 +20,10 @@ Two paths are compared and combined in one merged walk over both
 breakpoint lists.  The walk, canonical form and `sample` compute on
 integers, one common denominator per step, and build a Fraction only for a
 stored coordinate or a returned distance; `at` interpolates on Fractions.
+Beside its Fractions a path carries its breakpoints in that integer form,
+`_points`, built once where the path is built, so a walk or `restrict`
+reads them instead of rebuilding them.  They are no field: equality, hash
+and repr see only the Fractions.
 
 The family `gamma_h` witnesses how germs behave badly: each gamma_h runs
 along the boundary edge until time h and is therefore germ-equal to a
@@ -32,9 +36,9 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .core import STAR, CubeId, PrecubicalSet, check_valid, shown
+from .core import MAX_CELLS, STAR, CubeId, PrecubicalSet, check_valid, shown, whole
 
 Rational = Fraction | int
 
@@ -58,6 +62,15 @@ def _point(t, v) -> tuple:
     v = V/d, d the lcm of the point's denominators."""
     d = lcm(*(x.denominator for x in v))
     return t.numerator, t.denominator, d, tuple(x.numerator * (d // x.denominator) for x in v)
+
+
+def _reduced(t: Fraction, d: int, V: tuple) -> tuple:
+    """The breakpoint (t, V/d) as `_point` builds it: d / gcd(d, *V) is the
+    lcm of the point's denominators."""
+    g = gcd(d, *V)
+    if g > 1:
+        d, V = d // g, tuple([x // g for x in V])
+    return t.numerator, t.denominator, d, V
 
 
 def _keep(points) -> list[int]:
@@ -153,9 +166,12 @@ class PLNaturalPath:
             raise PathError(
                 f"natural length {shown(times[-1])} exceeds the carrier dimension {shown(n)}"
             )
-        times, values = _canonical(times, values)
+        points = [_point(t, v) for t, v in zip(times, values)]
+        keep = _keep(points)
+        times, values = tuple(times[k] for k in keep), tuple(values[k] for k in keep)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_points", [points[k] for k in keep])
         for k, v in enumerate(values):
             total = Fraction(0)
             for i, x in enumerate(v):
@@ -177,13 +193,14 @@ class PLNaturalPath:
                 )
 
     @classmethod
-    def _adopt(cls, carrier: CubeId, times: tuple, values: tuple) -> PLNaturalPath:
+    def _adopt(cls, carrier: CubeId, times: tuple, values: tuple, points: list) -> PLNaturalPath:
         """A path from breakpoints already natural and canonical, stored as
-        given."""
+        given with their `_points`."""
         self = cls.__new__(cls)
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_points", points)
         return self
 
     @property
@@ -211,7 +228,10 @@ class PLNaturalPath:
 
 
 def standard_carrier(n: int) -> CubeId:
-    """The standard n-cube as a path carrier."""
+    """The standard n-cube as a path carrier, n at most MAX_CELLS."""
+    n = whole(n, "dimension", PathError)
+    if n > MAX_CELLS:
+        raise PathError(f"dimension must be at most {MAX_CELLS}, got {shown(n)}")
     return CubeId(STAR * n, n)
 
 
@@ -239,9 +259,11 @@ def restrict(path: PLNaturalPath, eps2: Rational) -> PLNaturalPath:
             f"restriction length {shown(eps2)} outside (0, {shown(path.eps)}]"
         )
     # the new last point lies on the old segment, so the prefix stays canonical
-    k = bisect_left(path.times, eps2)
+    k, P = bisect_left(path.times, eps2), path._points
+    point = _reduced(eps2, *_at(P, k, eps2.numerator, eps2.denominator))
+    value = tuple([Fraction(x, point[2]) for x in point[3]])
     return PLNaturalPath._adopt(
-        path.carrier, path.times[:k] + (eps2,), path.values[:k] + (path.at(eps2),)
+        path.carrier, path.times[:k] + (eps2,), path.values[:k] + (value,), P[:k] + [point]
     )
 
 
@@ -252,10 +274,12 @@ def extend_full(path: PLNaturalPath) -> PLNaturalPath:
     if path.eps == n:
         raise PathError(f"the path already reaches the far corner at time {shown(n)}")
     # the prefix is canonical, so only the old endpoint can drop
-    times, values = _canonical(
-        path.times[-2:] + (Fraction(n),), path.values[-2:] + ((Fraction(1),) * n,)
+    P, corner = path._points, (n, 1, 1, (1,) * n)
+    k = len(P) + len(_keep(P[-2:] + [corner])) - 3
+    return PLNaturalPath._adopt(
+        path.carrier, path.times[:k] + (Fraction(n),), path.values[:k] + ((Fraction(1),) * n,),
+        P[:k] + [corner],
     )
-    return PLNaturalPath._adopt(path.carrier, path.times[:-2] + times, path.values[:-2] + values)
 
 
 def _check_carriers(a: PLNaturalPath, b: PLNaturalPath) -> None:
@@ -272,12 +296,13 @@ def _check_comparable(a: PLNaturalPath, b: PLNaturalPath) -> None:
         raise PathError(f"natural lengths differ: {shown(a.eps)} and {shown(b.eps)}")
 
 
-def _adopt_points(carrier: CubeId, times, points) -> PLNaturalPath:
-    """The path through the breakpoints (n, r, d, V) at the given times, in
-    canonical form, with one Fraction per stored coordinate."""
-    keep = _keep(points)
-    values = tuple(tuple(Fraction(x, points[k][2]) for x in points[k][3]) for k in keep)
-    return PLNaturalPath._adopt(carrier, tuple(times[k] for k in keep), values)
+def _adopt_points(carrier: CubeId, times, points, keep) -> PLNaturalPath:
+    """The path through the breakpoints (n, r, d, V) at the given times
+    that `keep` indexes, which must leave it canonical, with one Fraction
+    per stored coordinate."""
+    kept = [_reduced(times[k], *points[k][2:]) for k in keep]
+    values = tuple([tuple([Fraction(x, d) for x in V]) for _, _, d, V in kept])
+    return PLNaturalPath._adopt(carrier, tuple([times[k] for k in keep]), values, kept)
 
 
 def _at(points, k: int, n: int, r: int) -> tuple:
@@ -287,7 +312,7 @@ def _at(points, k: int, n: int, r: int) -> tuple:
     P, Q = (n * r0 - n0 * r) * r1, (n1 * r0 - n0 * r1) * r
     L = lcm(d0, d1)
     k0, k1 = L // d0 * (Q - P), L // d1 * P
-    return L * Q, tuple(x * k0 + y * k1 for x, y in zip(V0, V1))
+    return L * Q, tuple([x * k0 + y * k1 for x, y in zip(V0, V1)])
 
 
 def _walk(a: PLNaturalPath, b: PLNaturalPath):
@@ -295,8 +320,7 @@ def _walk(a: PLNaturalPath, b: PLNaturalPath):
     both, with a(t) = A/d and b(t) = B/d, d the lcm of their denominators:
     a path's own breakpoint gives its stored point, the other path's an
     interpolated one.  Both paths end at the same time."""
-    pa = [_point(t, v) for t, v in zip(a.times, a.values)]
-    pb = [_point(t, v) for t, v in zip(b.times, b.values)]
+    pa, pb = a._points, b._points
     i = j = 0
     while i < len(pa):
         (n, r, da, A), (m, s, db, B) = pa[i], pb[j]
@@ -308,7 +332,7 @@ def _walk(a: PLNaturalPath, b: PLNaturalPath):
         d = lcm(da, db)
         ka, kb = d // da, d // db
         t = a.times[i] if x <= y else b.times[j]
-        yield t, d, tuple(v * ka for v in A), tuple(v * kb for v in B)
+        yield t, d, [v * ka for v in A], [v * kb for v in B]
         i, j = i + (x <= y), j + (y <= x)
 
 
@@ -321,7 +345,7 @@ def sup_distance(a: PLNaturalPath, b: PLNaturalPath) -> Fraction:
     _check_comparable(a, b)
     best, over = 0, 1
     for _, d, A, B in _walk(a, b):
-        gap = max(abs(x - y) for x, y in zip(A, B))
+        gap = max([abs(x - y) for x, y in zip(A, B)])
         if gap * over > best * d:
             best, over = gap, d
     return Fraction(best, over)
@@ -338,9 +362,9 @@ def convex_comb(u: Rational, a: PLNaturalPath, b: PLNaturalPath) -> PLNaturalPat
     times, points = [], []
     for t, d, A, B in _walk(a, b):
         times.append(t)
-        C = tuple((q - p) * x + p * y for x, y in zip(A, B))
+        C = tuple([(q - p) * x + p * y for x, y in zip(A, B)])
         points.append((t.numerator, t.denominator, q * d, C))
-    return _adopt_points(a.carrier, times, points)
+    return _adopt_points(a.carrier, times, points, _keep(points))
 
 
 def zero_set(path: PLNaturalPath) -> frozenset[int]:
@@ -370,7 +394,8 @@ def embed_face(path: PLNaturalPath, K: PrecubicalSet, c: str, i: int) -> PLNatur
         )
     zero, k = Fraction(0), int(i) - 1
     values = tuple(v[:k] + (zero,) + v[k:] for v in path.values)
-    return PLNaturalPath._adopt(CubeId(c, n + 1), path.times, values)
+    points = [(t, r, d, V[:k] + (0,) + V[k:]) for t, r, d, V in path._points]
+    return PLNaturalPath._adopt(CubeId(c, n + 1), path.times, values, points)
 
 
 def germ_equal(a: PLNaturalPath, b: PLNaturalPath, eps2: Rational) -> bool:
@@ -384,12 +409,27 @@ def germ_equal(a: PLNaturalPath, b: PLNaturalPath, eps2: Rational) -> bool:
     return restrict(a, eps2) == restrict(b, eps2)
 
 
+def _size(n: int, m: int) -> tuple[int, int]:
+    """n and m as the dimension and interior breakpoint count of a path
+    that stores at most MAX_CELLS coordinates, n (m + 2)."""
+    n, m = whole(n, "dimension", PathError), whole(m, "interior breakpoint count", PathError)
+    if n < 1:
+        raise PathError("dimension must be >= 1")
+    if m < 0:
+        raise PathError("interior breakpoint count must be >= 0")
+    if n * (m + 2) > MAX_CELLS:
+        raise PathError(
+            f"a path in dimension {shown(n)} with {shown(m)} interior breakpoints "
+            f"would store more than {MAX_CELLS} coordinates"
+        )
+    return n, m
+
+
 def diagonal_path(n: int, eps: Rational) -> PLNaturalPath:
     """The straight diagonal of length eps in the n-cube: every coordinate
     grows at rate 1/n."""
     eps = _frac(eps, "eps")
-    if n < 1:
-        raise PathError("dimension must be >= 1")
+    n, _ = _size(n, 0)
     return make_path(
         standard_carrier(n),
         eps,
@@ -433,10 +473,7 @@ def sample(n: int, eps: Rational, m: int, seed: int) -> PLNaturalPath:
     directions so the canonical form keeps all m breakpoints; for n = 1
     naturality leaves only the straight path, which has none.
     """
-    if n < 1:
-        raise PathError("dimension must be >= 1")
-    if m < 0:
-        raise PathError("interior breakpoint count must be >= 0")
+    n, m = _size(n, m)
     eps = _frac(eps, "eps")
     if not 0 < eps < 1:
         raise PathError(f"natural length must be in (0, 1), got {shown(eps)}")
@@ -455,7 +492,9 @@ def sample(n: int, eps: Rational, m: int, seed: int) -> PLNaturalPath:
         prev = split, S
         W, new = W + e * w, lcm(d, f * S)
         k, step = new // d, e * w * (new // (f * S))
-        d, V = new, tuple(x * k + step * y for x, y in zip(V, split))
+        d, V = new, tuple([x * k + step * y for x, y in zip(V, split)])
         times.append(Fraction(W, f))
         points.append((W, f, d, V))
-    return _adopt_points(standard_carrier(n), times, points)
+    # a new direction is a new velocity, so only n = 1 drops breakpoints
+    keep = range(m + 2) if n > 1 else (0, m + 1)
+    return _adopt_points(standard_carrier(n), times, points, keep)

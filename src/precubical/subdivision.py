@@ -34,6 +34,7 @@ from .core import (
     check_cells,
     check_valid,
     shown,
+    whole,
 )
 
 Pair = tuple[str, Codes]
@@ -98,13 +99,7 @@ def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
     with each other (possible only when cube names of K already look like
     subdivision names).
     """
-    try:
-        order = int(p)
-    except (TypeError, ValueError, OverflowError):
-        order = None
-    if order is None or order != p:  # as a face axis: 2.0 and True are ints
-        raise PcsError(f"subdivision order must be an integer, got {shown(p)}")
-    p = order
+    p = whole(p, "subdivision order")
     if p < 1:
         raise PcsError(f"subdivision order must be >= 1, got {shown(p)}")
     check_valid(K)

@@ -623,6 +623,23 @@ def test_dimensions_past_the_bound_are_refused_fast():
     assert len(PrecubicalSet({"a": 10**6}, {})) == 1
 
 
+def test_cube_dimension_must_be_an_integer():
+    # as for a subdivision order: a value equal to an int is read as that
+    # int, any other is a PcsError naming it; a negative int stays a ValueError
+    assert standard_cube(2.0) == standard_cube(2) and boundary_cube(3.0) == boundary_cube(3)
+    assert standard_cube(True) == standard_cube(1)
+    for n, shown in ((2.5, "2.5"), ("2", "'2'"), (None, "None"), (Fraction(5, 2), "5/2"),
+                     (float("inf"), "inf"), (float("nan"), "nan")):
+        for build in (standard_cube, boundary_cube):
+            with pytest.raises(PcsError) as caught:
+                build(n)
+            assert type(caught.value) is PcsError
+            assert str(caught.value) == f"dimension must be an integer, got {shown}"
+    for build in (standard_cube, boundary_cube):
+        with pytest.raises(ValueError, match="^dimension must be >= 0$"):
+            build(-1)
+
+
 def test_attach_cube_refuses_a_huge_boundary_fast():
     # the slot count is compared before the slots are built
     K, n = boundary_cube(1), 3 * 10**6

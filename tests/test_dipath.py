@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from decimal import Decimal
@@ -13,11 +14,20 @@ from oracles import (
     sample_reference,
     sup_distance_reference,
 )
-from precubical.core import CubeId, PcsError, UnknownCubeError, boundary_cube, standard_cube
+from precubical import dipath
+from precubical.core import (
+    MAX_CELLS,
+    CubeId,
+    PcsError,
+    UnknownCubeError,
+    boundary_cube,
+    standard_cube,
+)
 from precubical.dipath import (
     PathError,
     PLNaturalPath,
     _canonical,
+    _point,
     convex_comb,
     diagonal_path,
     embed_face,
@@ -455,6 +465,60 @@ def test_walk_does_not_read_points_through_at(monkeypatch):
     assert [(sup_distance(a, b), convex_comb(u, a, b)) for a, b, u in pairs] == want
 
 
+def carries_its_points(p):
+    """Whether the integer breakpoints a path carries are `_point` of its
+    stored Fractions."""
+    return p._points == [_point(t, v) for t, v in zip(p.times, p.values)]
+
+
+def test_every_route_carries_its_integer_points():
+    # each way to build a path carries the integer form of its breakpoints,
+    # and pairs from different routes walk as the Fraction references do;
+    # restrict cuts mid-segment, at a breakpoint and past the old length
+    rng, grid = random.Random(23), [F(k, 12) for k in range(1, 12)]
+    pairs = 0
+    for seed in range(60):
+        n, eps = 1 + seed % 4, F(rng.randint(1, 9), 10)
+        a = sample(n, eps, rng.randint(1, 6), seed)  # n = 1 keeps no interior breakpoint
+        times, values = random_path(rng, n, eps, rng.sample(grid, rng.randrange(6)))
+        b = PLNaturalPath(a.carrier, times, values)
+        full_a, full_b = extend_full(a), extend_full(b)
+        back = restrict(full_a, eps)
+        u = F(rng.randint(0, 12), 12)
+        K, c, i = standard_cube(n + 1), "x" * (n + 1), rng.randint(1, n + 1)
+        lifted = embed_face(PLNaturalPath(CubeId(K.face(c, i, 0), n), a.times, a.values), K, c, i)
+        on_cube = [lifted, diagonal_path(n + 1, eps)]
+        if n == 1:
+            on_cube.append(gamma_h(eps * F(rng.randint(1, 9), 10), eps))
+        s = n * F(rng.randint(1, 12), 12)
+        groups = [
+            [a, b, make_path(a.carrier, eps, times, values), diagonal_path(n, eps), back],
+            on_cube,
+            [restrict(full_a, s), restrict(full_b, s)],
+            [restrict(a, eps * u or eps), restrict(b, eps * u or eps)],
+        ]
+        for p in (full_a, full_b, *itertools.chain(*groups)):
+            assert carries_its_points(p)
+        groups[0].append(convex_comb(u, back, b))
+        assert carries_its_points(groups[0][-1]) and back == a
+        for group in groups:
+            for x, y in itertools.combinations(group, 2):
+                assert sup_distance(x, y) == sup_distance_reference(x, y)
+                c = convex_comb(u, x, y)
+                assert carries_its_points(c)
+                assert (c.times, c.values) == convex_comb_reference(u, x, y)
+                pairs += 1
+    assert pairs > 1000
+
+
+def test_carried_points_are_no_field():
+    a = sample(3, F(1, 2), 5, 4)
+    again = PLNaturalPath(a.carrier, a.times, a.values)
+    assert a._points == again._points
+    assert a == again and hash(a) == hash(again) and repr(a) == repr(again)
+    assert "_points" not in repr(a) and sup_distance(a, again) == 0
+
+
 def primes_above_a_million(count):
     """The first `count` primes above 10**6, by a sieve of one segment."""
     lo, span = 10**6, 40_000
@@ -557,3 +621,60 @@ def test_huge_fractions_in_path_messages_are_shown_fast(call, shown):
     with pytest.raises(PathError, match=shown):
         call(d)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n, shown", [
+    (1.5, "1.5"), ("2", "'2'"), (None, "None"), (F(5, 2), "5/2"), (float("nan"), "nan"),
+])
+def test_path_sizes_must_be_integers(n, shown):
+    # as for a subdivision order: a value equal to an int is read as that
+    # int, any other is a PathError naming it
+    eps = F(1, 2)
+    for call, what in (
+        (lambda: sample(2, eps, n, 0), "interior breakpoint count"),
+        (lambda: sample(n, eps, 1, 0), "dimension"),
+        (lambda: diagonal_path(n, eps), "dimension"),
+        (lambda: standard_carrier(n), "dimension"),
+    ):
+        with pytest.raises(PathError) as caught:
+            call()
+        assert str(caught.value) == f"{what} must be an integer, got {shown}"
+    assert sample(2.0, eps, 3.0, 7) == sample(2, eps, 3, 7)
+    assert type(sample(2.0, eps, 3.0, 7).dim) is int
+    p = sample(True, eps, 1, 0)
+    assert type(p.dim) is int and p == diagonal_path(1, eps)
+    assert diagonal_path(2.0, eps) == diagonal_path(2, eps)
+    assert standard_carrier(True) == standard_carrier(1) and type(standard_carrier(True).dim) is int
+
+
+def test_hostile_path_sizes_are_refused_fast():
+    # refused before any breakpoint is drawn or any coordinate stored
+    eps, start = F(1, 2), time.perf_counter()
+    for call in (
+        lambda: sample(1, eps, 10**6, 0),
+        lambda: sample(10**6, eps, 0, 0),
+        lambda: sample(3, eps, 10**5000, 0),
+        lambda: diagonal_path(10**6, eps),
+        lambda: diagonal_path(10**7, eps),
+        lambda: diagonal_path(10**5000, eps),
+    ):
+        with pytest.raises(PathError, match=f"would store more than {MAX_CELLS} coordinates$"):
+            call()
+    with pytest.raises(PathError, match="^dimension must be at most 1000000, got <100[+] digits>$"):
+        standard_carrier(10**5000)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_path_sizes_are_bounded_exactly(monkeypatch):
+    # n (m + 2) stored coordinates may reach the bound, not pass it
+    monkeypatch.setattr(dipath, "MAX_CELLS", 12)
+    eps = F(1, 2)
+    assert len(sample(3, eps, 2, 0).times) == 4 and diagonal_path(6, eps).dim == 6
+    with pytest.raises(PathError, match="^a path in dimension 3 with 3 interior breakpoints "
+                       "would store more than 12 coordinates$"):
+        sample(3, eps, 3, 0)
+    with pytest.raises(PathError, match="^a path in dimension 7 with 0 interior breakpoints"):
+        diagonal_path(7, eps)
+    assert standard_carrier(12).dim == 12
+    with pytest.raises(PathError, match="^dimension must be at most 12, got 13$"):
+        standard_carrier(13)
