@@ -230,6 +230,8 @@ class PLNaturalPath:
 def standard_carrier(n: int) -> CubeId:
     """The standard n-cube as a path carrier, n at most MAX_CELLS."""
     n = whole(n, "dimension", PathError)
+    if n < 1:
+        raise PathError(f"dimension must be >= 1, got {shown(n)}")
     if n > MAX_CELLS:
         raise PathError(f"dimension must be at most {MAX_CELLS}, got {shown(n)}")
     return CubeId(STAR * n, n)

@@ -13,13 +13,16 @@ most MAX_CELLS) and axes are ASCII decimal digits only: other Unicode digits
 such as '²' or '٣' are errors.  Tokens are separated by any whitespace.
 Forward references are fine; duplicate declarations are errors.
 
-`parse_pcs` reads a file in two passes: a syntax pass over every line, then
-duplicates and references in file order, so the first error reported is the
-first syntax error if there is one.  Each ParseError carries the 1-based
-line and column of the offending token.  The syntax pass checks each
-distinct name, (axis, sign) pair and dimension token once, at its first
-line, and keeps one str object per cube name: every facet tuple holds the
-very object that keys the cube's dimension, so later lookups hit by identity.
+`parse_pcs` first runs a fast pass that keeps no line numbers: it needs the
+header `pcs 1` on line 1 and no '#', and fills one slot list per cube.  At
+the first irregularity of any kind it drops what it built, and the checked
+parser, the error path, reads the file in two passes: a syntax pass over
+every line, then duplicates and references in file order, so the first
+error reported is the first syntax error if there is one.  Each ParseError
+carries the 1-based line and column of the offending token.  Both routes
+check each distinct name, (axis, sign) pair and dimension token once, and
+keep one str object per cube name: every facet tuple holds the very object
+that keys the cube's dimension, so later lookups hit by identity.
 
 `parse_pcs` is strict by default (the complex must satisfy the precubical
 axioms); pass validate=False to accept structurally well-formed input with
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import re
 
+from . import core
 from .core import MAX_CELLS, NAME_RE, PLUS, SIDES, PcsError, PrecubicalSet, seal_facets
 from .core import validate as validate_complex, violations_message
 
@@ -70,6 +74,77 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
     out-of-range face axes, and (unless validate=False) on complexes that
     fail the precubical axioms.
     """
+    dims, facets = _fast_tables(text) or _checked_tables(text)
+    K = PrecubicalSet._adopt(dims, facets, _valid=False)
+    if validate:
+        violations = validate_complex(K)
+        if violations:
+            raise ParseError(violations_message(violations))
+    return K
+
+
+def _fast_tables(text: str) -> tuple[dict, dict] | None:
+    """(dims, facets) of a well-formed file, or None at its first
+    irregularity of any kind, for `_checked_tables` to find and place."""
+    lines = iter(text.splitlines())  # freed once the loop has read them all
+    if next(lines, None) != "pcs 1" or "#" in text:
+        return None
+    names: dict[str, str] = {}
+    name = names.setdefault
+    slot_of: dict[tuple[str, str], int] = {}
+    dim_of: dict[str, int] = {}
+    # (name, dim) per cube; face j fills slot slots[j] of owners[j] with targets[j]
+    cubes, owners, slots, targets = [], [], [], []
+    for raw in lines:
+        tokens = raw.split()
+        if len(tokens) == 5 and tokens[0] == "face":
+            _, cube, axis, sign, target = tokens
+            k = slot_of.get((axis, sign))
+            if k is None:
+                i = _digits_value(axis)
+                if i < 1 or sign not in SIDES:
+                    return None
+                k = slot_of[axis, sign] = 2 * i - 2 + (sign == PLUS)
+            owners.append(name(cube, cube))
+            slots.append(k)
+            targets.append(name(target, target))
+        elif len(tokens) == 3 and tokens[0] == "cube":
+            _, cube, dim = tokens
+            d = dim_of.get(dim)
+            if d is None:
+                d = dim_of[dim] = _digits_value(dim)
+                if not 0 <= d <= MAX_CELLS:
+                    return None
+            cubes.append((name(cube, cube), d))
+        elif tokens:
+            return None
+
+    dims = dict(cubes)
+    if not len(cubes) == len(dims) == len(names) or not all(map(NAME_RE.match, dims)):
+        return None
+    # holes = slots - faces, bounded before each list is allocated; the bound
+    # is read at call time, as seal_facets reads it
+    facets: dict = {}
+    holes, bound = -len(slots), core.MAX_CELLS
+    for cube, k, target in zip(owners, slots, targets):
+        F = facets.get(cube)
+        if F is None:
+            holes += 2 * dims[cube]
+            if holes > bound:
+                return None
+            F = facets[cube] = [None] * (2 * dims[cube])
+        if k >= len(F) or F[k] is not None:
+            return None
+        F[k] = target
+    del owners, slots, targets
+    for cube, F in facets.items():  # each list is freed as its tuple replaces it
+        facets[cube] = tuple(F)
+    return dims, facets
+
+
+def _checked_tables(text: str) -> tuple[dict, dict]:
+    """(dims, facets) of a file read in the two checked passes: the error
+    raised is the file's first, at its line and column."""
     def error(message: str, line_no: int, k: int) -> ParseError:
         return ParseError(message, line_no, _col(text.splitlines()[line_no - 1], k))
 
@@ -161,12 +236,7 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
         F[k] = target
 
     # every name, dimension and face is checked above
-    K = PrecubicalSet._adopt(dims, seal_facets(dims, facets, ParseError), _valid=False)
-    if validate:
-        violations = validate_complex(K)
-        if violations:
-            raise ParseError(violations_message(violations))
-    return K
+    return dims, seal_facets(dims, facets, ParseError)
 
 
 def emit_pcs(K: PrecubicalSet) -> str:

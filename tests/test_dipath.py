@@ -647,6 +647,13 @@ def test_path_sizes_must_be_integers(n, shown):
     assert standard_carrier(True) == standard_carrier(1) and type(standard_carrier(True).dim) is int
 
 
+@pytest.mark.parametrize("n", [0, -3, False])
+def test_standard_carrier_refuses_dimensions_below_one(n):
+    # a 0-cube or a negative dimension carries no path
+    with pytest.raises(PathError, match=f"^dimension must be >= 1, got {int(n)}$"):
+        standard_carrier(n)
+
+
 def test_hostile_path_sizes_are_refused_fast():
     # refused before any breakpoint is drawn or any coordinate stored
     eps, start = F(1, 2), time.perf_counter()

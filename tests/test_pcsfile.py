@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from corpus import corpus20, mutate
+from corpus import corpus20, glued_torsion, mutate
 from oracles import emit_reference, parse_reference, validate_reference
+from precubical import core, pcsfile
 from precubical.core import (
     EMPTY,
     PrecubicalSet,
@@ -324,3 +325,60 @@ def test_positioned_errors_come_before_the_slot_bound():
     with pytest.raises(ParseError) as e:
         parse_pcs(head, validate=False)
     assert str(e.value) == "face tables would leave more than 1000000 face slots empty"
+
+
+def parse_outcome(text, validate):
+    """The tables of a parse, in order, or its error's text and position."""
+    try:
+        K = parse_pcs(text, validate=validate)
+    except ParseError as e:
+        return e.message, e.line, e.col
+    key = {name: name for name in K._dims}
+    for c, F in K._facets.items():
+        assert c is key[c] and all(t is key[t] for t in F if t is not None), text
+    return list(K._dims.items()), list(K._facets.items())
+
+
+def test_fast_pass_matches_the_checked_parser(monkeypatch):
+    # valid files take the fast pass; any irregularity falls back to the
+    # checked parser, so both routes give the same tables or the same error
+    emitted = [emit_pcs(K) for K in corpus20() + [glued_torsion()]]
+    emitted += [emit_pcs(build(n)) for build in (standard_cube, boundary_cube) for n in range(6)]
+    data = [p.read_text() for p in sorted(DATA.glob("*.pcs"))]
+    emitted += ["\n".join(line.partition("#")[0] for line in text.splitlines())
+                for text in data]
+    rng = random.Random(20261021)
+
+    def shuffled(text):
+        body = text.splitlines()[1:]
+        rng.shuffle(body)
+        return "pcs 1\n" + "\n".join(body) + "\n"
+
+    fast = emitted + [shuffled(text) for text in emitted for _ in range(2)]
+    assert all(pcsfile._fast_tables(text) is not None for text in fast)
+    sources = fast + data + [shuffled(text) for text in data]
+    texts = sources + [mutate(rng, sources[n % len(sources)].splitlines()) for n in range(800)]
+    outcomes = [parse_outcome(text, validate) for text in texts for validate in (True, False)]
+    taken = sum(pcsfile._fast_tables(text) is not None for text in texts)
+    monkeypatch.setattr(pcsfile, "_fast_tables", lambda text: None)
+    checked = [parse_outcome(text, validate) for text in texts for validate in (True, False)]
+    for n, (got, expected) in enumerate(zip(outcomes, checked)):
+        assert got == expected, texts[n // 2]
+    # the mutants reach both routes, and both tables and errors
+    assert taken > len(fast) + 100 and len(texts) - taken > 400, taken
+    errors = sum(isinstance(o[0], str) for o in checked)
+    assert 400 < errors < len(checked) - 400, errors
+
+
+def test_fast_pass_bounds_slots_before_allocating():
+    # each cube's slot list is allocated only once the holes so far stay
+    # within MAX_CELLS, so a file of huge cubes with one face each is
+    # refused before its lists exist
+    huge = "".join(f"cube a{k} 1000000\nface a{k} 1 - b\n" for k in range(200))
+    two = "".join(f"cube a{k} 400000\nface a{k} 1 - b\n" for k in range(2))
+    for body in (huge, two):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as e:
+            parse_pcs("pcs 1\ncube b 0\n" + body, validate=False)
+        assert time.perf_counter() - start < 1.0
+        assert str(e.value) == core.SLOTS_ERROR
