@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 
@@ -414,63 +414,62 @@ def check_cells(what: str, base: int, counts: Mapping[int, int]) -> None:
 # A cell of a cubical grid is a tuple of codes, one per axis: 2a is the point
 # a and 2a + 1 the interval [a, a + 1].  Its dimension is the number of odd
 # codes, and its face (j, alpha) adds -1 (alpha = 0) or +1 (alpha = 1) to the
-# j-th odd code; `cell_faces` is that rule, and every grid the package builds
-# uses it.  The standard n-cube is the grid of codes in {0, 1, 2}^n, each
-# cell named by the word of its codes' letters in "0x1" (an x marks a free
-# axis; the empty word, the cube of the standard 0-cube, is named "e").
-# Subdivision cuts each cube into a finer grid of the same kind.
+# j-th odd code.  Every grid the package builds reads its faces by position
+# from `_grid_template`.  The standard n-cube is the grid {0, 1, 2}^n, each
+# cell named by its codes' letters in "0x1" (an x marks a free axis; the
+# empty word, the cube of the standard 0-cube, is named "e").
 
 STAR = "x"
 
 Codes = tuple[int, ...]
 
 
-def cell_faces(codes: Codes) -> Iterator[tuple[int, int, Codes]]:
-    """Every face (j, alpha, face codes) of a cell."""
-    j = 0
-    for pos, c in enumerate(codes):
-        if c % 2:
-            j += 1
-            for alpha in (0, 1):
-                yield j, alpha, codes[:pos] + (c - 1 + 2 * alpha,) + codes[pos + 1 :]
+def _grid_template(axis: Sequence[int], d: int) -> tuple[list[Codes], list[list[int]]]:
+    """The cells of the grid axis^d in `itertools.product` order, and their
+    faces as positions.  Face (j, alpha) of the cell at x moves its j-th odd
+    code c, at place k, to e = c - 1 + 2 alpha: the cell at x + (digit[e] -
+    digit[c]) * stride[k] if e is in axis, else the other codes' cell on facet
+    2k + alpha, at m^d + (2k + alpha) m^(d-1) + their position in axis^(d-1)."""
+    m, digit = len(axis), {c: i for i, c in enumerate(axis)}
+    size, strides = m**d, [m ** (d - 1 - k) for k in range(d)]
+    grid, faces = list(itertools.product(axis, repeat=d)), []
+    for x, codes in enumerate(grid):
+        F = []
+        for k, c in enumerate(codes):
+            if c % 2:
+                s = strides[k]
+                for alpha, e in enumerate((c - 1, c + 1)):
+                    F.append(x + (digit[e] - digit[c]) * s if e in digit
+                             else size + (2 * k + alpha) * (size // m) + x // (m * s) * s + x % s)
+        faces.append(F)
+    return grid, faces
 
 
-def _grid(cells: Mapping[Codes, str]) -> PrecubicalSet:
-    """The precubical set on named cells; each cell's faces must be named too."""
-    dims, facets = {}, {}
-    for codes, name in cells.items():
-        F = tuple(cells[face] for _, _, face in cell_faces(codes))
-        dims[name] = len(F) // 2
-        if F:  # a vertex has no facet tuple
-            facets[name] = F
-    return PrecubicalSet._adopt(dims, facets, _valid=True)
-
-
-def _word(codes: Codes) -> str:
-    """The name of a cell of the standard cube."""
-    return "".join("0x1"[c] for c in codes) or "e"
-
-
-def _cube_cells(n: int, what: str) -> dict[Codes, str]:
-    """The cells of the standard n-cube by name; `what` names the complex
-    refused when 3**n > MAX_CELLS."""
+def _cube(n: int, hollow: bool) -> tuple[PrecubicalSet, tuple[str, ...]]:
+    """The standard n-cube, or its boundary without the centre, and the centre's facets."""
+    n = whole(n, "dimension")
     if n < 0:
         raise ValueError("dimension must be >= 0")
-    check_cells(f"{what} {shown(n)}-cube", 3, {n: 1})
-    return {codes: _word(codes) for codes in itertools.product(range(3), repeat=n)}
+    check_cells(f"the {'boundary of the ' * hollow}standard {shown(n)}-cube", 3, {n: 1})
+    _, faces = _grid_template((0, 1, 2), n)
+    names = ["".join(word) or "e" for word in itertools.product("0x1", repeat=n)]
+    dims = dict(zip(names, [len(F) // 2 for F in faces]))
+    facets = {name: itemgetter(*F)(names) for name, F in zip(names, faces) if F}
+    centre, F = names[len(names) // 2], ()
+    if hollow:  # the centre is a face of no cell
+        del dims[centre]
+        F = facets.pop(centre, ())
+    return PrecubicalSet._adopt(dims, facets, _valid=True), F
 
 
 def standard_cube(n: int) -> PrecubicalSet:
     """The standard n-cube: one top cell, all faces, 3**n <= MAX_CELLS cubes."""
-    return _grid(_cube_cells(whole(n, "dimension"), "the standard"))
+    return _cube(n, False)[0]
 
 
 def boundary_cube(n: int) -> PrecubicalSet:
     """The boundary of the standard n-cube; empty for n = 0."""
-    n = whole(n, "dimension")
-    cells = _cube_cells(n, "the boundary of the standard")
-    del cells[(1,) * n]
-    return _grid(cells)
+    return _cube(n, True)[0]
 
 
 def truncate(K: PrecubicalSet, p: int) -> PrecubicalSet:
@@ -576,17 +575,18 @@ def attach_cube(
     Returns the enlarged complex and the new cube's name (the given `name`,
     or a deterministic fresh one).
     """
+    n = whole(n, "dimension")
     if n < 0:
         raise ValueError("dimension must be >= 0")
     words = None
     if boundary and all(isinstance(key, str) for key in boundary):
-        words, shell = dict(boundary), boundary_cube(n)
+        words, (shell, centre) = dict(boundary), _cube(n, True)
         if set(words) != set(shell._dims):
             raise PcsError(
                 f"word assignment must cover exactly the {len(shell)} "
                 f"proper face words of the standard {n}-cube"
             )
-        boundary = {(i, alpha): words[_word(f)] for i, alpha, f in cell_faces((1,) * n)}
+        boundary = {(k // 2 + 1, k % 2): words[word] for k, word in enumerate(centre)}
     if len(boundary) != 2 * n or set(boundary) != set(itertools.product(range(1, n + 1), (0, 1))):
         raise PcsError(
             f"boundary assignment must cover exactly the {shown(2 * n)} facet slots"

@@ -1,9 +1,9 @@
 """Cubical subdivision: slice every cube into a p x ... x p grid.
 
 Cells are those of the cell model in `core` (a tuple of codes, 2a for the
-point a and 2a+1 for the interval [a, a+1]), with faces by
-`core.cell_faces`.  A grid cell is named by its codes joined with dots
-("0-1.1"; "e" when empty).
+point a and 2a+1 for the interval [a, a+1]), and every grid here reads its
+faces by position from `core._grid_template`.  A grid cell is named by its
+codes joined with dots ("0-1.1"; "e" when empty).
 
 A cell of the subdivided complex is a pair (base cube of K, codes in the
 order-p grid, one per base axis).  The codes 0 and 2p are the outer
@@ -12,10 +12,10 @@ on that side, so normal forms use only the codes 1 .. 2p - 1 and a base
 d-cube contributes exactly (2p - 1)^d cells.  Subdividing by 1 changes
 nothing, and `sub_compose_iso` maps Sub_p(Sub_q(K)) onto Sub_pq(K).
 
-`subdivide` builds a template per base dimension d: each grid cell's name
-suffix, codes, dimension and faces, a face being a position among the
-base's own cells or those of one of its facets.  It walks the bases by
-(dim, name), so a facet's cells are named before a cube reads them.
+`subdivide` takes one template per base dimension d, over the codes
+1 .. 2p - 1: a face that reaches 0 or 2p is a position among the cells of
+one of the base's facets.  It walks the bases by (dim, name), so a facet's
+cells are named before a cube reads them.
 """
 from __future__ import annotations
 
@@ -29,8 +29,7 @@ from .core import (
     PcsError,
     PcsMorphism,
     PrecubicalSet,
-    _grid,
-    cell_faces,
+    _grid_template,
     check_cells,
     check_valid,
     shown,
@@ -117,27 +116,11 @@ def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
     names: dict[Pair, str] = {}
     dims, facets, cells = {}, {}, {}  # cells: each base's cell names, in grid order
     for d in sorted(K._grades):
-        # A face is read from the base's cells, then its facets' in slot
-        # order: only the moved code can reach 0 or 2p, and at position k
-        # that is facet 2k + alpha, a (d - 1)-cube whose cells are named.
-        grid = list(itertools.product(interior, repeat=d))
-        own = dict(zip(grid, itertools.count()))
-        lower = dict(zip(itertools.product(interior, repeat=max(d - 1, 0)), itertools.count()))
-        tails, cell_dims, live, reads = [], [], [], []
-        for j, codes in enumerate(grid):
-            at = []
-            for _, alpha, raw in cell_faces(codes):
-                if top * alpha in raw:
-                    k = raw.index(top * alpha)
-                    facet_start = len(own) + (2 * k + alpha) * len(lower)
-                    at.append(facet_start + lower[raw[:k] + raw[k + 1 :]])
-                else:
-                    at.append(own[raw])
-            tails.append("".join(suffix[c] for c in codes))
-            cell_dims.append(len(at) // 2)
-            if at:
-                live.append(j)
-                reads.append(itemgetter(*at))
+        grid, faces = _grid_template(interior, d)
+        tails = ["".join(suffix[c] for c in codes) for codes in grid]
+        cell_dims = [len(F) // 2 for F in faces]
+        live = [j for j, F in enumerate(faces) if F]
+        reads = [itemgetter(*faces[j]) for j in live]
         for base in K._grades[d]:
             row = [base + tail for tail in tails]
             if not pairs.keys().isdisjoint(row):
@@ -149,7 +132,7 @@ def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
             pairs.update(zip(row, base_pairs))
             names.update(zip(base_pairs, row))
             dims.update(zip(row, cell_dims))
-            if d:
+            if d:  # a face position indexes the base's cells, then its facets' in slot order
                 pool = row + [name for t in K._facets[base] for name in cells[t]]
                 facets.update(zip([row[j] for j in live], [read(pool) for read in reads]))
             cells[base] = row
@@ -164,18 +147,30 @@ def grid_complex(boxes: Iterable[Sequence[int]]) -> PrecubicalSet:
     with a coordinate that is not an int of fewer than 100 digits, and after
     any box that takes the distinct cells (boxes share faces) past it.
     """
-    cells: dict[Codes, None] = {}
+    dims, facets, key, template = {}, {}, {}, {}  # key: each cell name as first built
     for box in boxes:
-        check_cells("the grid complex", 3, {len(box): 1})
+        if not isinstance(box, Sequence):
+            raise PcsError(f"grid box {shown(box)} is not a sequence of coordinates")
+        d = len(box)
+        check_cells("the grid complex", 3, {d: 1})
         for b in box:
             if not isinstance(b, int) or not -_COORDINATE_BOUND < b < _COORDINATE_BOUND:
                 raise PcsError(
                     f"grid box coordinate {shown(b)} is not an int of fewer than 100 digits"
                 )
-        axes = [(2 * b, 2 * b + 1, 2 * b + 2) for b in box]
-        cells.update(dict.fromkeys(itertools.product(*axes)))
-        check_cells("the grid complex", 1, {0: len(cells)})  # shared faces count once
-    return _grid({codes: ".".join(map(_label, codes)) or "e" for codes in cells})
+        # the template's codes 0, 1, 2 shifted by 2b on each axis
+        labels = [[_label(c + 2 * b) for c in (0, 1, 2)] for b in box]
+        words = map(".".join, itertools.product(*labels)) if box else ["e"]
+        row = [key.setdefault(name, name) for name in words]
+        check_cells("the grid complex", 1, {0: len(key)})  # shared faces count once
+        if d not in template:
+            template[d] = _grid_template((0, 1, 2), d)[1]
+        for name, F in zip(row, template[d]):
+            if name not in dims:  # a cell shared by boxes keeps its first place
+                dims[name] = len(F) // 2
+                if F:
+                    facets[name] = itemgetter(*F)(row)
+    return PrecubicalSet._adopt(dims, facets, _valid=True)
 
 
 def sub_compose_iso(K: PrecubicalSet, p: int, q: int) -> PcsMorphism:

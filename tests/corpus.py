@@ -60,15 +60,36 @@ def _deletable(K):
     return sorted(n for n in dims if n not in targets)
 
 
-def random_complex(rng):
-    """One random complex: a few grid boxes, random carving, <= 40 cubes."""
+def random_boxes(rng):
+    """A few distinct grid boxes of one dimension, 1 to 3."""
     d = rng.choice((1, 2, 2, 2, 3))
     span = (3, 2, 1)[d - 1] + 1
     positions = list(itertools.product(range(span), repeat=d))
     count = rng.randint(1, min(len(positions), (5, 4, 1)[d - 1]))
-    boxes = rng.sample(positions, count)
+    return rng.sample(positions, count)
+
+
+def grid_boxes():
+    """Box lists for `grid_complex`: the fixtures', ones with negative
+    coordinates, mixed dimensions and faces shared across boxes given out
+    of order, and twenty drawn as the random corpus draws its boxes."""
+    rng = random.Random(20261020)
+    return [
+        [(0, 0), (1, 0)],
+        [(0, 0), (1, 0), (0, 1)],
+        [(-3, 2, 1), (-3, 2, 2), (-4, 1, 1), (-1, -1, -1)],
+        [(), (0,), (5, -7), (0, 0, 0), (4,), (0, 0)],
+        [(2, 2), (0, 0), (1, 1), (1, 0), (0, 1), (2, 1)],
+        [(x, y, z) for x in range(3) for y in range(2) for z in range(2)],
+        [(0, 0, 0, 0), (0, 1, 0, 0), (-1, 0, 0, 0)],
+    ] + [random_boxes(rng) for _ in range(20)]
+
+
+def random_complex(rng):
+    """One random complex: a few grid boxes, random carving, <= 40 cubes."""
+    boxes = random_boxes(rng)
     K = grid_complex(boxes)
-    if d == 3 and rng.random() < 0.5:
+    if len(boxes[0]) == 3 and rng.random() < 0.5:
         K = truncate(K, 2)
     for _ in range(rng.randint(0, 4)):
         options = _deletable(K)

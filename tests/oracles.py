@@ -16,15 +16,16 @@ inverse as a morphism, path distances and combinations by
 form by a straight-line test, instead of the merged walk and velocities on
 integers, sampled paths by Fraction sums instead of integer numerators,
 the subdivided standard cube as a grid of unit boxes instead of pairs over
-the base cube, the vertices with a nonempty branching complex in closed
-form, total groups summed degree by degree, the total group with
-every vertex's homology computed afresh instead of once per shape of
-per-vertex complex, subdivision with every face of every cell found by
-`cell_faces` and looked up by its (base, codes) pair instead of read from
-a template per base dimension, and PCS text from `cubes` and `face_items`
-instead of the grades and facet tuples.  Tests compare these against the
-library's own answers, so nothing in this file may call the function it
-is checking.
+the base cube, grids with every face of every cell found by `cell_faces`
+and looked up by its codes instead of read by position from one template,
+the vertices with a nonempty branching complex in closed form, total
+groups summed degree by degree, the total group with every vertex's
+homology computed afresh instead of once per shape of per-vertex complex,
+subdivision with every face of every cell found by `cell_faces` and looked
+up by its (base, codes) pair instead of read from the template of its base
+dimension, and PCS text from `cubes` and `face_items` instead of the grades
+and facet tuples.  Tests compare these against the library's own answers,
+so nothing in this file may call the function it is checking.
 """
 import random
 import re
@@ -40,7 +41,6 @@ from precubical.core import (
     PcsMorphism,
     PrecubicalSet,
     Violation,
-    cell_faces,
     extremal_cubes,
     initial_states,
     time_reverse,
@@ -472,6 +472,29 @@ def is_isomorphism(f: PcsMorphism) -> bool:
     except MorphismError:
         return False
     return True
+
+
+def cell_faces(codes):
+    """Every face (j, alpha, face codes) of a grid cell: face (j, alpha)
+    adds -1 (alpha = 0) or +1 (alpha = 1) to the j-th odd code."""
+    j = 0
+    for pos, c in enumerate(codes):
+        if c % 2:
+            j += 1
+            for alpha in (0, 1):
+                yield j, alpha, codes[:pos] + (c - 1 + 2 * alpha,) + codes[pos + 1 :]
+
+
+def grid_reference(cells):
+    """The (dims, facets) tables of the precubical set on named grid cells
+    {codes: name}, in that order, each face looked up by its codes."""
+    dims, facets = {}, {}
+    for codes, name in cells.items():
+        F = tuple(cells[face] for _, _, face in cell_faces(codes))
+        dims[name] = len(F) // 2
+        if F:  # a vertex has no facet tuple
+            facets[name] = F
+    return dims, facets
 
 
 def sub_standard(p: int, n: int) -> PrecubicalSet:

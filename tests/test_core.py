@@ -628,14 +628,23 @@ def test_cube_dimension_must_be_an_integer():
     # int, any other is a PcsError naming it; a negative int stays a ValueError
     assert standard_cube(2.0) == standard_cube(2) and boundary_cube(3.0) == boundary_cube(3)
     assert standard_cube(True) == standard_cube(1)
+    square = {(1, 0): "0x", (1, 1): "1x", (2, 0): "x0", (2, 1): "x1"}
+    assert attach_cube(boundary_cube(2), 2.0, square, "xx") == (standard_cube(2), "xx")
+    words = {word: word for word in boundary_cube(2)._dims}
+    assert attach_cube(boundary_cube(2), 2.0, words, "xx") == (standard_cube(2), "xx")
+
+    def attach(n):
+        return attach_cube(EMPTY, n, {})
+
+    builders = (standard_cube, boundary_cube, attach)
     for n, shown in ((2.5, "2.5"), ("2", "'2'"), (None, "None"), (Fraction(5, 2), "5/2"),
-                     (float("inf"), "inf"), (float("nan"), "nan")):
-        for build in (standard_cube, boundary_cube):
+                     (float("inf"), "inf"), (float("nan"), "nan"), (1.5, "1.5"), ("1", "'1'")):
+        for build in builders:
             with pytest.raises(PcsError) as caught:
                 build(n)
             assert type(caught.value) is PcsError
             assert str(caught.value) == f"dimension must be an integer, got {shown}"
-    for build in (standard_cube, boundary_cube):
+    for build in builders:
         with pytest.raises(ValueError, match="^dimension must be >= 0$"):
             build(-1)
 

@@ -8,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from corpus import corpus20, glued_torsion, hollow_cube, hollow_square, l_shape
+from corpus import corpus20, glued_torsion, grid_boxes, hollow_cube, hollow_square, l_shape
 from oracles import (
+    boundary_words_of,
     branching_homology_per_vertex,
+    cell_faces,
     emit_reference,
+    grid_reference,
     is_isomorphism,
     sub_standard,
     subdivide_reference,
@@ -21,8 +24,8 @@ from precubical.core import (
     PcsError,
     PcsMorphism,
     PrecubicalSet,
+    attach_cube,
     boundary_cube,
-    cell_faces,
     standard_cube,
     time_reverse,
     validate,
@@ -210,6 +213,57 @@ def test_subdivide_matches_reference():
             assert emit_pcs(L) == emit_reference(L)
 
 
+def assert_same_tables(L, dims, facets):
+    """L has these tables in this order, and every facet entry is the very
+    str that keys its dims."""
+    assert list(L._dims.items()) == list(dims.items())
+    assert list(L._facets.items()) == list(facets.items())
+    key = {c: c for c in L._dims}
+    for c, F in L._facets.items():
+        assert c is key[c] and all(t is key[t] for t in F)
+
+
+def test_grid_template_builders_match_reference():
+    # the positional template against faces found by `cell_faces` and
+    # looked up by their codes: the template itself on subdivide's axes,
+    # where a face may reach an outer code; the cubes, their boundaries and
+    # grid complexes; and attach_cube's word form against its slot form
+    for p in (2, 3, 4):
+        axis = [*range(1, 2 * p, 2), *range(2, 2 * p, 2)]
+        for d in range(4):
+            grid, faces = core._grid_template(axis, d)
+            assert grid == list(itertools.product(axis, repeat=d))
+            at = {codes: x for x, codes in enumerate(grid)}
+            lower = itertools.product(axis, repeat=max(d - 1, 0))
+            lower = {codes: y for y, codes in enumerate(lower)}
+            for codes, F in zip(grid, faces):
+                want = []
+                for _, alpha, raw in cell_faces(codes):
+                    k = next(k for k, (c, e) in enumerate(zip(codes, raw)) if c != e)
+                    outer = len(at) + (2 * k + alpha) * len(lower)  # facet 2k + alpha
+                    want.append(at[raw] if raw in at else outer + lower[raw[:k] + raw[k + 1:]])
+                assert F == want
+    for n in range(7):
+        cells = {codes: "".join("0x1"[c] for c in codes) or "e"
+                 for codes in itertools.product(range(3), repeat=n)}
+        assert_same_tables(standard_cube(n), *grid_reference(cells))
+        del cells[(1,) * n]
+        assert_same_tables(boundary_cube(n), *grid_reference(cells))
+    for boxes in grid_boxes():
+        cells = {}
+        for box in boxes:
+            for codes in itertools.product(*[(2 * b, 2 * b + 1, 2 * b + 2) for b in box]):
+                cells.setdefault(codes, cell_name(codes))
+        assert_same_tables(grid_complex(boxes), *grid_reference(cells))
+    for K in sources():
+        for c in K.cubes():
+            slots = {(i, a): K.face(c.name, i, a) for i in range(1, c.dim + 1) for a in (0, 1)}
+            L, _ = attach_cube(K, c.dim, boundary_words_of(K, c.name), "new")
+            M, _ = attach_cube(K, c.dim, slots, "new")
+            assert list(L._dims.items()) == list(M._dims.items())
+            assert list(L._facets.items()) == list(M._facets.items())
+
+
 def test_subdivide_name_collision():
     # a base vertex named like a cell of another base, and two bases of
     # dimension 1 and 2 with a cell name in common ("a.0-1.0-1" is the
@@ -298,6 +352,11 @@ def test_grid_complex_refuses_bad_coordinates_fast():
     for coordinate in (0.5, "a", 10**5000, -(10**99), 10**99):
         with pytest.raises(PcsError, match="not an int of fewer than 100 digits"):
             grid_complex([(0, 0), (1, coordinate)])
+    # and each box is a sequence of coordinates
+    for box, shown in ((5, "5"), (None, "None"), (iter([0, 1]), "<list_iterator")):
+        message = f"^grid box {shown}.* is not a sequence of coordinates$"
+        with pytest.raises(PcsError, match=message):
+            grid_complex([(0, 0), box])
     assert time.perf_counter() - start < 1.0
     assert len(grid_complex([(10**99 - 1, -(10**99) + 1)])) == 9
 
