@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .complexes import assemble_all
 from .core import (
+    MAX_CELLS,
     MINUS,
     PLUS,
     SIDES,
@@ -210,6 +211,9 @@ def _cmd_demo_no_germs(args, out, err) -> int:
     first = int(1 / eps) + 1
     if args.steps < first:
         raise PathError(f"need at least {shown(first)} steps for epsilon {eps}")
+    if (rows := args.steps - first + 1) > MAX_CELLS:
+        raise PathError(f"--steps {shown(args.steps)} would print {shown(rows)} rows "
+                        f"for epsilon {eps}, more than {MAX_CELLS}")
     diagonal = diagonal_path(2, eps)
     edge = make_path(CubeId("0x", 1), eps, (0, eps), ((0,), (eps,)))
     boundary = embed_face(edge, standard_cube(2), "xx", 1)

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 
@@ -228,7 +228,7 @@ class PrecubicalSet(CellStore):
 
     def __init__(self, dims: Mapping[str, int], faces: Mapping[FaceKey, str]):
         self._check_dims(dims)
-        recorded: dict[str, dict[int, str]] = {}
+        slots = []
         for (c, i, alpha), target in faces.items():
             if c not in self._dims:
                 raise UnknownCubeError(f"face on unknown cube {c!r}")
@@ -237,8 +237,11 @@ class PrecubicalSet(CellStore):
             alpha, n = check_end(alpha), self._dims[c]
             if not whole_in(i, 1, n):
                 raise PcsError(f"face axis {shown(i)} out of range 1..{n} on cube {c!r}")
-            recorded.setdefault(c, {})[2 * int(i) - 2 + alpha] = target
-        self._facets = seal_facets(self._dims, recorded)
+            slots.append(2 * int(i) - 2 + alpha)
+        # every slot is in range and distinct, so None is the hole bound
+        self._facets = seal_facets(self._dims, (c for c, _, _ in faces), slots, faces.values())
+        if self._facets is None:
+            raise PcsError(SLOTS_ERROR)
         self._grade()
         self._valid = False
 
@@ -389,15 +392,25 @@ MAX_CELLS = 10**6
 SLOTS_ERROR = f"face tables would leave more than {MAX_CELLS} face slots empty"
 
 
-def seal_facets(dims: Mapping[str, int], recorded: Mapping[str, dict], error=PcsError) -> dict:
-    """Each cube's facet tuple, None for a hole, from its recorded faces
-    {2(i - 1) + alpha: target}.  Constructors call this after checking every
-    face; it raises error(SLOTS_ERROR), before building any tuple, if the
-    tuples would hold more than MAX_CELLS holes."""
-    if sum(2 * dims[c] - len(F) for c, F in recorded.items()) > MAX_CELLS:
-        raise error(SLOTS_ERROR)
-    # a list first: tuple() of a map would keep its spare slots
-    return {c: tuple(list(map(F.get, range(2 * dims[c])))) for c, F in recorded.items()}
+def seal_facets(dims: Mapping, owners: Iterable, slots: list, targets: Iterable) -> dict | None:
+    """Each cube's facet tuple, None for a hole, where face j puts targets[j]
+    in slot slots[j] of owners[j]; or None at a slot out of range or filled
+    twice, or before a list would take the holes past MAX_CELLS."""
+    facets: dict = {}
+    holes = -len(slots)
+    for cube, k, target in zip(owners, slots, targets):
+        F = facets.get(cube)
+        if F is None:
+            holes += 2 * dims[cube]
+            if holes > MAX_CELLS:
+                return None
+            F = facets[cube] = [None] * (2 * dims[cube])
+        if k >= len(F) or F[k] is not None:
+            return None
+        F[k] = target
+    for cube, F in facets.items():  # each list is freed as its tuple replaces it
+        facets[cube] = tuple(F)
+    return facets
 
 
 def check_cells(what: str, base: int, counts: Mapping[int, int]) -> None:

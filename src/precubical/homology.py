@@ -29,7 +29,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .complexes import SemiSimplicialSet, assemble_all
-from .core import MINUS, PLUS, PrecubicalSet
+from .core import MINUS, PrecubicalSet
 
 
 # A sparse matrix column: row index -> nonzero coefficient.
@@ -391,7 +391,3 @@ def _shape(S: SemiSimplicialSet) -> tuple:
         faces = chain.from_iterable(map(facets.__getitem__, grades.get(k, ())))
         shape.append(tuple(map(index.__getitem__, faces)))
     return tuple(shape)
-
-
-def merging_homology(K: PrecubicalSet) -> GradedAbelianGroup:
-    return branching_homology(K, side=PLUS)

@@ -13,16 +13,14 @@ most MAX_CELLS) and axes are ASCII decimal digits only: other Unicode digits
 such as '²' or '٣' are errors.  Tokens are separated by any whitespace.
 Forward references are fine; duplicate declarations are errors.
 
-`parse_pcs` first runs a fast pass that keeps no line numbers: it needs the
-header `pcs 1` on line 1 and no '#', and fills one slot list per cube.  At
-the first irregularity of any kind it drops what it built, and the checked
-parser, the error path, reads the file in two passes: a syntax pass over
-every line, then duplicates and references in file order, so the first
-error reported is the first syntax error if there is one.  Each ParseError
-carries the 1-based line and column of the offending token.  Both routes
-check each distinct name, (axis, sign) pair and dimension token once, and
-keep one str object per cube name: every facet tuple holds the very object
-that keys the cube's dimension, so later lookups hit by identity.
+`_tables` alone builds a complex, in one pass that keeps no line numbers,
+checks each distinct name, (axis, sign) pair and dimension token once, and
+keeps one str object per cube name: every facet tuple holds the very object
+that keys the cube's dimension.  At the first irregularity of any kind it
+returns None, and `_first_error` reads the file again, builds no tables,
+and raises the first error at its 1-based line and column: the first
+syntax error, else the first duplicate or unknown reference in file order,
+else the hole bound.
 
 `parse_pcs` is strict by default (the complex must satisfy the precubical
 axioms); pass validate=False to accept structurally well-formed input with
@@ -31,12 +29,11 @@ holes or broken identities, e.g. to inspect it with `core.validate`.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
+from typing import NoReturn
 
-from . import core
-from .core import MAX_CELLS, NAME_RE, PLUS, SIDES, PcsError, PrecubicalSet, seal_facets
+from .core import MAX_CELLS, NAME_RE, PLUS, SIDES, SLOTS_ERROR, PcsError, PrecubicalSet, seal_facets
 from .core import validate as validate_complex, violations_message
-
-_TOKEN_RE = re.compile(r"\S+")
 
 
 class ParseError(PcsError):
@@ -54,11 +51,6 @@ class ParseError(PcsError):
         return self.message
 
 
-def _col(line_text: str, k: int) -> int:
-    """1-based column of the k-th token (0-based k) of a line."""
-    return [match.start() + 1 for match in _TOKEN_RE.finditer(line_text)][k]
-
-
 def _digits_value(token: str) -> int:
     """The value of a token of ASCII decimal digits, or -1 for any other."""
     try:
@@ -74,7 +66,7 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
     out-of-range face axes, and (unless validate=False) on complexes that
     fail the precubical axioms.
     """
-    dims, facets = _fast_tables(text) or _checked_tables(text)
+    dims, facets = _tables(text) or _first_error(text)
     K = PrecubicalSet._adopt(dims, facets, _valid=False)
     if validate:
         violations = validate_complex(K)
@@ -83,11 +75,14 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
     return K
 
 
-def _fast_tables(text: str) -> tuple[dict, dict] | None:
+def _tables(text: str) -> tuple[dict, dict] | None:
     """(dims, facets) of a well-formed file, or None at its first
-    irregularity of any kind, for `_checked_tables` to find and place."""
+    irregularity of any kind, for `_first_error` to find and place."""
     lines = iter(text.splitlines())  # freed once the loop has read them all
-    if next(lines, None) != "pcs 1" or "#" in text:
+    if "#" in text:
+        lines = (raw.partition("#")[0] for raw in lines)
+    # the header is the first line with a token; the loop reads on from it
+    if next(filter(None, map(str.split, lines)), None) != ["pcs", "1"]:
         return None
     names: dict[str, str] = {}
     name = names.setdefault
@@ -122,64 +117,43 @@ def _fast_tables(text: str) -> tuple[dict, dict] | None:
     dims = dict(cubes)
     if not len(cubes) == len(dims) == len(names) or not all(map(NAME_RE.match, dims)):
         return None
-    # holes = slots - faces, bounded before each list is allocated; the bound
-    # is read at call time, as seal_facets reads it
-    facets: dict = {}
-    holes, bound = -len(slots), core.MAX_CELLS
-    for cube, k, target in zip(owners, slots, targets):
-        F = facets.get(cube)
-        if F is None:
-            holes += 2 * dims[cube]
-            if holes > bound:
-                return None
-            F = facets[cube] = [None] * (2 * dims[cube])
-        if k >= len(F) or F[k] is not None:
-            return None
-        F[k] = target
-    del owners, slots, targets
-    for cube, F in facets.items():  # each list is freed as its tuple replaces it
-        facets[cube] = tuple(F)
-    return dims, facets
+    facets = seal_facets(dims, owners, slots, targets)
+    return None if facets is None else (dims, facets)
 
 
-def _checked_tables(text: str) -> tuple[dict, dict]:
-    """(dims, facets) of a file read in the two checked passes: the error
-    raised is the file's first, at its line and column."""
+def _first_error(text: str) -> NoReturn:
+    """Raise the first error of a file `_tables` refused: a syntax error,
+    else a duplicate or unknown reference in file order, else the hole bound."""
+    lines = text.splitlines()
+
     def error(message: str, line_no: int, k: int) -> ParseError:
-        return ParseError(message, line_no, _col(text.splitlines()[line_no - 1], k))
+        columns = [match.start() + 1 for match in re.finditer(r"\S+", lines[line_no - 1])]
+        return ParseError(message, line_no, columns[k])
 
-    # the lines are freed once the syntax pass has read them all
-    numbered = enumerate(text.splitlines(), start=1)
-    for line_no, raw in numbered:
-        tokens = raw.partition("#")[0].split()
-        if tokens:
-            break
-    else:
+    code = (raw.partition("#")[0] for raw in lines) if "#" in text else lines
+    rows = filter(itemgetter(1), enumerate(map(str.split, code), start=1))  # lines with a token
+    line_no, tokens = next(rows, (0, None))
+    if tokens is None:
         raise ParseError("missing header line 'pcs 1'")
     if tokens != ["pcs", "1"]:
         if tokens[0] != "pcs":
             raise error("first line must be the header 'pcs 1'", line_no, 0)
-        version = " ".join(tokens[1:])
-        raise error(f"unsupported format version {version!r}", line_no, 0)
+        raise error(f"unsupported format version {' '.join(tokens[1:])!r}", line_no, 0)
 
-    # Syntax pass: (name, dim, line) and (cube, slot 2(i - 1) + end, target, line).
+    # Syntax pass: (name, dim, line) and (cube, slot 2(i - 1) + end, target, line);
+    # each distinct name and (axis, sign) pair is checked once.
     cubes: list[tuple[str, int, int]] = []
     faces: list[tuple[str, int, str, int]] = []
     names: dict[str, str] = {}
     slots: dict[tuple[str, str], int] = {}
-    dim_values: dict[str, int] = {}
 
     def new_name(token: str, line_no: int, k: int) -> str:
-        """A name token seen for the first time, checked and recorded."""
         if not NAME_RE.match(token):
             raise error(f"bad name {token!r}", line_no, k)
         names[token] = token
         return token
 
-    for line_no, raw in numbered:
-        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
-        if not tokens:
-            continue
+    for line_no, tokens in rows:
         directive = tokens[0]
         if directive == "face":
             if len(tokens) != 5:
@@ -201,12 +175,9 @@ def _checked_tables(text: str) -> tuple[dict, dict]:
                 raise error("cube takes 2 arguments: name dim", line_no, 0)
             _, name, dim = tokens
             c = names.get(name) or new_name(name, line_no, 1)
-            d = dim_values.get(dim)
-            if d is None:
-                d = _digits_value(dim)
-                if not 0 <= d <= MAX_CELLS:
-                    raise error(f"bad dimension {dim!r}", line_no, 2)
-                dim_values[dim] = d
+            d = _digits_value(dim)
+            if not 0 <= d <= MAX_CELLS:
+                raise error(f"bad dimension {dim!r}", line_no, 2)
             cubes.append((c, d, line_no))
         else:
             raise error(f"unknown directive {directive!r}", line_no, 0)
@@ -216,8 +187,7 @@ def _checked_tables(text: str) -> tuple[dict, dict]:
         if name in dims:
             raise error(f"duplicate cube {name!r}", line_no, 1)
         dims[name] = dim
-
-    facets: dict[str, dict[int, str]] = {}
+    filled: dict[str, dict[int, str]] = {}  # the faces so far, per cube
     for cube, k, target, line_no in faces:
         dim = dims.get(cube)
         if dim is None:
@@ -225,18 +195,16 @@ def _checked_tables(text: str) -> tuple[dict, dict]:
         if target not in dims:
             raise error(f"face targets unknown cube {target!r}", line_no, 4)
         if not 0 <= k < 2 * dim:
-            raise error(
-                f"face axis {k // 2 + 1} out of range 1..{dim} on cube {cube!r}", line_no, 1
-            )
-        F = facets.get(cube) or facets.setdefault(cube, {})
+            raise error(f"face axis {k // 2 + 1} out of range 1..{dim} on cube {cube!r}",
+                        line_no, 1)
+        F = filled.get(cube) or filled.setdefault(cube, {})
         if k in F:
-            raise error(
-                f"duplicate face ({k // 2 + 1}, {SIDES[k % 2]}) on cube {cube!r}", line_no, 1
-            )
+            raise error(f"duplicate face ({k // 2 + 1}, {SIDES[k % 2]}) on cube {cube!r}",
+                        line_no, 1)
         F[k] = target
+    raise ParseError(SLOTS_ERROR)
 
-    # every name, dimension and face is checked above
-    return dims, seal_facets(dims, facets, ParseError)
+
 
 
 def emit_pcs(K: PrecubicalSet) -> str:

@@ -26,6 +26,7 @@ from precubical.complexes import (
     pi0_components,
 )
 from precubical.core import (
+    PLUS,
     STAR,
     CubeId,
     attach_cube,
@@ -56,7 +57,6 @@ from precubical.homology import (
     chain_complex,
     graded_iso,
     homology_of,
-    merging_homology,
     smith_normal_form,
 )
 from precubical.subdivision import sub_compose_iso, subdivide
@@ -207,7 +207,7 @@ def test_06_branching_homology_reference_values():
     glued = GradedAbelianGroup([(0, ()), (0, ()), (0, (2,))])
     assert graded_iso(branching_homology(glued_torsion()), glued)
     glued = GradedAbelianGroup([(0, ()), (0, ()), (0, (2, 2))])
-    assert graded_iso(merging_homology(glued_torsion()), glued)
+    assert graded_iso(branching_homology(glued_torsion(), PLUS), glued)
     for K in CORPUS:
         assert branching_homology(K).rank(0) == len(final_states(K))
 
@@ -220,14 +220,14 @@ def test_07_subdivision_preserves_homology():
         assert validate(K) == []
         assert K.dim <= 3 and len(K.cubes()) <= 40
         Hb = branching_homology(K)
-        Hm = merging_homology(K)
+        Hm = branching_homology(K, PLUS)
         local = {
             v: homology_of(chain_complex(B)) for v, B in assemble_all(K).items()
         }
         for p in (2, 3):
             S = subdivide(K, p).complex
             assert graded_iso(branching_homology(S), Hb)
-            assert graded_iso(merging_homology(S), Hm)
+            assert graded_iso(branching_homology(S, PLUS), Hm)
             sub_local = assemble_all(S)
             for v, H in local.items():
                 assert graded_iso(homology_of(chain_complex(sub_local[v])), H)
@@ -292,7 +292,7 @@ def test_11_time_reversal_duality():
     for K in CORPUS:
         R = time_reverse(K)
         assert time_reverse(R) == K
-        assert graded_iso(merging_homology(K), branching_homology(R))
+        assert graded_iso(branching_homology(K, PLUS), branching_homology(R))
 
 
 def test_12_sampled_path_invariants():

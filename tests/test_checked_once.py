@@ -23,6 +23,7 @@ from precubical.complexes import (
     pi0_components,
 )
 from precubical.core import (
+    PLUS,
     PcsError,
     PrecubicalSet,
     attach_cube,
@@ -41,7 +42,6 @@ from precubical.homology import (
     Matrix,
     branching_homology,
     chain_complex,
-    merging_homology,
 )
 from precubical.pcsfile import ParseError, emit_pcs, parse_pcs
 from precubical.subdivision import grid_complex, subdivide
@@ -88,7 +88,7 @@ def _vertex(K):
 
 CALLS = {
     "branching_homology": branching_homology,
-    "merging_homology": merging_homology,
+    "branching_homology +": lambda K: branching_homology(K, PLUS),
     "assemble_all -": assemble_all,
     "assemble_all +": lambda K: assemble_all(K, "+"),
     "branching_complex": lambda K: branching_complex(K, _vertex(K)),
@@ -153,7 +153,8 @@ def test_library_entry_points_on_invalid_lenient_loads_raise_only_pcs_errors():
         invalid += 1
         v = _vertex(K)
         calls = [final_states, initial_states, time_reverse, emit_pcs, branching_homology,
-                 merging_homology, lambda K: truncate(K, 1), lambda K: subdivide(K, 2),
+                 lambda K: branching_homology(K, PLUS), lambda K: truncate(K, 1),
+                 lambda K: subdivide(K, 2),
                  lambda K: pi0_components(K, v)]
         for side in "-+":
             calls += [partial(extremal_partition, side=side), partial(assemble_all, side=side)]
@@ -169,7 +170,7 @@ def test_library_entry_points_on_invalid_lenient_loads_raise_only_pcs_errors():
 
 def test_library_paths_skip_the_checking_constructors(monkeypatch):
     text = emit_pcs(standard_cube(4))
-    expected = branching_homology(standard_cube(4)), merging_homology(standard_cube(4))
+    expected = branching_homology(standard_cube(4)), branching_homology(standard_cube(4), PLUS)
 
     def refuse(constructor):
         def call(*args, **kwargs):
@@ -187,4 +188,4 @@ def test_library_paths_skip_the_checking_constructors(monkeypatch):
     square, _ = attach_cube(boundary_cube(2), 2, {(1, 0): "0x", (1, 1): "1x",
                                                   (2, 0): "x0", (2, 1): "x1"})
     assert len(square) == 9
-    assert (branching_homology(K), merging_homology(K)) == expected
+    assert (branching_homology(K), branching_homology(K, PLUS)) == expected

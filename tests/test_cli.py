@@ -394,6 +394,21 @@ def test_huge_epsilon_exits_2_fast():
     assert err == f"error: need at least {10**98 + 1} steps for epsilon 1/{10**98}\n"
 
 
+def test_demo_no_germs_rows_are_bounded():
+    # more than 10**6 rows is refused before the first row is printed; the
+    # rows are counted, not the steps, so a tiny epsilon takes a large --steps
+    for argv in (["--steps", "100000000"], ["--steps", str(10**6 + 3)],
+                 ["--epsilon", "1e-98", "--steps", str(10**98 + 10**6 + 1)]):
+        start = time.perf_counter()
+        code, out, err = run("demo-no-germs", *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out) == (2, "") and err.endswith(", more than 1000000\n"), argv
+    assert run("demo-no-germs", "--steps", "100000000")[2] == (
+        "error: --steps 100000000 would print 99999998 rows for epsilon 1/2, more than 1000000\n")
+    code, out, err = run("demo-no-germs", "--epsilon", "1e-98", "--steps", str(10**98 + 10))
+    assert code == 0 and out.count("\nm=") == 10
+
+
 def test_library_errors_are_not_bad_input(monkeypatch):
     def broken(K, side):
         raise ValueError("a bug, not bad input")

@@ -26,7 +26,14 @@ from precubical.complexes import (
     branching_complex,
     pi0_components,
 )
-from precubical.core import PrecubicalSet, boundary_cube, standard_cube, time_reverse, truncate
+from precubical.core import (
+    PLUS,
+    PrecubicalSet,
+    boundary_cube,
+    standard_cube,
+    time_reverse,
+    truncate,
+)
 from precubical.homology import (
     ChainComplex,
     GradedAbelianGroup,
@@ -37,7 +44,6 @@ from precubical.homology import (
     group_str,
     homology_of,
     invariant_factors,
-    merging_homology,
     smith_normal_form,
 )
 from precubical.pcsfile import parse_pcs
@@ -400,18 +406,18 @@ def test_homology_ranks_match_rational_route():
 def test_branching_homology_standard_cubes():
     for n in range(5):
         assert branching_homology(standard_cube(n)) == GradedAbelianGroup.free(1)
-        assert merging_homology(standard_cube(n)) == GradedAbelianGroup.free(1)
+        assert branching_homology(standard_cube(n), PLUS) == GradedAbelianGroup.free(1)
 
 
 def test_branching_homology_hollow_square():
     assert branching_homology(boundary_cube(2)) == GradedAbelianGroup.free(1, 1)
-    assert merging_homology(boundary_cube(2)) == GradedAbelianGroup.free(1, 1)
+    assert branching_homology(boundary_cube(2), PLUS) == GradedAbelianGroup.free(1, 1)
 
 
 def test_branching_homology_hollow_cube():
     want = GradedAbelianGroup([(1, ()), (0, ()), (1, ())])
     assert branching_homology(boundary_cube(3)) == want
-    assert merging_homology(boundary_cube(3)) == want
+    assert branching_homology(boundary_cube(3), PLUS) == want
     # one dimension up: the branching sphere moves up a degree
     want4 = GradedAbelianGroup([(1, ()), (0, ()), (0, ()), (1, ())])
     assert branching_homology(boundary_cube(4)) == want4
@@ -420,13 +426,13 @@ def test_branching_homology_hollow_cube():
 def test_branching_homology_l_shape():
     K = l_shape()
     assert branching_homology(K) == GradedAbelianGroup([(2, ()), (1, ())])
-    assert merging_homology(K) == GradedAbelianGroup.free(1)
+    assert branching_homology(K, PLUS) == GradedAbelianGroup.free(1)
 
 
 def test_branching_homology_two_squares():
     K = two_squares()
     assert branching_homology(K) == GradedAbelianGroup.free(1)
-    assert merging_homology(K) == GradedAbelianGroup.free(1)
+    assert branching_homology(K, PLUS) == GradedAbelianGroup.free(1)
 
 
 def test_branching_homology_disjoint_hollow_squares():
@@ -443,7 +449,7 @@ def test_merging_equals_direct_construction():
         two_squares(),
     ] + corpus20()
     for K in fixtures:
-        assert merging_homology(K) == merging_group_direct(K)
+        assert branching_homology(K, PLUS) == merging_group_direct(K)
 
 
 def test_low_degrees_match_matrix_route():
@@ -458,8 +464,8 @@ def test_low_degrees_match_matrix_route():
 def test_time_reversal_duality():
     for K in [boundary_cube(3), l_shape()] + corpus20()[:10]:
         R = time_reverse(K)
-        assert branching_homology(R) == merging_homology(K)
-        assert merging_homology(R) == branching_homology(K)
+        assert branching_homology(R) == branching_homology(K, PLUS)
+        assert branching_homology(R, PLUS) == branching_homology(K)
 
 
 def test_merging_side_never_reverses_time(monkeypatch):
@@ -488,7 +494,7 @@ def test_merging_side_never_reverses_time(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, reversed_time)
     for K, (H, complexes, components) in zip(fixtures, expected):
-        assert merging_homology(K) == H
+        assert branching_homology(K, PLUS) == H
         assert assemble_all(K, "+") == complexes
         for v in K.vertices():
             B = branching_complex(K, v, "+")

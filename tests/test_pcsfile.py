@@ -2,6 +2,7 @@
 import random
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -327,10 +328,11 @@ def test_positioned_errors_come_before_the_slot_bound():
     assert str(e.value) == "face tables would leave more than 1000000 face slots empty"
 
 
-def parse_outcome(text, validate):
-    """The tables of a parse, in order, or its error's text and position."""
+def parse_outcome(text):
+    """The tables of a lenient parse, in order, or its error's text and
+    position."""
     try:
-        K = parse_pcs(text, validate=validate)
+        K = parse_pcs(text, validate=False)
     except ParseError as e:
         return e.message, e.line, e.col
     key = {name: name for name in K._dims}
@@ -339,9 +341,11 @@ def parse_outcome(text, validate):
     return list(K._dims.items()), list(K._facets.items())
 
 
-def test_fast_pass_matches_the_checked_parser(monkeypatch):
-    # valid files take the fast pass; any irregularity falls back to the
-    # checked parser, so both routes give the same tables or the same error
+def test_fast_route_refuses_exactly_the_files_with_an_error():
+    # `_tables` reads every well-formed file, comments and blank lines
+    # included, and refuses exactly the files the reference rejects or whose
+    # facet tuples would pass the hole bound; `_first_error` then raises the
+    # reference's error, at its line and column
     emitted = [emit_pcs(K) for K in corpus20() + [glued_torsion()]]
     emitted += [emit_pcs(build(n)) for build in (standard_cube, boundary_cube) for n in range(6)]
     data = [p.read_text() for p in sorted(DATA.glob("*.pcs"))]
@@ -350,24 +354,71 @@ def test_fast_pass_matches_the_checked_parser(monkeypatch):
     rng = random.Random(20261021)
 
     def shuffled(text):
-        body = text.splitlines()[1:]
+        body = [line for line in text.splitlines() if line.split()[:1] != ["pcs"]]
         rng.shuffle(body)
         return "pcs 1\n" + "\n".join(body) + "\n"
 
-    fast = emitted + [shuffled(text) for text in emitted for _ in range(2)]
-    assert all(pcsfile._fast_tables(text) is not None for text in fast)
-    sources = fast + data + [shuffled(text) for text in data]
-    texts = sources + [mutate(rng, sources[n % len(sources)].splitlines()) for n in range(800)]
-    outcomes = [parse_outcome(text, validate) for text in texts for validate in (True, False)]
-    taken = sum(pcsfile._fast_tables(text) is not None for text in texts)
-    monkeypatch.setattr(pcsfile, "_fast_tables", lambda text: None)
-    checked = [parse_outcome(text, validate) for text in texts for validate in (True, False)]
-    for n, (got, expected) in enumerate(zip(outcomes, checked)):
-        assert got == expected, texts[n // 2]
-    # the mutants reach both routes, and both tables and errors
-    assert taken > len(fast) + 100 and len(texts) - taken > 400, taken
-    errors = sum(isinstance(o[0], str) for o in checked)
-    assert 400 < errors < len(checked) - 400, errors
+    def variants(text):
+        """The text under other header and comment forms."""
+        yield "\n  \n# note\n\t\n" + text
+        yield text.replace("pcs 1\n", "pcs 1 # note\n", 1)
+        yield text.replace("pcs 1\n", "pcs  1\n", 1)
+        yield re.sub(r"^(cube|face) .*", r"\g<0>  # note", text, flags=re.M)
+
+    plain = emitted + data
+    sources = plain + [shuffled(text) for text in plain for _ in range(2)]
+    sources += [variant for text in plain for variant in variants(text)]
+    assert all(pcsfile._tables(text) is not None for text in sources)
+    bounded = ["pcs 1\ncube a 1000000\ncube b 0\nface a 1 - b\n",
+               "pcs 1\ncube a 500000\ncube b 0\nface a 1 - b\nface a 1 + b\n"]
+    # an axis 0, read as a slot, would index a cube's list from its end
+    texts = sources + bounded + [re.sub(r"^(face \S+) \d+", r"\1 0", text, count=1, flags=re.M)
+                                 for text in plain]
+    texts += [mutate(rng, sources[n % len(sources)].splitlines()) for n in range(800)]
+    taken = 0
+    for text in texts:
+        expected = parse_reference(text)
+        if isinstance(expected[0], str):
+            refused = True
+        else:
+            dims, faces = expected
+            holes = sum(2 * dims[c] for c in {c for c, _, _ in faces}) - len(faces)
+            refused = holes > core.MAX_CELLS
+        assert (pcsfile._tables(text) is None) == refused, text
+        taken += not refused
+        got = parse_outcome(text)
+        if not refused:
+            # the reference's tables, cubes in file order, facets in the
+            # order of each cube's first face
+            keyed = {(c, k // 2 + 1, k % 2): t for c, F in got[1] for k, t in enumerate(F) if t}
+            assert got[0] == list(dims.items()) and keyed == faces, text
+            assert [c for c, _ in got[1]] == list(dict.fromkeys(c for c, _, _ in faces)), text
+        elif isinstance(expected[0], str):
+            assert got == expected, text
+        else:
+            assert got == (core.SLOTS_ERROR, 0, 0), text
+    # the mutants reach both routes
+    assert taken > len(sources) + 100 and len(texts) - taken > 400, taken
+
+
+def test_error_path_memory_is_bounded():
+    # a large file whose one error is its last line, a repeated face, is
+    # read by both routes; the error path keeps per line what the checked
+    # parser before it kept, so the parse peaks within 10% of that parser's
+    # 10.13 MiB (tracemalloc, CPython 3.11)
+    text = emit_pcs(standard_cube(8))
+    text += text.splitlines()[-1] + "\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as e:
+            parse_pcs(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    last = text.count("\n")
+    assert (e.value.message, e.value.line, e.value.col) == (
+        "duplicate face (8, +) on cube 'xxxxxxxx'", last, 6)
+    assert peak <= 1.1 * 10.13 * 2**20, peak / 2**20
 
 
 def test_fast_pass_bounds_slots_before_allocating():

@@ -21,6 +21,7 @@ from oracles import (
 )
 from precubical.complexes import branching_complex
 from precubical.core import (
+    PLUS,
     PcsError,
     PcsMorphism,
     PrecubicalSet,
@@ -30,7 +31,7 @@ from precubical.core import (
     time_reverse,
     validate,
 )
-from precubical.homology import branching_homology, graded_iso, merging_homology
+from precubical.homology import branching_homology, graded_iso
 from precubical import core
 from precubical.pcsfile import emit_pcs, parse_pcs
 from precubical.subdivision import grid_complex, normalize_pair, sub_compose_iso, subdivide
@@ -314,14 +315,14 @@ def test_glued_torsion_survives_subdivision():
     branching = ((0, ()), (0, ()), (0, (2,)))
     merging = ((0, ()), (0, ()), (0, (2, 2)))
     assert branching_homology(K).groups == branching
-    assert merging_homology(K).groups == merging
+    assert branching_homology(K, PLUS).groups == merging
     assert branching_homology_per_vertex(K).groups == branching
     assert branching_homology_per_vertex(K, "+").groups == merging
     for p, cells in ((2, 112), (3, 456), (4, 1184)):
         L = subdivide(K, p).complex
         assert len(L) == cells and validate(L) == []
         assert branching_homology(L).groups == branching
-        assert merging_homology(L).groups == merging
+        assert branching_homology(L, PLUS).groups == merging
     assert is_isomorphism(sub_compose_iso(K, 2, 3))
 
 
