@@ -17,13 +17,16 @@ carrier names a cube: `embed_face` checks that it is the face (i, -) of a
 cube c of a complex K and moves the path onto c.
 
 Two paths are compared and combined in one merged walk over both
-breakpoint lists.  The walk, canonical form and `sample` compute on
-integers, one common denominator per step, and build a Fraction only for a
-stored coordinate or a returned distance; `at` interpolates on Fractions.
-Beside its Fractions a path carries its breakpoints in that integer form,
-`_points`, built once where the path is built, so a walk or `restrict`
-reads them instead of rebuilding them.  They are no field: equality, hash
-and repr see only the Fractions.
+breakpoint lists, which reads each path's point over its own denominator.
+The walk, canonical form and `sample` compute on integers and build a
+Fraction only for a stored coordinate or a returned distance; `at`
+interpolates on Fractions.  Beside its Fractions a path carries its
+breakpoints in that integer form, `_points`, built once where the path is
+built, so a walk or `restrict` reads them instead of rebuilding them.  They
+are no field: equality, hash and repr see only the Fractions.  A convex
+combination tests the velocity only where both paths break: where one alone
+breaks, its velocity changes, as it is canonical, and the other's does not.
+`sample` draws its digits as `randint` does, so its stream is randint's.
 
 The family `gamma_h` witnesses how germs behave badly: each gamma_h runs
 along the boundary edge until time h and is therefore germ-equal to a
@@ -318,10 +321,10 @@ def _at(points, k: int, n: int, r: int) -> tuple:
 
 
 def _walk(a: PLNaturalPath, b: PLNaturalPath):
-    """(t, d, A, B) at every breakpoint t of either path, in one pass over
-    both, with a(t) = A/d and b(t) = B/d, d the lcm of their denominators:
-    a path's own breakpoint gives its stored point, the other path's an
-    interpolated one.  Both paths end at the same time."""
+    """(t, both, da, A, db, B) at every breakpoint t of either path, in one
+    pass over both, with a(t) = A/da, b(t) = B/db and `both` whether t is a
+    breakpoint of both: a path's own breakpoint gives its stored point, the
+    other path's an interpolated one.  Both paths end at the same time."""
     pa, pb = a._points, b._points
     i = j = 0
     while i < len(pa):
@@ -331,10 +334,7 @@ def _walk(a: PLNaturalPath, b: PLNaturalPath):
             da, A = _at(pa, i, m, s)
         elif y > x:
             db, B = _at(pb, j, n, r)
-        d = lcm(da, db)
-        ka, kb = d // da, d // db
-        t = a.times[i] if x <= y else b.times[j]
-        yield t, d, [v * ka for v in A], [v * kb for v in B]
+        yield (a.times[i] if x <= y else b.times[j]), x == y, da, A, db, B
         i, j = i + (x <= y), j + (y <= x)
 
 
@@ -346,27 +346,35 @@ def sup_distance(a: PLNaturalPath, b: PLNaturalPath) -> Fraction:
     """
     _check_comparable(a, b)
     best, over = 0, 1
-    for _, d, A, B in _walk(a, b):
-        gap = max([abs(x - y) for x, y in zip(A, B)])
-        if gap * over > best * d:
-            best, over = gap, d
+    for _, _, da, A, db, B in _walk(a, b):
+        gap = max([abs(x * db - y * da) for x, y in zip(A, B)])  # over da db
+        if gap * over > best * da * db:
+            best, over = gap, da * db
     return Fraction(best, over)
 
 
 def convex_comb(u: Rational, a: PLNaturalPath, b: PLNaturalPath) -> PLNaturalPath:
     """The pointwise convex combination (1-u)a + u b; natural paths of a
-    common length are closed under it."""
+    common length are closed under it.  For 0 < u < 1 it tests the velocity
+    only where both paths break: where one alone breaks, its velocity changes
+    (paths are canonical) and the other's does not, so the result's does."""
     u = _frac(u, "u")
     if not 0 <= u <= 1:
         raise PathError(f"combination weight {shown(u)} outside [0, 1]")
     _check_comparable(a, b)
+    if u == 0 or u == 1:  # paths are immutable, and the combination is one of them
+        return b if u else a
     p, q = u.numerator, u.denominator
-    times, points = [], []
-    for t, d, A, B in _walk(a, b):
+    times, points, shared = [], [], []
+    for t, both, da, A, db, B in _walk(a, b):
+        d = lcm(da, db)
+        ka, kb = (q - p) * (d // da), p * (d // db)
         times.append(t)
-        C = tuple([(q - p) * x + p * y for x, y in zip(A, B)])
+        shared.append(both and 0 < t < a.eps)  # an interior breakpoint of both paths
+        C = tuple([ka * x + kb * y for x, y in zip(A, B)])
         points.append((t.numerator, t.denominator, q * d, C))
-    return _adopt_points(a.carrier, times, points, _keep(points))
+    keep = [k for k, s in enumerate(shared) if not s or len(_keep(points[k - 1:k + 2])) == 3]
+    return _adopt_points(a.carrier, times, points, keep)
 
 
 def zero_set(path: PLNaturalPath) -> frozenset[int]:
@@ -465,6 +473,15 @@ def gamma_h(h: Rational, eps: Rational = Fraction(1, 2)) -> PLNaturalPath:
     )
 
 
+def _digit(draw, k: int) -> int:
+    """A digit below k, 8 <= k < 16, drawn as CPython's randint(0, k - 1) does:
+    4 random bits, drawn again while >= k, so `sample`'s stream is randint's."""
+    r = draw(4)
+    while r >= k:
+        r = draw(4)
+    return r
+
+
 def sample(n: int, eps: Rational, m: int, seed: int) -> PLNaturalPath:
     """A pseudorandom natural path in the n-cube with m interior
     breakpoints, deterministic in the seed.
@@ -479,15 +496,15 @@ def sample(n: int, eps: Rational, m: int, seed: int) -> PLNaturalPath:
     eps = _frac(eps, "eps")
     if not 0 < eps < 1:
         raise PathError(f"natural length must be in (0, 1), got {shown(eps)}")
-    rng = random.Random(seed)
-    weights = [rng.randint(1, 9) for _ in range(m + 1)]
+    draw = random.Random(seed).getrandbits
+    weights = [1 + _digit(draw, 9) for _ in range(m + 1)]
     e, f = eps.numerator, eps.denominator * sum(weights)  # each time is W/f
     W, d, V = 0, 1, (0,) * n
     times, points = [Fraction(0)], [(W, f, d, V)]
     prev = [0] * n, 1  # the last step's direction split/S; the zero split matches none
     for w in weights:
         while True:
-            split = [rng.randint(0, 9) for _ in range(n)]
+            split = [_digit(draw, 10) for _ in range(n)]
             S = sum(split)
             if S and (n == 1 or any(x * prev[1] != y * S for x, y in zip(split, prev[0]))):
                 break

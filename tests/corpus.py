@@ -45,6 +45,20 @@ def glued_torsion():
     return PrecubicalSet(dims, faces)
 
 
+def one_vertex(N, seed):
+    """One vertex v, a loop e, N squares s0.. whose four faces are all e, and
+    N 3-cubes c0.. whose six faces are seeded random squares.  Every such
+    choice is valid; the complex at v has N edges and N triangles."""
+    rng = random.Random(seed)
+    dims = {"v": 0, "e": 1, **{f"s{k}": 2 for k in range(N)}, **{f"c{k}": 3 for k in range(N)}}
+    faces = {("e", 1, alpha): "v" for alpha in (0, 1)}
+    for k in range(N):
+        faces.update({(f"s{k}", i, alpha): "e" for i in (1, 2) for alpha in (0, 1)})
+    for k in range(N):
+        faces.update({(f"c{k}", i, a): f"s{rng.randrange(N)}" for i in (1, 2, 3) for a in (0, 1)})
+    return PrecubicalSet(dims, faces)
+
+
 def delete_cube(K, name):
     """Drop one cube that nothing else lists as a face."""
     dims, faces = K.as_tables()
@@ -109,7 +123,7 @@ def corpus20():
     return [random_complex(rng) for _ in range(20)]
 
 
-POOL = ["#", "\t", "\x0c", "\r", "\u00b2", "a*", "pcs 2", "cube", "face", "-", "+", "9"]
+POOL = ["#", "\t", "\x0c", "\r", "\u00b2", "a*", "pcs 2", "cube", "face", "-", "+", "9", "0", "00"]
 
 
 def mutate(rng, lines):

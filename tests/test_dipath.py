@@ -211,6 +211,33 @@ def test_convex_comb_on_samples():
         assert_natural(convex_comb(u, a, b))
 
 
+def test_convex_comb_drops_breakpoints_of_both_paths():
+    # only a breakpoint of both paths can drop; random pairs share few, and
+    # those they share stay, so these pairs are built to drop them
+    def swap(p):
+        return PLNaturalPath(p.carrier, p.times, tuple(v[::-1] for v in p.values))
+
+    diagonal, dropped = diagonal_path(2, F(1, 2)), 0
+    for seed in range(120):
+        a = sample(2, F(1, 2), seed % 9, seed)
+        # a + swap(a) runs along the diagonal, so every interior breakpoint drops
+        assert convex_comb(F(1, 2), a, swap(a)) == diagonal
+        assert convex_comb_reference(F(1, 2), a, swap(a)) == (diagonal.times, diagonal.values)
+        dropped += len(a.times) - 2
+    assert dropped > 400
+    times = (F(0), F(1, 4), F(1, 2))
+    a = PLNaturalPath(SQ, times, ((F(0), F(0)), (F(1, 8), F(1, 8)), (F(5, 16), F(3, 16))))
+    b = PLNaturalPath(SQ, times, ((F(0), F(0)), (F(1, 8), F(1, 8)), (F(1, 8), F(3, 8))))
+    assert convex_comb(F(1, 3), a, b) == diagonal
+    assert convex_comb_reference(F(1, 3), a, b) == (diagonal.times, diagonal.values)
+    # here the velocity still turns at the shared breakpoint 1/4
+    a = PLNaturalPath(SQ, times, ((F(0), F(0)), (F(1, 4), F(0)), (F(1, 4), F(1, 4))))
+    b = PLNaturalPath(SQ, times, ((F(0), F(0)), (F(1, 4), F(0)), (F(3, 8), F(1, 8))))
+    c = convex_comb(F(1, 2), a, b)
+    assert c.times == times and c.values[1] == (F(1, 4), F(0))
+    assert (c.times, c.values) == convex_comb_reference(F(1, 2), a, b)
+
+
 def test_zero_set():
     g = gamma_h(F(1, 4), F(1, 2))
     assert zero_set(restrict(g, F(1, 4))) == {1}

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import corpus20, hollow_cube, hollow_square, l_shape, two_squares
+from corpus import corpus20, hollow_cube, hollow_square, l_shape, one_vertex, two_squares
 from oracles import (
     betti_numbers,
     branching_homology_per_vertex,
@@ -401,6 +401,26 @@ def test_homology_ranks_match_rational_route():
         C = chain_complex(S)
         H = homology_of(C)
         assert [H.rank(k) for k in range(C.top_degree + 1)] == betti_numbers(C)
+
+
+def test_one_vertex_ranks_match_rational_route():
+    # ROADMAP item 14's input: at v, N edges and N triangles over one vertex
+    for N, seed in ((1, 1), (2, 3), (10, 2), (40, 5), (100, 1), (100, 4)):
+        K = one_vertex(N, seed)
+        for side in ("-", PLUS):
+            b = betti_numbers(chain_complex(branching_complex(K, "v", side)))
+            H = branching_homology(K, side)
+            # the reduced H_n at the one vertex lands in degree n + 1
+            assert [H.rank(k) for k in range(4)] == [0, b[0] - 1, *b[1:]]
+
+
+def test_one_vertex_elimination_is_bounded():
+    # item 14's reproducer at N = 800; entry growth takes N = 1,600 to seconds
+    K = one_vertex(800, 1)
+    start = time.perf_counter()
+    H = branching_homology(K)
+    assert time.perf_counter() - start < 2.0
+    assert str(H) == "H0=0, H1=0, H2=Z^56, H3=Z^56"
 
 
 def test_branching_homology_standard_cubes():
