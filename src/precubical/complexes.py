@@ -9,13 +9,14 @@ finish at v, with their finish faces.  That is the branching complex of
 the time-reversed complex, which the tests use as a second route.
 
 The components of these complexes are what branching/merging homology sees
-in low degrees, so `pi0_components` computes them directly on the cube data
-with a union-find, independent of any chain-complex machinery.
+in low degrees.  `SemiSimplicialSet.components` finds them by union-find on
+the facet tuples; the tests check the homology against a second union-find
+on the cube data (`tests/oracles.py`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .core import (
     MINUS,
@@ -29,45 +30,6 @@ from .core import (
     shown,
     whole_in,
 )
-
-
-class UnionFind:
-    """Disjoint sets over hashable items, with path compression."""
-
-    def __init__(self, items: Iterable = ()):
-        self._parent: dict = {}
-        self.num_components = 0
-        for x in items:
-            self.add(x)
-
-    def add(self, x) -> None:
-        if x not in self._parent:
-            self._parent[x] = x
-            self.num_components += 1
-
-    def find(self, x):
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, x, y) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self._parent[ry] = rx
-        self.num_components -= 1
-        return True
-
-    def components(self) -> list[frozenset]:
-        classes: dict = {}
-        for x in self._parent:
-            classes.setdefault(self.find(x), []).append(x)
-        return sorted(
-            (frozenset(c) for c in classes.values()), key=lambda c: min(c)
-        )
 
 
 @dataclass(frozen=True)
@@ -134,12 +96,22 @@ class SemiSimplicialSet(CellStore):
         raise PcsError(f"face index {shown(i)} out of range on {name!r}")
 
     def components(self) -> tuple[frozenset[str], ...]:
-        """Connected classes of the simplices, via union-find on the faces."""
-        uf = UnionFind(self._dims)
+        """Connected classes of the simplices by union-find on the faces,
+        sorted by least name."""
+        root = {s: s for s in self._dims}
+
+        def find(s):
+            while root[s] != s:
+                root[s] = s = root[root[s]]
+            return s
+
         for s, F in self._facets.items():
             for t in F:
-                uf.union(s, t)
-        return tuple(uf.components())
+                root[find(t)] = find(s)
+        classes: dict = {}
+        for s in root:
+            classes.setdefault(find(s), []).append(s)
+        return tuple(sorted(map(frozenset, classes.values()), key=min))
 
 
 class BranchingComplex(SemiSimplicialSet):
@@ -190,23 +162,3 @@ def assemble_all(K: PrecubicalSet, side: str = MINUS) -> dict[str, BranchingComp
         v: _assemble_at(K, v, side, members)
         for v, members in extremal_partition(K, side).items()
     }
-
-
-def pi0_components(K: PrecubicalSet, vertex: str, side: str = MINUS) -> tuple[frozenset[str], ...]:
-    """Partition the cubes branching out of (merging into) a vertex into
-    connected classes.
-
-    Works directly on the cube data with a union-find, joining each cube of
-    dimension >= 2 with its start faces (finish faces on side '+'); this
-    stays independent of the chain-complex route to the same numbers.
-    Raises PcsError if K is not a valid precubical set.
-    """
-    end = side_end(side)
-    check_valid(K)
-    members = extremal_cubes(K, vertex, side)
-    uf = UnionFind(members)
-    for c in members:
-        if K.dim_of(c) >= 2:
-            for i in range(1, K.dim_of(c) + 1):
-                uf.union(c, K.face(c, i, end))
-    return tuple(uf.components())

@@ -169,7 +169,7 @@ class CellStore:
         self._dims = {}
         for name, d in dims.items():
             if not isinstance(name, str) or not NAME_RE.match(name):
-                raise PcsError(f"bad {self._cell} name {name!r}")
+                raise PcsError(f"bad {self._cell} name {shown(name)}")
             if not isinstance(d, int) or not 0 <= d <= MAX_CELLS:
                 raise PcsError(f"bad dimension {shown(d)} for {self._cell} {name!r}")
             self._dims[name] = d
@@ -609,10 +609,10 @@ def attach_cube(
         while f"cube{k}" in K:
             k += 1
         name = f"cube{k}"
+    elif not isinstance(name, str) or not NAME_RE.match(name):
+        raise PcsError(f"bad cube name {shown(name)}")
     elif name in K:
         raise PcsError(f"cube name {name!r} already in use")
-    elif not NAME_RE.match(name):
-        raise PcsError(f"bad cube name {name!r}")
     # a key equal to an int slot (1.0, True) finds it, and F holds the targets
     F = tuple(boundary[(i, a)] for i in range(1, n + 1) for a in (0, 1))
     for t in F:

@@ -96,13 +96,6 @@ def _keep(points) -> list[int]:
     return keep
 
 
-def _canonical(times, values):
-    """Drop every breakpoint where the velocity does not change; the
-    remaining data describes the same map."""
-    keep = _keep([_point(t, v) for t, v in zip(times, values)])
-    return tuple(times[k] for k in keep), tuple(values[k] for k in keep)
-
-
 def _lerp(times, values, k: int, t: Fraction) -> tuple[Fraction, ...]:
     """The point at time t on segment k, from breakpoint k - 1 to k."""
     t0 = times[k - 1]

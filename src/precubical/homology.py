@@ -23,6 +23,7 @@ building them costs about as much as `chain_complex`'s index lookups.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
@@ -182,14 +183,23 @@ def smith_normal_form(M: Matrix) -> tuple[int, ...]:
 def invariant_factors(values: Iterable[int]) -> tuple[int, ...]:
     """Normalize torsion coefficients to invariant factors: a divisibility
     chain with the same direct sum.  E.g. (2, 3) -> (6); (2, 4, 3) -> (2, 12).
-    Each value enters at the top, as Z/d + Z/t = Z/lcm + Z/gcd; the gcd moves down."""
-    chain: list[int] = []
+    Each value t enters at the top, as Z/d + Z/t = Z/lcm + Z/gcd; the gcd
+    moves down.  The chain is kept as runs of equal entries: t passes a run
+    of d's that it divides, else only the run's top entry becomes lcm(d, t)
+    and gcd(d, t), which divides d, passes the rest."""
+    runs: Counter[int] = Counter()  # entry -> its count in the chain
     for t in (abs(v) for v in values if abs(v) > 1):
-        for k in range(len(chain) - 1, -1, -1):
-            g = gcd(chain[k], t)
-            chain[k], t = chain[k] * t // g, g
-        chain.insert(0, t)
-    return tuple(t for t in chain if t > 1)
+        for d in sorted(runs, reverse=True):
+            if d % t:
+                g = gcd(d, t)
+                runs[d // g * t] += 1
+                runs[d] -= 1
+                if not runs[d]:
+                    del runs[d]
+                t = g
+        if t > 1:
+            runs[t] += 1
+    return tuple(sorted(runs.elements()))
 
 
 @dataclass(frozen=True)
@@ -209,7 +219,7 @@ class GradedAbelianGroup:
             torsion = tuple(torsion)
             if rank < 0:
                 raise ValueError("negative rank")
-            if invariant_factors(torsion) != torsion:
+            if any(d < 2 or d % a for a, d in zip((1, *torsion), torsion)):
                 raise ValueError(f"torsion {torsion} is not an invariant-factor chain")
             cleaned.append((rank, torsion))
         while cleaned and cleaned[-1] == (0, ()):
@@ -253,11 +263,6 @@ def group_str(rank: int, torsion: tuple[int, ...]) -> str:
         parts.append(f"Z^{rank}")
     parts.extend(f"Z/{t}" for t in torsion)
     return " + ".join(parts) if parts else "0"
-
-
-def graded_iso(a: GradedAbelianGroup, b: GradedAbelianGroup) -> bool:
-    """Isomorphism of graded groups; canonical form makes this equality."""
-    return a.groups == b.groups
 
 
 class ChainComplex:

@@ -5,7 +5,10 @@ Smith diagonal from determinantal divisors instead of elimination, ranks by
 fraction elimination, boundary composites by a dense product instead of
 sparse columns, merging homology from finish faces through the checking
 constructors and a union-find instead of the library's assembly and total
-group, the low degrees from an explicit augmentation matrix on the
+group, the components at a vertex by a union-find on the cube data
+instead of on the assembled complex's facet tuples, invariant factors by a
+walk over every entry of the chain instead of over runs of equal entries,
+the low degrees from an explicit augmentation matrix on the
 time-reversed complex, PCS text through a regex tokenizer that records
 every token's column, the axioms on (cube, axis, end)-keyed face tables
 instead of facet tuples, faces of the standard cube on words over {0, 1, x}
@@ -32,17 +35,21 @@ import re
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from typing import Iterable
 
-from precubical.complexes import SemiSimplicialSet, UnionFind, assemble_all, pi0_components
+from precubical.complexes import SemiSimplicialSet, assemble_all
 from precubical.core import (
     MAX_CELLS,
+    MINUS,
     MorphismError,
     PcsError,
     PcsMorphism,
     PrecubicalSet,
     Violation,
+    check_valid,
     extremal_cubes,
     initial_states,
+    side_end,
     time_reverse,
 )
 from precubical.homology import (
@@ -54,6 +61,65 @@ from precubical.homology import (
     invariant_factors,
 )
 from precubical.subdivision import grid_complex
+
+
+class UnionFind:
+    """Disjoint sets over hashable items, with path compression."""
+
+    def __init__(self, items: Iterable = ()):
+        self._parent: dict = {}
+        self.num_components = 0
+        for x in items:
+            self.add(x)
+
+    def add(self, x) -> None:
+        if x not in self._parent:
+            self._parent[x] = x
+            self.num_components += 1
+
+    def find(self, x):
+        root = x
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[x] != root:
+            self._parent[x], x = root, self._parent[x]
+        return root
+
+    def union(self, x, y) -> bool:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self._parent[ry] = rx
+        self.num_components -= 1
+        return True
+
+    def components(self) -> list[frozenset]:
+        classes: dict = {}
+        for x in self._parent:
+            classes.setdefault(self.find(x), []).append(x)
+        return sorted(
+            (frozenset(c) for c in classes.values()), key=lambda c: min(c)
+        )
+
+
+def pi0_components(K: PrecubicalSet, vertex: str, side: str = MINUS) -> tuple[frozenset[str], ...]:
+    """Partition the cubes branching out of (merging into) a vertex into
+    connected classes.
+
+    Works directly on the cube data with a union-find, joining each cube of
+    dimension >= 2 with its start faces (finish faces on side '+'); this
+    stays independent of the chain-complex route to the same numbers.
+    Raises PcsError if K is not a valid precubical set.
+    """
+    end = side_end(side)
+    check_valid(K)
+    members = extremal_cubes(K, vertex, side)
+    uf = UnionFind(members)
+    for c in members:
+        if K.dim_of(c) >= 2:
+            for i in range(1, K.dim_of(c) + 1):
+                uf.union(c, K.face(c, i, end))
+    return tuple(uf.components())
 
 
 def betti_numbers(C: ChainComplex) -> list[int]:
@@ -105,6 +171,19 @@ def direct_sum(a: GradedAbelianGroup, b: GradedAbelianGroup) -> GradedAbelianGro
         (a.rank(k) + b.rank(k), invariant_factors(a.torsion(k) + b.torsion(k)))
         for k in range(max(len(a.groups), len(b.groups)))
     )
+
+
+def invariant_factors_reference(values: Iterable[int]) -> tuple[int, ...]:
+    """Invariant factors with every value walked down the whole chain, one
+    entry at a time: Z/d + Z/t = Z/lcm + Z/gcd, the gcd moving down."""
+    chain: list[int] = []
+    for t in (abs(v) for v in values if abs(v) > 1):
+        for k in range(len(chain) - 1, -1, -1):
+            g = gcd(chain[k], t)
+            chain[k], t = chain[k] * t // g, g
+        chain.insert(0, t)
+    return tuple(t for t in chain if t > 1)
+
 
 
 def branching_homology_per_vertex(K, side: str = "-") -> GradedAbelianGroup:

@@ -16,6 +16,7 @@ from oracles import (
     composite_is_zero,
     is_isomorphism,
     nonempty_index,
+    pi0_components,
     rational_rank,
     smith_diagonal_by_minors,
     word_face,
@@ -23,7 +24,6 @@ from oracles import (
 from precubical.complexes import (
     assemble_all,
     branching_complex,
-    pi0_components,
 )
 from precubical.core import (
     PLUS,
@@ -55,7 +55,6 @@ from precubical.homology import (
     Matrix,
     branching_homology,
     chain_complex,
-    graded_iso,
     homology_of,
     smith_normal_form,
 )
@@ -94,7 +93,7 @@ def test_01_corner_complex_of_the_full_cube_is_contractible():
     # simplex, so their homology is that of a point
     for n in range(1, 6):
         H = vertex_homology(standard_cube(n), "0" * n)
-        assert graded_iso(H, free(1)), f"n={n}: {H}"
+        assert H == free(1), f"n={n}: {H}"
 
 
 def test_02_corner_complexes_of_cube_boundaries_are_spheres():
@@ -108,7 +107,7 @@ def test_02_corner_complexes_of_cube_boundaries_are_spheres():
     }
     for n, H_sphere in want.items():
         H = vertex_homology(boundary_cube(n), "0" * n)
-        assert graded_iso(H, H_sphere), f"n={n}: {H}"
+        assert H == H_sphere, f"n={n}: {H}"
 
 
 def test_03_every_vertex_complex_reduces_to_a_corner_complex():
@@ -199,15 +198,15 @@ def test_05_attachment_order_does_not_matter():
 
 def test_06_branching_homology_reference_values():
     for n in range(5):
-        assert graded_iso(branching_homology(standard_cube(n)), free(1))
-    assert graded_iso(branching_homology(boundary_cube(2)), free(1, 1))
-    assert graded_iso(branching_homology(boundary_cube(3)), free(1, 0, 1))
+        assert branching_homology(standard_cube(n)) == free(1)
+    assert branching_homology(boundary_cube(2)) == free(1, 1)
+    assert branching_homology(boundary_cube(3)) == free(1, 0, 1)
     # torsion from a precubical set glued to itself: Z/2 branching, and
     # Z/2 + Z/2 merging
     glued = GradedAbelianGroup([(0, ()), (0, ()), (0, (2,))])
-    assert graded_iso(branching_homology(glued_torsion()), glued)
+    assert branching_homology(glued_torsion()) == glued
     glued = GradedAbelianGroup([(0, ()), (0, ()), (0, (2, 2))])
-    assert graded_iso(branching_homology(glued_torsion(), PLUS), glued)
+    assert branching_homology(glued_torsion(), PLUS) == glued
     for K in CORPUS:
         assert branching_homology(K).rank(0) == len(final_states(K))
 
@@ -226,11 +225,11 @@ def test_07_subdivision_preserves_homology():
         }
         for p in (2, 3):
             S = subdivide(K, p).complex
-            assert graded_iso(branching_homology(S), Hb)
-            assert graded_iso(branching_homology(S, PLUS), Hm)
+            assert branching_homology(S) == Hb
+            assert branching_homology(S, PLUS) == Hm
             sub_local = assemble_all(S)
             for v, H in local.items():
-                assert graded_iso(homology_of(chain_complex(sub_local[v])), H)
+                assert homology_of(chain_complex(sub_local[v])) == H
 
 
 def test_08_subdivision_functoriality_and_counts():
@@ -292,7 +291,7 @@ def test_11_time_reversal_duality():
     for K in CORPUS:
         R = time_reverse(K)
         assert time_reverse(R) == K
-        assert graded_iso(branching_homology(K, PLUS), branching_homology(R))
+        assert branching_homology(K, PLUS) == branching_homology(R)
 
 
 def test_12_sampled_path_invariants():

@@ -15,12 +15,11 @@ from pathlib import Path
 import pytest
 
 from corpus import corpus20, face_paths, hollow_cube, hollow_square, l_shape, mutate, two_squares
-from oracles import cube_words
+from oracles import cube_words, pi0_components
 from precubical.complexes import (
     SemiSimplicialSet,
     assemble_all,
     branching_complex,
-    pi0_components,
 )
 from precubical.core import (
     PLUS,

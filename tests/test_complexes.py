@@ -4,16 +4,14 @@ import re
 
 import pytest
 
-from corpus import corpus20, l_shape, two_squares
-from oracles import nonempty_index
+from corpus import corpus20, glued_torsion, l_shape, one_vertex, two_squares
+from oracles import UnionFind, nonempty_index, pi0_components
 from precubical.complexes import (
     BranchingComplex,
     SemiSimplicialSet,
     SimplexId,
-    UnionFind,
     assemble_all,
     branching_complex,
-    pi0_components,
 )
 from precubical.core import (
     EMPTY,
@@ -222,7 +220,10 @@ def test_one_pass_grouping_matches_per_vertex_scans():
     # the one-vertex functions everywhere, on both sides, and the
     # union-find components of each assembled complex must agree with the
     # direct cube-data partition
-    for K in [standard_cube(3), boundary_cube(3), l_shape()] + corpus20()[:4]:
+    # glued_torsion and one_vertex have loops, and simplices whose faces are
+    # all one simplex
+    inputs = [standard_cube(3), boundary_cube(3), l_shape(), glued_torsion(), one_vertex(40, 1)]
+    for K in inputs + corpus20()[:4]:
         for side in ("-", "+"):
             groups = extremal_partition(
                 time_reverse(K) if side == "+" else K

@@ -1,6 +1,7 @@
 """Core precubical-set machinery: construction, faces, validation."""
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -155,6 +156,8 @@ def test_lookup_errors():
         PrecubicalSet({"a": 0}, {("a", 1, 0): "a"})
     with pytest.raises(PcsError):
         PrecubicalSet({"bad name": 0}, {})
+    with pytest.raises(PcsError, match="^bad cube name <100[+] digits>$"):
+        PrecubicalSet({10**5000: 0}, {})
 
 
 def _failure(lookup):
@@ -370,6 +373,11 @@ def test_attach_cube_fresh_names_deterministic():
         attach_cube(K, 0, {}, name="a")
     with pytest.raises(PcsError):
         attach_cube(K, 1, {(1, 0): "a"})
+    # a name that is no str is refused before it is looked up
+    for name, text in ((5, "5"), (b"x", "b'x'"), (("a",), "('a',)"), (["a"], "['a']"),
+                       (10**5000, "<100+ digits>")):
+        with pytest.raises(PcsError, match=f"^bad cube name {re.escape(text)}$"):
+            attach_cube(K, 1, {(1, 0): "a", (1, 1): "b"}, name=name)
 
 
 def test_morphism_inclusion_not_iso():

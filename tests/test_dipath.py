@@ -26,7 +26,6 @@ from precubical.core import (
 from precubical.dipath import (
     PathError,
     PLNaturalPath,
-    _canonical,
     _point,
     convex_comb,
     diagonal_path,
@@ -451,11 +450,13 @@ def test_canonical_matches_straight_line_reference():
                 padded_v.append(tuple(x + (y - x) * u for x, y in zip(v0, v1)))
             padded_t.append(t1)
             padded_v.append(v1)
+        paths = []
         for t, v in ((times, values), (padded_t, padded_v)):
             want = canonical_reference(t, v)
-            assert _canonical(t, v) == want
+            paths.append(PLNaturalPath(standard_carrier(n), t, v))
+            assert (paths[-1].times, paths[-1].values) == want
             dropped += len(t) - len(want[0])
-        assert _canonical(padded_t, padded_v) == _canonical(times, values)
+        assert paths[0] == paths[1]
     assert dropped > 2000
 
 
@@ -595,10 +596,11 @@ def test_hostile_denominators_stay_bounded():
         u = F(1, 3)
         start = time.perf_counter()
         d, c = sup_distance(a, b), convex_comb(u, a, b)
-        canonical = [_canonical(p.times, p.values) for p in (a, b)]
+        rebuilt = [PLNaturalPath(p.carrier, p.times, p.values) for p in (a, b)]
         assert time.perf_counter() - start < 2
         assert d == sup_distance_reference(a, b)
         assert (c.times, c.values) == convex_comb_reference(u, a, b)
+        canonical = [(p.times, p.values) for p in rebuilt]
         assert canonical == [canonical_reference(p.times, p.values) for p in (a, b)]
 
 
