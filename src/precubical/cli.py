@@ -60,7 +60,7 @@ from .subdivision import subdivide
 
 
 def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             return handle.read()
         except UnicodeDecodeError as exc:

@@ -114,31 +114,15 @@ class SemiSimplicialSet(CellStore):
         return tuple(sorted(map(frozenset, classes.values()), key=min))
 
 
-class BranchingComplex(SemiSimplicialSet):
-    """The branching (side '-') or merging (side '+') complex at one vertex."""
-
-    __slots__ = ("vertex", "side")
-
-    def __init__(self, dims, faces, vertex: str, side: str):
-        super().__init__(dims, faces)
-        self.vertex = vertex
-        self.side = side
-
-    def __repr__(self) -> str:
-        kind = "branching" if self.side == MINUS else "merging"
-        return f"BranchingComplex({kind} at {self.vertex!r}, {len(self)} simplices)"
-
-
-def _assemble_at(K: PrecubicalSet, vertex: str, side: str,
-                 members: frozenset[str]) -> BranchingComplex:
+def _assemble_at(K: PrecubicalSet, side: str, members: frozenset[str]) -> SemiSimplicialSet:
     end = side_end(side)
     dims = {c: K._dims[c] - 1 for c in members}
     # a valid K satisfies the simplicial identities (module docstring)
     facets = {c: K._facets[c][end::2] for c, k in dims.items() if k}
-    return BranchingComplex._adopt(dims, facets, vertex=vertex, side=side)
+    return SemiSimplicialSet._adopt(dims, facets)
 
 
-def branching_complex(K: PrecubicalSet, vertex: str, side: str = MINUS) -> BranchingComplex:
+def branching_complex(K: PrecubicalSet, vertex: str, side: str = MINUS) -> SemiSimplicialSet:
     """The complex of cubes branching out of (or merging into) a vertex.
 
     Simplex names are the cube names they come from.  Raises PcsError if
@@ -146,10 +130,10 @@ def branching_complex(K: PrecubicalSet, vertex: str, side: str = MINUS) -> Branc
     """
     side_end(side)
     check_valid(K)
-    return _assemble_at(K, vertex, side, extremal_cubes(K, vertex, side))
+    return _assemble_at(K, side, extremal_cubes(K, vertex, side))
 
 
-def assemble_all(K: PrecubicalSet, side: str = MINUS) -> dict[str, BranchingComplex]:
+def assemble_all(K: PrecubicalSet, side: str = MINUS) -> dict[str, SemiSimplicialSet]:
     """The branching (or merging) complex at every vertex, possibly empty.
 
     One pass groups the cubes by extremal vertex, so this is the cheap way
@@ -159,6 +143,6 @@ def assemble_all(K: PrecubicalSet, side: str = MINUS) -> dict[str, BranchingComp
     side_end(side)
     check_valid(K)
     return {
-        v: _assemble_at(K, v, side, members)
+        v: _assemble_at(K, side, members)
         for v, members in extremal_partition(K, side).items()
     }

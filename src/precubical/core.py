@@ -668,8 +668,3 @@ class PcsMorphism:
                     f"face ({i}, {SIDES[alpha]}) of {c!r} maps to "
                     f"{self.mapping[t]!r} but face of image is {ft!r}"
                 )
-
-    def __call__(self, name: str) -> str:
-        if name not in self.mapping:
-            raise UnknownCubeError(f"unknown cube {name!r}")
-        return self.mapping[name]

@@ -455,8 +455,6 @@ def gamma_h(h: Rational, eps: Rational = Fraction(1, 2)) -> PLNaturalPath:
     if not 0 < h < eps < 1:
         raise PathError(f"need 0 < h < eps < 1, got h = {shown(h)}, eps = {shown(eps)}")
     lo, hi = (eps - h) / 2, (eps + h) / 2
-    if not (0 < lo < 1 and 0 < hi < 1):
-        raise PathError(f"endpoint ({shown(lo)}, {shown(hi)}) escapes the open square")
     zero = Fraction(0)
     return make_path(
         standard_carrier(2),

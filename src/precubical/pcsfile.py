@@ -1,8 +1,9 @@
 """The PCS text format: parse and emit precubical sets.
 
-A PCS file is line-oriented UTF-8.  '#' starts a comment running to the end
-of the line; blank lines are skipped.  The first significant line is the
-header `pcs 1`.  After it, in any order:
+A PCS file is line-oriented UTF-8; `pcs` drops one leading byte-order mark
+when it reads a file, but in `parse_pcs`'s text a mark is an error.  '#'
+starts a comment running to the end of the line; blank lines are skipped.
+The first significant line is the header `pcs 1`.  After it, in any order:
 
     cube <name> <dim>
     face <name> <i> <-|+> <target>

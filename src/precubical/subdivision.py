@@ -148,6 +148,7 @@ def grid_complex(boxes: Iterable[Sequence[int]]) -> PrecubicalSet:
     any box that takes the distinct cells (boxes share faces) past it.
     """
     dims, facets, key, template = {}, {}, {}, {}  # key: each cell name as first built
+    built = set()  # the boxes already built; a repeated box adds no cell
     for box in boxes:
         if not isinstance(box, Sequence):
             raise PcsError(f"grid box {shown(box)} is not a sequence of coordinates")
@@ -158,6 +159,9 @@ def grid_complex(boxes: Iterable[Sequence[int]]) -> PrecubicalSet:
                 raise PcsError(
                     f"grid box coordinate {shown(b)} is not an int of fewer than 100 digits"
                 )
+        if (box := tuple(box)) in built:
+            continue
+        built.add(box)
         # the template's codes 0, 1, 2 shifted by 2b on each axis
         labels = [[_label(c + 2 * b) for c in (0, 1, 2)] for b in box]
         words = map(".".join, itertools.product(*labels)) if box else ["e"]

@@ -18,7 +18,7 @@ from oracles import parse_reference
 from precubical import cli
 from precubical.cli import run_command
 from precubical.core import boundary_cube, standard_cube, time_reverse
-from precubical.pcsfile import emit_pcs, parse_pcs
+from precubical.pcsfile import ParseError, emit_pcs, parse_pcs
 from precubical.subdivision import subdivide
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -423,6 +423,49 @@ def test_non_utf8_file_is_bad_input(tmp_path):
     bad.write_bytes(b"pcs 1\ncube \xff 0\n")
     code, out, err = run("validate", str(bad))
     assert code == 2 and "not UTF-8" in err
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    # Windows editors start UTF-8 files with a mark; every command that reads
+    # a file prints the same with it as without it.  Only one leading mark
+    # goes: a second is still an error, and so is a mark in parse_pcs's text.
+    text = (DATA / "hollow-cube.pcs").read_text()
+    path = tmp_path / "cube.pcs"
+    commands = [["validate"], ["info"], ["complex"], ["complex", "--merging"],
+                ["homology"], ["homology", "--merging", "--json"], ["reverse"],
+                ["subdivide", "-p", "2"], ["check-sub", "-p", "2"]]
+    for command in commands:
+        results = []
+        for mark in ("", "\ufeff"):
+            path.write_text(mark + text, encoding="utf-8")
+            results.append(run(command[0], str(path), *command[1:]))
+        assert results[0][0] == 0 and results[1] == results[0], command
+    header = "line 1, col 1: first line must be the header 'pcs 1'"
+    path.write_text("\ufeff\ufeff" + text, encoding="utf-8")
+    assert run("info", str(path)) == (2, "", f"error: {header}\n")
+    with pytest.raises(ParseError) as caught:
+        parse_pcs("\ufeff" + text)
+    assert str(caught.value) == header
+
+
+def test_homology_of_no_cubes_is_zero(tmp_path):
+    path = tmp_path / "empty.pcs"
+    path.write_text("pcs 1\n")
+    assert run("homology", str(path)) == (0, "branching: 0\n", "")
+    assert run("homology", "--merging", str(path)) == (0, "merging: 0\n", "")
+
+
+def test_check_sub_exits_1_when_homology_differs(monkeypatch):
+    # a subdivision that fills the hollow square changes both homologies
+    monkeypatch.setattr(cli, "subdivide", lambda K, p: subdivide(standard_cube(2), p))
+    code, out, err = run("check-sub", str(DATA / "hollow-square.pcs"), "-p", "2")
+    assert (code, err) == (1, "")
+    assert out == (
+        "branching original H0 = Z\nbranching original H1 = Z\n"
+        "branching subdivided H0 = Z\nbranching homology differs\n"
+        "merging original H0 = Z\nmerging original H1 = Z\n"
+        "merging subdivided H0 = Z\nmerging homology differs\n"
+    )
 
 
 def test_bad_usage():

@@ -7,7 +7,6 @@ import pytest
 from corpus import corpus20, glued_torsion, l_shape, one_vertex, two_squares
 from oracles import UnionFind, nonempty_index, pi0_components
 from precubical.complexes import (
-    BranchingComplex,
     SemiSimplicialSet,
     SimplexId,
     assemble_all,
@@ -55,6 +54,14 @@ def test_semi_simplicial_rejects_holes_and_broken_identities():
     for index, shown in (("1", "'1'"), (None, "None"), (0.5, "0.5")):
         with pytest.raises(PcsError, match=f"^face index {re.escape(shown)} out of range on 's'$"):
             SemiSimplicialSet({"s": 1, "a": 0}, {("s", 0): "a", ("s", index): "a"})
+    # every face joins two known simplices, one dimension apart
+    for faces, message in (
+        ({("s", 0): "a", ("s", 1): "zz"}, "face ('s', 1) involves unknown simplices"),
+        ({("zz", 0): "a", ("s", 0): "a", ("s", 1): "a"}, "face ('zz', 0) involves unknown simplices"),
+        ({("s", 0): "a", ("s", 1): "s"}, "face ('s', 1) drops to wrong dimension"),
+    ):
+        with pytest.raises(PcsError, match=f"^{re.escape(message)}$"):
+            SemiSimplicialSet({"s": 1, "a": 0}, faces)
     # a triangle on vertices v0 < v1 < v2: d_i drops the i-th vertex
     dims = {"t": 2, "e0": 1, "e1": 1, "e2": 1, "v0": 0, "v1": 0, "v2": 0}
     faces = {
@@ -79,8 +86,7 @@ def test_semi_simplicial_rejects_holes_and_broken_identities():
 
 def test_branching_complex_of_square_corner():
     B = branching_complex(standard_cube(2), "00")
-    assert isinstance(B, BranchingComplex)
-    assert B.vertex == "00" and B.side == "-"
+    assert isinstance(B, SemiSimplicialSet)
     assert B.counts() == {0: 2, 1: 1}
     assert B.face("xx", 0) == "0x"
     assert B.face("xx", 1) == "x0"
@@ -237,7 +243,5 @@ def test_one_pass_grouping_matches_per_vertex_scans():
                 )
                 B = every[v]
                 assert B == branching_complex(K, v, side)
-                assert B.side == side
-                assert B.vertex == v
                 want = sorted(map(sorted, pi0_components(K, v, side)))
                 assert sorted(map(sorted, B.components())) == want

@@ -158,6 +158,8 @@ def test_lookup_errors():
         PrecubicalSet({"bad name": 0}, {})
     with pytest.raises(PcsError, match="^bad cube name <100[+] digits>$"):
         PrecubicalSet({10**5000: 0}, {})
+    assert _failure(lambda: PrecubicalSet({"a": 0}, {("b", 1, 0): "a"})) == (
+        UnknownCubeError, "face on unknown cube 'b'")
 
 
 def _failure(lookup):
@@ -373,6 +375,9 @@ def test_attach_cube_fresh_names_deterministic():
         attach_cube(K, 0, {}, name="a")
     with pytest.raises(PcsError):
         attach_cube(K, 1, {(1, 0): "a"})
+    # the word form needs every proper face word, here "0" and "1"
+    assert _failure(lambda: attach_cube(K, 1, {"0": "a"})) == (
+        PcsError, "word assignment must cover exactly the 2 proper face words of the standard 1-cube")
     # a name that is no str is refused before it is looked up
     for name, text in ((5, "5"), (b"x", "b'x'"), (("a",), "('a',)"), (["a"], "['a']"),
                        (10**5000, "<100+ digits>")):
@@ -395,6 +400,24 @@ def test_morphism_must_commute_with_faces():
     # swap the endpoints of the target edge: dims fine, faces broken
     with pytest.raises(MorphismError):
         PcsMorphism(K, K, {"x": "x", "0": "1", "1": "0"})
+
+
+# a lenient load of the unit edge without its face (1, +)
+OPEN_EDGE = parse_pcs("pcs 1\ncube 0 0\ncube 1 0\ncube x 1\nface x 1 - 0\n", validate=False)
+
+
+@pytest.mark.parametrize("target, mapping, refusal", [
+    (standard_cube(1), {"0": "0", "1": "1"}, "mapping undefined on 'x'"),
+    (standard_cube(1), {"0": "0", "1": "1", "x": "y"}, "'x' maps to unknown cube 'y'"),
+    (standard_cube(1), {"0": "0", "1": "1", "x": "0"}, "'x' (dim 1) maps to '0' (dim 0)"),
+    (OPEN_EDGE, {"0": "0", "1": "1", "x": "x"}, "target cube 'x' lacks face (1, +) needed by 'x'"),
+    (standard_cube(1), {"x": "x", "0": "1", "1": "0"},
+     "face (1, -) of 'x' maps to '1' but face of image is '0'"),
+], ids=["undefined", "unknown-target", "dimension", "lacks-face", "faces-disagree"])
+def test_morphism_refusals(target, mapping, refusal):
+    # the source is the unit edge; each refusal names the first cube it meets
+    assert _failure(lambda: PcsMorphism(standard_cube(1), target, mapping)) == (
+        MorphismError, refusal)
 
 
 def test_validate_reports_missing_face():

@@ -105,6 +105,28 @@ def test_make_path_errors():
         make_path(CubeId("v", 0), F(1, 2), (0, F(1, 2)), ((), ()))
 
 
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: PLNaturalPath("xx", (0, F(1, 2)), ((0, 0), (F(1, 4), F(1, 4)))),
+     "carrier must be a CubeId, got 'xx'"),
+    (lambda: PLNaturalPath(SQ, (0, F(1, 2)), ((0, 0),)), "2 breakpoints but 1 value points"),
+    (lambda: PLNaturalPath(SQ, (0,), ((0, 0),)), "a path needs at least the breakpoints 0 and eps"),
+    (lambda: PLNaturalPath(SQ, (F(1, 4), F(1, 2)), ((0, 0), (F(1, 4), F(1, 4)))),
+     "breakpoint 0 must be at time 0, got 1/4"),
+    (lambda: PLNaturalPath(CubeId("x", 1), (0, 2), ((0,), (1,))),
+     "natural length 2 exceeds the carrier dimension 1"),
+    (lambda: sample(0, F(1, 2), 1, 0), "dimension must be >= 1"),
+    (lambda: sample(2, F(1, 2), -1, 0), "interior breakpoint count must be >= 0"),
+    (lambda: sample(2, 0, 1, 0), "natural length must be in (0, 1), got 0"),
+    (lambda: sample(2, 1, 1, 0), "natural length must be in (0, 1), got 1"),
+], ids=["carrier", "counts", "one-breakpoint", "first-time", "too-long",
+        "sample-dimension", "sample-count", "sample-eps-0", "sample-eps-1"])
+def test_path_arguments_out_of_range(call, refusal):
+    # the constructor checks a path built directly, and sample its sizes first
+    with pytest.raises(PathError) as caught:
+        call()
+    assert str(caught.value) == refusal
+
+
 def test_str_of_paths_with_huge_breakpoints():
     p = make_path(SQ, F(1, 2), (0, F(1, 4), F(1, 2)), ((0, 0), (F(1, 4), 0), (F(1, 4), F(1, 4))))
     assert str(p) == "path in xx [0 -> (0, 0); 1/4 -> (1/4, 0); 1/2 -> (1/4, 1/4)]"

@@ -362,6 +362,19 @@ def test_grid_complex_refuses_bad_coordinates_fast():
     assert len(grid_complex([(10**99 - 1, -(10**99) + 1)])) == 9
 
 
+def test_repeated_grid_boxes_stay_bounded():
+    # a box already built is skipped, but only after its checks: 200,000
+    # boxes that repeat two unit squares build their 15 cells once, and a
+    # bad coordinate is refused after an equal good box
+    start = time.perf_counter()
+    K = grid_complex([(0, 0), (1, 0)] * 100_000)
+    assert time.perf_counter() - start < 1.0
+    assert K == grid_complex([(0, 0), (1, 0)]) and len(K) == 15
+    message = "^grid box coordinate 1.0 is not an int of fewer than 100 digits$"
+    with pytest.raises(PcsError, match=message):
+        grid_complex([(1, 0), [1.0, 0]])
+
+
 def test_sub_compose_iso():
     iso = sub_compose_iso(standard_cube(1), 2, 3)
     assert len(iso.source) == 13 and len(iso.target) == 13
