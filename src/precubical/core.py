@@ -605,7 +605,7 @@ def attach_cube(
             f"boundary assignment must cover exactly the {shown(2 * n)} facet slots"
         )
     if name is None:
-        k = 0
+        k = len(K)  # free after any run of fresh attaches, so the scan is short
         while f"cube{k}" in K:
             k += 1
         name = f"cube{k}"
@@ -634,9 +634,9 @@ def attach_cube(
 class PcsMorphism:
     """A dimension- and face-preserving map between precubical sets.
 
-    Validated on construction: `mapping` must cover every source cube,
-    preserve dimension, and commute with every face recorded in the source
-    (the corresponding target face must exist and match).
+    Validated on construction, on its own dict copy of `mapping`: the map
+    must cover every source cube, preserve dimension, and commute with every
+    face recorded in the source (the corresponding target face must match).
     """
 
     source: PrecubicalSet
@@ -644,6 +644,7 @@ class PcsMorphism:
     mapping: Mapping[str, str] = field(repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mapping", dict(self.mapping))
         for cube in self.source.cubes():
             c = cube.name
             if c not in self.mapping:

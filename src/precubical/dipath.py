@@ -417,9 +417,9 @@ def _size(n: int, m: int) -> tuple[int, int]:
     that stores at most MAX_CELLS coordinates, n (m + 2)."""
     n, m = whole(n, "dimension", PathError), whole(m, "interior breakpoint count", PathError)
     if n < 1:
-        raise PathError("dimension must be >= 1")
+        raise PathError(f"dimension must be >= 1, got {shown(n)}")
     if m < 0:
-        raise PathError("interior breakpoint count must be >= 0")
+        raise PathError(f"interior breakpoint count must be >= 0, got {shown(m)}")
     if n * (m + 2) > MAX_CELLS:
         raise PathError(
             f"a path in dimension {shown(n)} with {shown(m)} interior breakpoints "

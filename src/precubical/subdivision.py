@@ -6,11 +6,12 @@ faces by position from `core._grid_template`.  A grid cell is named by its
 codes joined with dots ("0-1.1"; "e" when empty).
 
 A cell of the subdivided complex is a pair (base cube of K, codes in the
-order-p grid, one per base axis).  The codes 0 and 2p are the outer
-boundary: a pair touching it is identified with a pair over the base's face
-on that side, so normal forms use only the codes 1 .. 2p - 1 and a base
-d-cube contributes exactly (2p - 1)^d cells.  Subdividing by 1 changes
-nothing, and `sub_compose_iso` maps Sub_p(Sub_q(K)) onto Sub_pq(K).
+order-p grid, one per base axis); `Subdivision.pairs` is the one map stored,
+from cell names to pairs.  The codes 0 and 2p are the outer boundary: a pair
+touching it is identified with a pair over the base's face on that side, so
+normal forms use only the codes 1 .. 2p - 1 and a base d-cube contributes
+exactly (2p - 1)^d cells.  Subdividing by 1 changes nothing, and
+`sub_compose_iso` maps Sub_p(Sub_q(K)) onto Sub_pq(K).
 
 `subdivide` takes one template per base dimension d, over the codes
 1 .. 2p - 1: a face that reaches 0 or 2p is a position among the cells of
@@ -71,20 +72,18 @@ def normalize_pair(K: PrecubicalSet, base: str, codes: Codes, p: int) -> Pair:
 
 @dataclass(eq=False)
 class Subdivision:
-    """The result of subdividing: the new complex plus the pair decomposition
-    of its cells.
+    """The result of subdividing: the order, the new complex and the pair
+    decomposition of its cells.
 
-    `pairs` maps each cell name of `complex` to its (base, codes) pair;
-    `names` is the inverse.  Cell names are "<base>.<e1>.<e2>..." with
+    `pairs` maps each cell name of `complex` to its (base, codes) pair, and
+    no two cells share a pair.  Cell names are "<base>.<e1>.<e2>..." with
     intervals rendered "a-b" and points "a"; cells over a base vertex keep
     the bare base name, so the original vertices keep their names.
     """
 
-    source: PrecubicalSet
     order: int
     complex: PrecubicalSet
     pairs: dict[str, Pair]
-    names: dict[Pair, str]
 
     def __repr__(self) -> str:
         return f"Subdivision(order {self.order}, {len(self.complex)} cells)"
@@ -106,14 +105,13 @@ def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
         # One interval per axis leaves the complex unchanged: keep the
         # original object and names instead of renaming every cube.
         pairs = {c.name: (c.name, (1,) * c.dim) for c in K.cubes()}
-        return Subdivision(K, 1, K, pairs, {pair: name for name, pair in pairs.items()})
+        return Subdivision(1, K, pairs)
     check_cells(f"the order-{shown(p)} subdivision", 2 * p - 1, K.counts())
     top = 2 * p if K.dim > 0 else 0  # vertices alone need no grid labels
     # intervals first, then the interior points: the order cells are named in
     interior = [*range(1, top, 2), *range(2, top, 2)]
     suffix = ["." + _label(c) for c in range(top + 1)]
     pairs: dict[str, Pair] = {}
-    names: dict[Pair, str] = {}
     dims, facets, cells = {}, {}, {}  # cells: each base's cell names, in grid order
     for d in sorted(K._grades):
         grid, faces = _grid_template(interior, d)
@@ -128,15 +126,13 @@ def subdivide(K: PrecubicalSet, p: int) -> Subdivision:
                 raise PcsError(
                     f"subdivision name collision on {name!r}; rename the source cubes"
                 )
-            base_pairs = [(base, codes) for codes in grid]
-            pairs.update(zip(row, base_pairs))
-            names.update(zip(base_pairs, row))
+            pairs.update(zip(row, [(base, codes) for codes in grid]))
             dims.update(zip(row, cell_dims))
             if d:  # a face position indexes the base's cells, then its facets' in slot order
                 pool = row + [name for t in K._facets[base] for name in cells[t]]
                 facets.update(zip([row[j] for j in live], [read(pool) for read in reads]))
             cells[base] = row
-    return Subdivision(K, p, PrecubicalSet._adopt(dims, facets, _valid=True), pairs, names)
+    return Subdivision(p, PrecubicalSet._adopt(dims, facets, _valid=True), pairs)
 
 
 def grid_complex(boxes: Iterable[Sequence[int]]) -> PrecubicalSet:
@@ -184,10 +180,11 @@ def sub_compose_iso(K: PrecubicalSet, p: int, q: int) -> PcsMorphism:
     outer = subdivide(K, q)
     inner = subdivide(outer.complex, p)
     flat = subdivide(K, p * q)
+    name_of = {pair: name for name, pair in flat.pairs.items()}
     mapping = {}
     for name, (mid, inner_codes) in inner.pairs.items():
         base, outer_codes = outer.pairs[mid]
         refined = iter(inner_codes)
         codes = tuple((e - 1) * p + next(refined) if e % 2 else e * p for e in outer_codes)
-        mapping[name] = flat.names[(base, codes)]
+        mapping[name] = name_of[(base, codes)]
     return PcsMorphism(inner.complex, flat.complex, mapping)

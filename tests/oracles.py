@@ -524,7 +524,7 @@ def attach_reference(K, n, boundary, name=None):
             if img[w] != t:
                 raise MorphismError(f"word {w} disagrees with its facets")
     if name is None:
-        k = 0
+        k = len(K)
         while f"cube{k}" in K:
             k += 1
         name = f"cube{k}"

@@ -370,7 +370,9 @@ def test_attach_cube_fresh_names_deterministic():
     K = PrecubicalSet({"a": 0, "b": 0}, {})
     K, n1 = attach_cube(K, 1, {(1, 0): "a", (1, 1): "b"})
     K, n2 = attach_cube(K, 1, {(1, 0): "a", (1, 1): "b"})
-    assert (n1, n2) == ("cube0", "cube1")
+    # the scan starts at len(K): two cells give "cube2", and a taken name is passed over
+    assert (n1, n2) == ("cube2", "cube3")
+    assert attach_cube(PrecubicalSet({"a": 0, "cube2": 0}, {}), 0, {})[1] == "cube3"
     with pytest.raises(PcsError):
         attach_cube(K, 0, {}, name="a")
     with pytest.raises(PcsError):
@@ -383,6 +385,32 @@ def test_attach_cube_fresh_names_deterministic():
                        (10**5000, "<100+ digits>")):
         with pytest.raises(PcsError, match=f"^bad cube name {re.escape(text)}$"):
             attach_cube(K, 1, {(1, 0): "a", (1, 1): "b"}, name=name)
+
+
+def test_morphism_keeps_its_own_copy_of_the_mapping():
+    K = standard_cube(1)
+    m = {c.name: c.name for c in K.cubes()}
+    f = PcsMorphism(K, K, m)
+    m["x"] = "0"
+    m.pop("1")
+    assert f.mapping == {"0": "0", "1": "1", "x": "x"} and f.mapping is not m
+
+
+def test_attach_cube_fresh_names_bounded():
+    # a fresh name costs no more than a given one: the scan does not walk
+    # every earlier "cube<k>" again on each call
+    def grow(named):
+        best = float("inf")
+        for _ in range(3):
+            K, start = PrecubicalSet({"a": 0}, {}), time.perf_counter()
+            for k in range(1000):
+                K = attach_cube(K, 0, {}, name=f"v{k}" if named else None)[0]
+            best = min(best, time.perf_counter() - start)
+        return best, len(K)
+
+    (fresh, n_fresh), (named, n_named) = grow(False), grow(True)
+    assert n_fresh == n_named == 1001
+    assert fresh / named <= 1.5, (fresh, named)
 
 
 def test_morphism_inclusion_not_iso():

@@ -114,8 +114,8 @@ def test_make_path_errors():
      "breakpoint 0 must be at time 0, got 1/4"),
     (lambda: PLNaturalPath(CubeId("x", 1), (0, 2), ((0,), (1,))),
      "natural length 2 exceeds the carrier dimension 1"),
-    (lambda: sample(0, F(1, 2), 1, 0), "dimension must be >= 1"),
-    (lambda: sample(2, F(1, 2), -1, 0), "interior breakpoint count must be >= 0"),
+    (lambda: sample(0, F(1, 2), 1, 0), "dimension must be >= 1, got 0"),
+    (lambda: sample(2, F(1, 2), -1, 0), "interior breakpoint count must be >= 0, got -1"),
     (lambda: sample(2, 0, 1, 0), "natural length must be in (0, 1), got 0"),
     (lambda: sample(2, 1, 1, 0), "natural length must be in (0, 1), got 1"),
 ], ids=["carrier", "counts", "one-breakpoint", "first-time", "too-long",

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -43,6 +44,11 @@ def cell_name(codes):
     return ".".join(
         f"{c // 2}-{c // 2 + 1}" if c % 2 else f"{c // 2}" for c in codes
     ) or "e"
+
+
+def names_of(sub):
+    """Each cell's name by its (base, codes) pair: `sub.pairs` inverted."""
+    return {pair: name for name, pair in sub.pairs.items()}
 
 
 def test_cell_codes_basics():
@@ -98,10 +104,10 @@ def test_subdivide_matches_sub_standard():
             sub = subdivide(K, p)
             S = sub_standard(p, n)
             full = "x" * n if n else "e"
-            mapping = {}
+            mapping, name_of = {}, names_of(sub)
             for codes in itertools.product(range(2 * p + 1), repeat=n):
                 pair = normalize_pair(K, full, codes, p)
-                mapping[cell_name(codes)] = sub.names[pair]
+                mapping[cell_name(codes)] = name_of[pair]
             iso = PcsMorphism(S, sub.complex, mapping)
             assert is_isomorphism(iso)
 
@@ -111,6 +117,15 @@ def test_subdivide_order_one_is_identity():
         sub = subdivide(K, 1)
         assert sub.complex is K
         assert set(sub.pairs) == {c.name for c in K.cubes()}
+
+
+def test_subdivision_keeps_only_the_pair_map():
+    # the inverse of `pairs` and the source complex are not stored
+    for p in (1, 2):
+        sub = subdivide(hollow_square(), p)
+        assert [f.name for f in dataclasses.fields(sub)] == ["order", "complex", "pairs"]
+        assert not hasattr(sub, "names") and not hasattr(sub, "source")
+        assert len(names_of(sub)) == len(sub.pairs) == len(sub.complex)
 
 
 def test_subdivide_total_counts():
@@ -189,10 +204,11 @@ def test_subdivided_faces_are_normal_forms_of_their_raw_codes():
     for K in sources():
         for p in (2, 3):
             sub = subdivide(K, p)
+            name_of = names_of(sub)
             for name, (base, codes) in sub.pairs.items():
                 for j, alpha, raw in cell_faces(codes):
                     pair = normalize_pair(K, base, raw, p)
-                    assert sub.complex.face(name, j, alpha) == sub.names[pair]
+                    assert sub.complex.face(name, j, alpha) == name_of[pair]
 
 
 def test_subdivide_matches_reference():
@@ -205,7 +221,7 @@ def test_subdivide_matches_reference():
             pairs, names, dims, facets = subdivide_reference(K, p)
             L = sub.complex
             assert list(sub.pairs.items()) == list(pairs.items())
-            assert list(sub.names.items()) == list(names.items())
+            assert list(names_of(sub).items()) == list(names.items())
             assert list(L._dims.items()) == list(dims.items())
             assert list(L._facets.items()) == list(facets.items())
             key = {c: c for c in L._dims}
@@ -391,9 +407,9 @@ def test_subdivide_commutes_with_time_reverse():
         for p in (2, 3):
             sub = subdivide(K, p)
             flipped = subdivide(time_reverse(K), p)
-            mapping = {}
+            mapping, name_of = {}, names_of(flipped)
             for name, (base, codes) in sub.pairs.items():
-                mapping[name] = flipped.names[(base, tuple(2 * p - c for c in codes))]
+                mapping[name] = name_of[(base, tuple(2 * p - c for c in codes))]
             iso = PcsMorphism(time_reverse(sub.complex), flipped.complex, mapping)
             assert is_isomorphism(iso)
 
@@ -405,12 +421,13 @@ def test_branching_complex_survives_subdivision():
     for K in (hollow_square(), l_shape(), boundary_cube(3)):
         for p in (2, 3):
             sub = subdivide(K, p)
+            name_of = names_of(sub)
             for v in K.vertices():
                 B = branching_complex(K, v, "-")
                 BL = branching_complex(sub.complex, v, "-")
                 rename = {}
                 for s in B.simplices():
-                    rename[s.name] = sub.names[(s.name, (1,) * (s.dim + 1))]
+                    rename[s.name] = name_of[(s.name, (1,) * (s.dim + 1))]
                 assert {rename[s.name] for s in B.simplices()} == {
                     s.name for s in BL.simplices()
                 }
