@@ -55,7 +55,7 @@ from .homology import (
     branching_homology,
     group_str,
 )
-from .pcsfile import ParseError, emit_pcs, parse_pcs
+from .pcsfile import ParseError, _chunks, parse_pcs
 from .subdivision import subdivide
 
 
@@ -175,13 +175,14 @@ def _cmd_homology(args, out, err) -> int:
 
 
 def _cmd_emit(args, out, err) -> int:
-    """Write the PCS text of the complex the command builds."""
-    text = emit_pcs(args.build(args))
+    """Write the PCS text of the complex the command builds, a block of
+    cubes at a time, so that the whole text is never held at once."""
+    chunks = _chunks(args.build(args))
     if args.output is None:
-        out.write(text)
+        out.writelines(chunks)
     else:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     return 0
 
 

@@ -15,7 +15,6 @@ on the cube data (`tests/oracles.py`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .core import (
@@ -23,6 +22,7 @@ from .core import (
     CellStore,
     PcsError,
     PrecubicalSet,
+    _Frozen,
     check_valid,
     extremal_cubes,
     extremal_partition,
@@ -32,10 +32,12 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class SimplexId:
-    name: str
-    dim: int
+class SimplexId(_Frozen):
+    __slots__ = _fields = ("name", "dim")
+
+    def __init__(self, name: str, dim: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dim", dim)
 
 
 class SemiSimplicialSet(CellStore):

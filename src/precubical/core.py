@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+\Z")
@@ -95,16 +94,56 @@ def check_end(alpha: int) -> int:
     return int(alpha)
 
 
-@dataclass(frozen=True)
-class CubeId:
+class _Frozen:
+    """Base of the immutable value classes: `repr`, `==` and `hash` see the
+    slots named in `_fields`, `==` only within one class; no assignment."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = property(attrgetter(*cls._fields))
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _adopt(cls, *values):
+        """An instance of values in slot order, unchecked; copies and pickles use it."""
+        self = cls.__new__(cls)
+        _Frozen.__init__(self, *values)
+        return self
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return self._adopt, tuple(map(self.__getattribute__, self.__slots__))
+
+
+class CubeId(_Frozen):
     """A cube reference: name plus dimension."""
 
-    name: str
-    dim: int
+    __slots__ = _fields = ("name", "dim")
+
+    def __init__(self, name: str, dim: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dim", dim)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Frozen):
     """One defect found by `validate`.
 
     kind is "missing-face", "dimension-mismatch", or "identity"; cube is the
@@ -114,9 +153,12 @@ class Violation:
       identity:            (i, j, alpha, beta, via_j_then_i, via_i_then_j)
     """
 
-    kind: str
-    cube: str
-    where: tuple
+    __slots__ = _fields = ("kind", "cube", "where")
+
+    def __init__(self, kind: str, cube: str, where: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "cube", cube)
+        object.__setattr__(self, "where", where)
 
     def __str__(self) -> str:
         w = self.where
@@ -630,8 +672,7 @@ def attach_cube(
     return PrecubicalSet._adopt(dims, facets, _valid=K._valid), name
 
 
-@dataclass(frozen=True, eq=False)
-class PcsMorphism:
+class PcsMorphism(_Frozen):
     """A dimension- and face-preserving map between precubical sets.
 
     Validated on construction, on its own dict copy of `mapping`: the map
@@ -639,12 +680,12 @@ class PcsMorphism:
     face recorded in the source (the corresponding target face must match).
     """
 
-    source: PrecubicalSet
-    target: PrecubicalSet
-    mapping: Mapping[str, str] = field(repr=False)
+    __slots__ = ("source", "target", "mapping")
+    _fields = ("source", "target")  # repr hides the mapping
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", dict(self.mapping))
+    def __init__(self, source: PrecubicalSet, target: PrecubicalSet, mapping: Mapping[str, str]):
+        super().__init__(source, target, dict(mapping))
         for cube in self.source.cubes():
             c = cube.name
             if c not in self.mapping:

@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import MAX_CELLS, STAR, CubeId, PrecubicalSet, check_valid, shown, whole
+from .core import MAX_CELLS, STAR, CubeId, PrecubicalSet, _Frozen, check_valid, shown, whole
 
 Rational = Fraction | int
 
@@ -103,8 +102,7 @@ def _lerp(times, values, k: int, t: Fraction) -> tuple[Fraction, ...]:
     return tuple(a + (b - a) * u for a, b in zip(values[k - 1], values[k]))
 
 
-@dataclass(frozen=True)
-class PLNaturalPath:
+class PLNaturalPath(_Frozen):
     """A piecewise-linear natural directed path from the initial corner.
 
     `times` are the breakpoint times 0 = t_0 < ... < t_m; `values` are the
@@ -118,9 +116,12 @@ class PLNaturalPath:
     the library builds natural by construction, neither converts nor checks.
     """
 
-    carrier: CubeId
-    times: tuple[Fraction, ...]
-    values: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("carrier", "times", "values", "_points")
+    _fields = __slots__[:3]
+
+    def __init__(self, carrier: CubeId, times: tuple, values: tuple):
+        super().__init__(carrier, times, values)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not isinstance(self.carrier, CubeId):
@@ -187,17 +188,6 @@ class PLNaturalPath:
                     f"breakpoint {k}: coordinate sum {shown(total)} differs from "
                     f"time {shown(times[k])}"
                 )
-
-    @classmethod
-    def _adopt(cls, carrier: CubeId, times: tuple, values: tuple, points: list) -> PLNaturalPath:
-        """A path from breakpoints already natural and canonical, stored as
-        given with their `_points`."""
-        self = cls.__new__(cls)
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_points", points)
-        return self
 
     @property
     def dim(self) -> int:

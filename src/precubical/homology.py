@@ -24,13 +24,12 @@ building them costs about as much as `chain_complex`'s index lookups.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 from typing import Iterable, Sequence
 
 from .complexes import SemiSimplicialSet, assemble_all
-from .core import MINUS, PrecubicalSet
+from .core import MINUS, PrecubicalSet, _Frozen
 
 
 # A sparse matrix column: row index -> nonzero coefficient.
@@ -202,8 +201,7 @@ def invariant_factors(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(runs.elements()))
 
 
-@dataclass(frozen=True)
-class GradedAbelianGroup:
+class GradedAbelianGroup(_Frozen):
     """A finitely generated abelian group per degree.
 
     groups[k] = (rank, torsion) where torsion is the invariant-factor chain
@@ -211,7 +209,7 @@ class GradedAbelianGroup:
     trimmed, so equality is isomorphism degreewise.
     """
 
-    groups: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = _fields = ("groups",)
 
     def __init__(self, groups: Iterable[tuple[int, Iterable[int]]]):
         cleaned = []

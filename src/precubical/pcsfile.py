@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from .core import MAX_CELLS, NAME_RE, PLUS, SIDES, SLOTS_ERROR, PcsError, PrecubicalSet, seal_facets
 from .core import validate as validate_complex, violations_message
@@ -208,21 +208,31 @@ def _first_error(text: str) -> NoReturn:
 
 
 
+_BLOCK = 256  # cubes per piece of emitted text
+
+
 def emit_pcs(K: PrecubicalSet) -> str:
     """Serialize a precubical set as PCS text.
 
     Deterministic: cubes sorted by (dim, name), then faces in the same
     order with axes ascending, '-' before '+'.  parse_pcs inverts it.
     """
+    return "".join(_chunks(K))
+
+
+def _chunks(K: PrecubicalSet) -> Iterator[str]:
+    """`emit_pcs`'s text in pieces of at most `_BLOCK` cubes' lines, so that a
+    writer holds a bounded part of it at a time."""
     grades, facets = K._grades, K._facets
     width = max(map(len, facets.values()), default=0)
     labels = [f" {k // 2 + 1} {SIDES[k % 2]} " for k in range(width)]
-    out = ["pcs 1"]
+    yield "pcs 1\n"
     for d in sorted(grades):
-        tail = f" {d}"
-        out += ["cube " + c + tail for c in grades[d]]
+        names = grades[d]
+        for i in range(0, len(names), _BLOCK):
+            yield "".join([f"cube {c} {d}\n" for c in names[i : i + _BLOCK]])
     for d in sorted(grades):
-        for c in grades[d] if d else ():
-            head = "face " + c
-            out += [head + label + t for label, t in zip(labels, facets.get(c, ())) if t]
-    return "\n".join(out) + "\n"
+        names = grades[d] if d else ()
+        for i in range(0, len(names), _BLOCK):
+            yield "".join([f"face {c}{label}{t}\n" for c in names[i : i + _BLOCK]
+                           for label, t in zip(labels, facets.get(c, ())) if t])

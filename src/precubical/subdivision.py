@@ -21,7 +21,6 @@ cells are named before a cube reads them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -70,7 +69,6 @@ def normalize_pair(K: PrecubicalSet, base: str, codes: Codes, p: int) -> Pair:
     return base, tuple(kept)
 
 
-@dataclass(eq=False)
 class Subdivision:
     """The result of subdividing: the order, the new complex and the pair
     decomposition of its cells.
@@ -81,9 +79,10 @@ class Subdivision:
     the bare base name, so the original vertices keep their names.
     """
 
-    order: int
-    complex: PrecubicalSet
-    pairs: dict[str, Pair]
+    __slots__ = ("order", "complex", "pairs")
+
+    def __init__(self, order: int, complex: PrecubicalSet, pairs: dict[str, Pair]):
+        self.order, self.complex, self.pairs = order, complex, pairs
 
     def __repr__(self) -> str:
         return f"Subdivision(order {self.order}, {len(self.complex)} cells)"

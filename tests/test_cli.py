@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -486,6 +487,50 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "dimension 2" in proc.stdout
+
+
+# the stdlib modules that the package imports itself
+STDLIB_USED = ("__future__", "argparse", "bisect", "collections", "contextlib", "decimal",
+               "fractions", "functools", "itertools", "json", "math", "operator", "random",
+               "re", "typing")
+
+
+def test_import_loads_no_module_beyond_its_own_and_the_stdlib_it_names():
+    # every `pcs` command pays the package import first: beyond the stdlib
+    # modules it names, importing it loads only precubical (no dataclasses,
+    # inspect, ast or dis), compared in two fresh interpreters
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def loaded(imports):
+        code = f"import sys, {imports}; print(*sorted(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        return set(proc.stdout.split())
+
+    extra = loaded("precubical, precubical.cli") - loaded(", ".join(STDLIB_USED))
+    assert "precubical.cli" in extra
+    assert {m for m in extra if m.partition(".")[0] != "precubical"} == set()
+
+
+def test_emit_writes_a_bounded_piece_at_a_time(tmp_path):
+    # `pcs std-cube 7 -o f` writes 288 kB of text; above what building the
+    # cube takes, writing it holds one block of cubes' lines at a time.
+    # Building the whole text with a list of its lines takes 3.4 times its size.
+    out = tmp_path / "c.pcs"
+    assert run_command(["std-cube", "7", "-o", str(out)]) == 0
+    size = out.stat().st_size
+    tracemalloc.start()
+    try:
+        standard_cube(7)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert run_command(["std-cube", "7", "-o", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size == size == len(emit_pcs(standard_cube(7)))
+    assert peak - build < size // 8, (peak, build, size)
 
 
 def test_commands_on_mutants_exit_cleanly(tmp_path):
