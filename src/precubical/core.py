@@ -436,8 +436,9 @@ SLOTS_ERROR = f"face tables would leave more than {MAX_CELLS} face slots empty"
 
 def seal_facets(dims: Mapping, owners: Iterable, slots: list, targets: Iterable) -> dict | None:
     """Each cube's facet tuple, None for a hole, where face j puts targets[j]
-    in slot slots[j] of owners[j]; or None at a slot out of range or filled
-    twice, or before a list would take the holes past MAX_CELLS."""
+    in slot slots[j] of owners[j]; or None at a slot out of range (negative
+    included) or filled twice, or before a list would take the holes past
+    MAX_CELLS."""
     facets: dict = {}
     holes = -len(slots)
     for cube, k, target in zip(owners, slots, targets):
@@ -447,7 +448,7 @@ def seal_facets(dims: Mapping, owners: Iterable, slots: list, targets: Iterable)
             if holes > MAX_CELLS:
                 return None
             F = facets[cube] = [None] * (2 * dims[cube])
-        if k >= len(F) or F[k] is not None:
+        if not 0 <= k < len(F) or F[k] is not None:
             return None
         F[k] = target
     for cube, F in facets.items():  # each list is freed as its tuple replaces it

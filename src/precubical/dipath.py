@@ -95,13 +95,6 @@ def _keep(points) -> list[int]:
     return keep
 
 
-def _lerp(times, values, k: int, t: Fraction) -> tuple[Fraction, ...]:
-    """The point at time t on segment k, from breakpoint k - 1 to k."""
-    t0 = times[k - 1]
-    u = (t - t0) / (times[k] - t0)
-    return tuple(a + (b - a) * u for a, b in zip(values[k - 1], values[k]))
-
-
 class PLNaturalPath(_Frozen):
     """A piecewise-linear natural directed path from the initial corner.
 
@@ -203,7 +196,8 @@ class PLNaturalPath(_Frozen):
         t = _frac(t, "time")
         if not 0 <= t <= self.eps:
             raise PathError(f"time {shown(t)} outside [0, {shown(self.eps)}]")
-        return _lerp(self.times, self.values, max(bisect_left(self.times, t), 1), t)
+        d, V = _at(self._points, max(bisect_left(self.times, t), 1), t.numerator, t.denominator)
+        return tuple([Fraction(x, d) for x in V])
 
     def __str__(self) -> str:
         stops = "; ".join(

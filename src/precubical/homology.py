@@ -29,18 +29,11 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .complexes import SemiSimplicialSet, assemble_all
-from .core import MINUS, PrecubicalSet, _Frozen
+from .core import MINUS, PrecubicalSet, _Frozen, whole
 
 
 # A sparse matrix column: row index -> nonzero coefficient.
 Column = dict[int, int]
-
-
-def _integer(x) -> int:
-    """A matrix entry equal to an int (2.0, True) as that int; not 0.5, inf, nan."""
-    if x % 1:
-        raise ValueError(f"matrix entry {x!r} is not an integer")
-    return int(x)
 
 
 class Matrix:
@@ -48,8 +41,9 @@ class Matrix:
     sparse `{row: coeff}` columns without zero entries.
 
     It is built from dense rows, `Matrix(rows, cols, data)`, or from
-    columns, `Matrix.from_columns`; `data` is the dense view.  Both refuse
-    an entry that is not an integer.  The columns are not to be mutated.
+    columns, `Matrix.from_columns`; `data` is the dense view.  Both store
+    an entry equal to an int (2.0, True) as that int and refuse any other
+    (0.5, "2", None).  The columns are not to be mutated.
     """
 
     __slots__ = ("rows", "cols", "columns")
@@ -61,14 +55,16 @@ class Matrix:
             raise ValueError("shape mismatch")
         self.rows, self.cols = rows, cols
         self.columns: tuple[Column, ...] = tuple(
-            {i: _integer(r[j]) for i, r in enumerate(data or ()) if r[j]} for j in range(cols)
+            {i: x for i, r in enumerate(data or ())
+             if (x := whole(r[j], "matrix entry", ValueError))} for j in range(cols)
         )
 
     @classmethod
     def from_columns(cls, rows: int, columns: Sequence[Column]) -> "Matrix":
         """The matrix whose j-th column has entry x in row i for each i: x
         of columns[j]; zero entries are dropped."""
-        cols = tuple({i: _integer(x) for i, x in c.items() if x} for c in columns)
+        cols = tuple({i: y for i, x in c.items() if (y := whole(x, "matrix entry", ValueError))}
+                     for c in columns)
         if rows < 0 or any(not 0 <= i < rows for c in cols for i in c):
             raise ValueError("shape mismatch")
         return cls._adopt(rows, cols)
@@ -187,7 +183,7 @@ def invariant_factors(values: Iterable[int]) -> tuple[int, ...]:
     of d's that it divides, else only the run's top entry becomes lcm(d, t)
     and gcd(d, t), which divides d, passes the rest."""
     runs: Counter[int] = Counter()  # entry -> its count in the chain
-    for t in (abs(v) for v in values if abs(v) > 1):
+    for t in (a for v in values if (a := abs(whole(v, "torsion", ValueError))) > 1):
         for d in sorted(runs, reverse=True):
             if d % t:
                 g = gcd(d, t)
@@ -214,7 +210,8 @@ class GradedAbelianGroup(_Frozen):
     def __init__(self, groups: Iterable[tuple[int, Iterable[int]]]):
         cleaned = []
         for rank, torsion in groups:
-            torsion = tuple(torsion)
+            rank = whole(rank, "rank", ValueError)
+            torsion = tuple(whole(d, "torsion", ValueError) for d in torsion)
             if rank < 0:
                 raise ValueError("negative rank")
             if any(d < 2 or d % a for a, d in zip((1, *torsion), torsion)):

@@ -14,14 +14,15 @@ most MAX_CELLS) and axes are ASCII decimal digits only: other Unicode digits
 such as '²' or '٣' are errors.  Tokens are separated by any whitespace.
 Forward references are fine; duplicate declarations are errors.
 
-`_tables` alone builds a complex, in one pass that keeps no line numbers,
-checks each distinct name, (axis, sign) pair and dimension token once, and
-keeps one str object per cube name: every facet tuple holds the very object
-that keys the cube's dimension.  At the first irregularity of any kind it
-returns None, and `_first_error` reads the file again, builds no tables,
-and raises the first error at its 1-based line and column: the first
-syntax error, else the first duplicate or unknown reference in file order,
-else the hole bound.
+`_tables` alone reads the grammar and builds a complex, in one pass that
+keeps no line numbers, checks each distinct name, (axis, sign) pair and
+dimension token once, and keeps one str object per cube name: every facet
+tuple holds the very object that keys the cube's dimension.  Only at an
+irregularity does `_error` read the file again, to place the first error
+at its 1-based line and column: the first syntax error, else the first
+duplicate or unknown reference in file order, else the hole bound.  A
+line's syntax depends only on its tokens, so the line the pass stopped at
+is the first after the header with its tokens.
 
 `parse_pcs` is strict by default (the complex must satisfy the precubical
 axioms); pass validate=False to accept structurally well-formed input with
@@ -30,8 +31,8 @@ holes or broken identities, e.g. to inspect it with `core.validate`.
 from __future__ import annotations
 
 import re
-from operator import itemgetter
-from typing import Iterator, NoReturn
+from itertools import islice
+from typing import Iterable, Iterator, NoReturn
 
 from .core import MAX_CELLS, NAME_RE, PLUS, SIDES, SLOTS_ERROR, PcsError, PrecubicalSet, seal_facets
 from .core import validate as validate_complex, violations_message
@@ -67,7 +68,7 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
     out-of-range face axes, and (unless validate=False) on complexes that
     fail the precubical axioms.
     """
-    dims, facets = _tables(text) or _first_error(text)
+    dims, facets = _tables(text)
     K = PrecubicalSet._adopt(dims, facets, _valid=False)
     if validate:
         violations = validate_complex(K)
@@ -76,16 +77,17 @@ def parse_pcs(text: str, *, validate: bool = True) -> PrecubicalSet:
     return K
 
 
-def _tables(text: str) -> tuple[dict, dict] | None:
-    """(dims, facets) of a well-formed file, or None at its first
-    irregularity of any kind, for `_first_error` to find and place."""
+def _tables(text: str) -> tuple[dict, dict]:
+    """(dims, facets) of a file; at its first irregularity of any kind, the
+    loop stops and `_error` reads the file again to raise its first error."""
     lines = iter(text.splitlines())  # freed once the loop has read them all
     if "#" in text:
         lines = (raw.partition("#")[0] for raw in lines)
     # the header is the first line with a token; the loop reads on from it
     if next(filter(None, map(str.split, lines)), None) != ["pcs", "1"]:
-        return None
-    names: dict[str, str] = {}
+        del lines  # the rescan splits the text anew
+        _error(text)
+    names: dict[str, str] = {}  # in the order they were met
     name = names.setdefault
     slot_of: dict[tuple[str, str], int] = {}
     dim_of: dict[str, int] = {}
@@ -93,119 +95,109 @@ def _tables(text: str) -> tuple[dict, dict] | None:
     cubes, owners, slots, targets = [], [], [], []
     for raw in lines:
         tokens = raw.split()
+        # a line's names are met before its other tokens are checked, as `_error` assumes
         if len(tokens) == 5 and tokens[0] == "face":
             _, cube, axis, sign, target = tokens
+            owners.append(name(cube, cube))
+            targets.append(name(target, target))
             k = slot_of.get((axis, sign))
             if k is None:
                 i = _digits_value(axis)
-                if i < 1 or sign not in SIDES:
-                    return None
+                if i < 0 or sign not in SIDES:
+                    break
                 k = slot_of[axis, sign] = 2 * i - 2 + (sign == PLUS)
-            owners.append(name(cube, cube))
             slots.append(k)
-            targets.append(name(target, target))
         elif len(tokens) == 3 and tokens[0] == "cube":
             _, cube, dim = tokens
+            cube = name(cube, cube)
             d = dim_of.get(dim)
             if d is None:
                 d = dim_of[dim] = _digits_value(dim)
                 if not 0 <= d <= MAX_CELLS:
-                    return None
-            cubes.append((name(cube, cube), d))
+                    break
+            cubes.append((cube, d))
         elif tokens:
-            return None
+            break
+    else:
+        dims = dict(cubes)
+        if len(cubes) == len(dims) == len(names) and all(map(NAME_RE.match, dims)):
+            facets = seal_facets(dims, owners, slots, targets)
+            if facets is not None:
+                return dims, facets
+        _error(text, names, None, cubes, zip(owners, slots, targets))
+    del lines  # the rescan splits the text anew
+    _error(text, names, tokens)
 
-    dims = dict(cubes)
-    if not len(cubes) == len(dims) == len(names) or not all(map(NAME_RE.match, dims)):
-        return None
-    facets = seal_facets(dims, owners, slots, targets)
-    return None if facets is None else (dims, facets)
 
-
-def _first_error(text: str) -> NoReturn:
-    """Raise the first error of a file `_tables` refused: a syntax error,
-    else a duplicate or unknown reference in file order, else the hole bound."""
+def _error(text: str, names: Iterable = (), tokens: list | None = None,
+           cubes: Iterable = (), faces: Iterable = ()) -> NoReturn:
+    """Raise the first error of a file `_tables` stopped at, with its line
+    and column, from one more read of the file.  In order: an error in the
+    header; the first bad name in `names`, the names met in the order they
+    were met; the error of the line the pass stopped at, the first with the
+    tokens `tokens`; the first duplicate in `cubes`, (name, dim) per cube
+    line; the first reference error in `faces`, (cube, slot, target) per
+    face line; else the hole bound."""
     lines = text.splitlines()
+    code = (raw.partition("#")[0].split() for raw in lines)
+    rows = ((n, tokens) for n, tokens in enumerate(code, start=1) if tokens)
 
-    def error(message: str, line_no: int, k: int) -> ParseError:
-        columns = [match.start() + 1 for match in re.finditer(r"\S+", lines[line_no - 1])]
-        return ParseError(message, line_no, columns[k])
+    def error(message: str, row: tuple[int, list], k: int) -> ParseError:
+        columns = [match.start() + 1 for match in re.finditer(r"\S+", lines[row[0] - 1])]
+        return ParseError(message, row[0], columns[k])
 
-    code = (raw.partition("#")[0] for raw in lines) if "#" in text else lines
-    rows = filter(itemgetter(1), enumerate(map(str.split, code), start=1))  # lines with a token
-    line_no, tokens = next(rows, (0, None))
-    if tokens is None:
+    header = next(rows, None)
+    if header is None:
         raise ParseError("missing header line 'pcs 1'")
-    if tokens != ["pcs", "1"]:
-        if tokens[0] != "pcs":
-            raise error("first line must be the header 'pcs 1'", line_no, 0)
-        raise error(f"unsupported format version {' '.join(tokens[1:])!r}", line_no, 0)
-
-    # Syntax pass: (name, dim, line) and (cube, slot 2(i - 1) + end, target, line);
-    # each distinct name and (axis, sign) pair is checked once.
-    cubes: list[tuple[str, int, int]] = []
-    faces: list[tuple[str, int, str, int]] = []
-    names: dict[str, str] = {}
-    slots: dict[tuple[str, str], int] = {}
-
-    def new_name(token: str, line_no: int, k: int) -> str:
-        if not NAME_RE.match(token):
-            raise error(f"bad name {token!r}", line_no, k)
-        names[token] = token
-        return token
-
-    for line_no, tokens in rows:
+    if header[1] != ["pcs", "1"]:
+        if header[1][0] != "pcs":
+            raise error("first line must be the header 'pcs 1'", header, 0)
+        raise error(f"unsupported format version {' '.join(header[1][1:])!r}", header, 0)
+    bad = next((n for n in names if not NAME_RE.match(n)), None)
+    if bad is not None:  # on a face or cube line at or before the loop's stop
+        row = next(row for row in rows if bad in row[1][1::3])
+        raise error(f"bad name {bad!r}", row, 1 if row[1][1] == bad else 4)
+    if tokens is not None:
+        row = next(row for row in rows if row[1] == tokens)
         directive = tokens[0]
         if directive == "face":
             if len(tokens) != 5:
-                raise error("face takes 4 arguments: name i -|+ target", line_no, 0)
-            _, cube, axis, sign, target = tokens
-            c = names.get(cube) or new_name(cube, line_no, 1)
-            t = names.get(target) or new_name(target, line_no, 4)
-            k = slots.get((axis, sign))
-            if k is None:
-                i = _digits_value(axis)
-                if i < 0:
-                    raise error(f"bad face axis {axis!r}", line_no, 2)
-                if sign not in SIDES:
-                    raise error(f"face end must be '-' or '+', got {sign!r}", line_no, 3)
-                k = slots[axis, sign] = 2 * i - 2 + (sign == PLUS)
-            faces.append((c, k, t, line_no))
-        elif directive == "cube":
+                raise error("face takes 4 arguments: name i -|+ target", row, 0)
+            if _digits_value(tokens[2]) < 0:
+                raise error(f"bad face axis {tokens[2]!r}", row, 2)
+            raise error(f"face end must be '-' or '+', got {tokens[3]!r}", row, 3)
+        if directive == "cube":
             if len(tokens) != 3:
-                raise error("cube takes 2 arguments: name dim", line_no, 0)
-            _, name, dim = tokens
-            c = names.get(name) or new_name(name, line_no, 1)
-            d = _digits_value(dim)
-            if not 0 <= d <= MAX_CELLS:
-                raise error(f"bad dimension {dim!r}", line_no, 2)
-            cubes.append((c, d, line_no))
-        else:
-            raise error(f"unknown directive {directive!r}", line_no, 0)
+                raise error("cube takes 2 arguments: name dim", row, 0)
+            raise error(f"bad dimension {tokens[2]!r}", row, 2)
+        raise error(f"unknown directive {directive!r}", row, 0)
 
     dims: dict[str, int] = {}
-    for name, dim, line_no in cubes:
-        if name in dims:
-            raise error(f"duplicate cube {name!r}", line_no, 1)
-        dims[name] = dim
-    filled: dict[str, dict[int, str]] = {}  # the faces so far, per cube
-    for cube, k, target, line_no in faces:
+    for j, (cube, dim) in enumerate(cubes):
+        if cube in dims:
+            raise error(f"duplicate cube {cube!r}", _nth(rows, "cube", j), 1)
+        dims[cube] = dim
+    filled = set()
+    for j, (cube, k, target) in enumerate(faces):
         dim = dims.get(cube)
         if dim is None:
-            raise error(f"face on unknown cube {cube!r}", line_no, 1)
-        if target not in dims:
-            raise error(f"face targets unknown cube {target!r}", line_no, 4)
-        if not 0 <= k < 2 * dim:
-            raise error(f"face axis {k // 2 + 1} out of range 1..{dim} on cube {cube!r}",
-                        line_no, 1)
-        F = filled.get(cube) or filled.setdefault(cube, {})
-        if k in F:
-            raise error(f"duplicate face ({k // 2 + 1}, {SIDES[k % 2]}) on cube {cube!r}",
-                        line_no, 1)
-        F[k] = target
+            message, col = f"face on unknown cube {cube!r}", 1
+        elif target not in dims:
+            message, col = f"face targets unknown cube {target!r}", 4
+        elif not 0 <= k < 2 * dim:
+            message, col = f"face axis {k // 2 + 1} out of range 1..{dim} on cube {cube!r}", 1
+        elif (cube, k) in filled:
+            message, col = f"duplicate face ({k // 2 + 1}, {SIDES[k % 2]}) on cube {cube!r}", 1
+        else:
+            filled.add((cube, k))
+            continue
+        raise error(message, _nth(rows, "face", j), col)
     raise ParseError(SLOTS_ERROR)
 
 
+def _nth(rows: Iterator, directive: str, j: int) -> tuple[int, list]:
+    """The j-th (from 0) of `rows` that starts with `directive`."""
+    return next(islice((row for row in rows if row[1][0] == directive), j, None))
 
 
 _BLOCK = 256  # cubes per piece of emitted text

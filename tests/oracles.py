@@ -647,17 +647,30 @@ def _merged_times(a, b):
     return sorted(set(a.times) | set(b.times))
 
 
+def point_reference(path, t):
+    """The point of a path at time t: its stored value at a breakpoint,
+    else the straight line in Fractions between the breakpoints around t."""
+    k = next(k for k, s in enumerate(path.times) if s >= t)
+    if path.times[k] == t:
+        return path.values[k]
+    t0, t1 = path.times[k - 1], path.times[k]
+    u = (t - t0) / (t1 - t0)
+    return tuple(a + (b - a) * u for a, b in zip(path.values[k - 1], path.values[k]))
+
+
 def sup_distance_reference(a, b):
     """The largest coordinate gap at the breakpoints of either path, each
-    point read through `at`."""
-    return max(abs(x - y) for t in _merged_times(a, b) for x, y in zip(a.at(t), b.at(t)))
+    point read through `point_reference`."""
+    return max(abs(x - y) for t in _merged_times(a, b)
+               for x, y in zip(point_reference(a, t), point_reference(b, t)))
 
 
 def convex_comb_reference(u, a, b):
     """The canonical (times, values) of (1-u) a + u b, each point of a and
-    b read through `at` at the breakpoints of either path."""
+    b read through `point_reference` at the breakpoints of either path."""
     times = _merged_times(a, b)
-    values = [tuple(x + (y - x) * u for x, y in zip(a.at(t), b.at(t))) for t in times]
+    values = [tuple(x + (y - x) * u for x, y in zip(point_reference(a, t), point_reference(b, t)))
+              for t in times]
     return canonical_reference(times, values)
 
 

@@ -11,6 +11,7 @@ from corpus import face_paths
 from oracles import (
     canonical_reference,
     convex_comb_reference,
+    point_reference,
     sample_reference,
     sup_distance_reference,
 )
@@ -188,6 +189,24 @@ def test_retraction_on_samples():
         n = 2 + seed % 3
         p = sample(n, F(1, 2), 1 + seed % 4, seed)
         assert restrict(extend_full(p), p.eps) == p
+
+
+def test_at_matches_straight_line_interpolation():
+    # `at` reads the stored integer points; the reference interpolates the
+    # Fraction values between the breakpoints around t
+    rng = random.Random(20261022)
+    checked = 0
+    for seed in range(300):
+        p = sample(1 + seed % 4, F(rng.randrange(1, 12), 12), seed % 7, seed)
+        times = list(p.times)
+        times += [(s + t) / 2 for s, t in zip(p.times, p.times[1:])]
+        times += [p.eps * F(rng.randrange(1, 1000), 1000) for _ in range(3)]
+        for t in times:
+            got = p.at(t)
+            assert got == point_reference(p, t), (p, t)
+            assert all(type(x) is F for x in got)
+            checked += 1
+    assert checked > 3000, checked
 
 
 def test_sup_distance():

@@ -206,13 +206,33 @@ def test_matrix_refuses_non_integers():
     assert M.columns == ({0: 2}, {0: 1}, {0: 2}, {})
     assert all(type(x) is int for col in M.columns for x in col.values())
     assert Matrix.from_columns(1, [{0: 2.0}]) == Matrix(1, 1, [[2]])
-    with pytest.raises(ValueError, match="matrix entry 0.5 is not an integer"):
+    with pytest.raises(ValueError, match="matrix entry must be an integer, got 0.5"):
         Matrix(1, 2, [[0.5, Fraction(3, 2)]])
-    for x in (Fraction(3, 2), 2.7, float("inf"), float("-inf"), float("nan")):
-        with pytest.raises(ValueError, match="is not an integer"):
+    # None, "" and [] are no zeros, falsy or not
+    for x in (Fraction(3, 2), 2.7, float("inf"), float("-inf"), float("nan"),
+              None, "", [], "0", "2", [1]):
+        with pytest.raises(ValueError, match="must be an integer"):
             Matrix(1, 1, [[x]])
-        with pytest.raises(ValueError, match="is not an integer"):
+        with pytest.raises(ValueError, match="must be an integer"):
             Matrix.from_columns(1, [{0: x}])
+
+
+def test_ranks_and_torsion_are_whole_numbers():
+    G = GradedAbelianGroup([(2.0, (2.0, 4))])
+    assert G.groups == ((2, (2, 4)),) and str(G) == "H0=Z^2 + Z/2 + Z/4"
+    assert all(type(x) is int for x in (G.rank(0), *G.torsion(0)))
+    for groups, message in (([(1.5, ())], "rank must be an integer, got 1.5"),
+                            ([("2", ())], "rank must be an integer, got '2'"),
+                            ([(None, ())], "rank must be an integer, got None"),
+                            ([(0, (2.5,))], "torsion must be an integer, got 2.5"),
+                            ([(0, ("2",))], "torsion must be an integer, got '2'")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GradedAbelianGroup(groups)
+    assert invariant_factors([2.0, True, 3]) == (6,)
+    assert all(type(x) is int for x in invariant_factors([2.0, 4.0]))
+    for values in ([2.5], ["2"], [None]):
+        with pytest.raises(ValueError, match="torsion must be an integer"):
+            invariant_factors(values)
 
 
 def test_rational_rank_frozen():

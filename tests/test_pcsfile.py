@@ -9,7 +9,7 @@ import pytest
 
 from corpus import corpus20, glued_torsion, mutate
 from oracles import emit_reference, parse_reference, validate_reference
-from precubical import core, pcsfile
+from precubical import core
 from precubical.core import (
     EMPTY,
     PrecubicalSet,
@@ -132,6 +132,31 @@ def test_error_bad_tokens():
         head + "cube c \uff10\n": ("bad dimension '\uff10'", 5, 8),
         "pcs 1\ncube b 0\ncube c 07x\n": ("bad dimension '07x'", 3, 8),
         "pcs 1\ncube b 0\ncube c 0\ncube b* 0\n": ("bad name 'b*'", 4, 6),
+    }
+    for text, expected in cases.items():
+        e = err(text)
+        assert (e.message, e.line, e.col) == expected == parse_reference(text), text
+
+
+def test_error_precedence():
+    # the first error of a file `_tables` stops on is placed by one rescan:
+    # the line the loop stopped at is the first body line with its tokens,
+    # a bad name met on or before it goes first, and an axis 0 is a
+    # reference error, reported in file order
+    head = "pcs 1\ncube a 1\ncube b 0\n"
+    cases = {
+        "pcs 1\ncube a 0\npcs 1\n": ("unknown directive 'pcs'", 3, 1),
+        "pcs 1\ncube b* 0\ncube c 0\ncube d\n": ("bad name 'b*'", 2, 6),
+        head + "face a x - b*": ("bad name 'b*'", 4, 12),
+        head + "face a* 1 ? b": ("bad name 'a*'", 4, 6),
+        head + "face a 1 ? b\ncube c 0\nface a 1 ? b": (
+            "face end must be '-' or '+', got '?'", 4, 10),
+        head + "face a 0 - b\ncube c x": ("bad dimension 'x'", 5, 8),
+        head + "face a 0 - b": ("face axis 0 out of range 1..1 on cube 'a'", 4, 6),
+        "# c\n\npcs 1 # h\n\n# x\ncube a 0 0\n": ("cube takes 2 arguments: name dim", 6, 1),
+        head + "face a 1 - b*\nface a 1 + zz": ("bad name 'b*'", 4, 12),
+        "pcs 1\ncube b* x\n": ("bad name 'b*'", 2, 6),
+        head + "face a x* - x*": ("bad name 'x*'", 4, 13),
     }
     for text, expected in cases.items():
         e = err(text)
@@ -344,8 +369,8 @@ def parse_outcome(text):
 def test_fast_route_refuses_exactly_the_files_with_an_error():
     # `_tables` reads every well-formed file, comments and blank lines
     # included, and refuses exactly the files the reference rejects or whose
-    # facet tuples would pass the hole bound; `_first_error` then raises the
-    # reference's error, at its line and column
+    # facet tuples would pass the hole bound, raising the reference's error
+    # at its line and column
     emitted = [emit_pcs(K) for K in corpus20() + [glued_torsion()]]
     emitted += [emit_pcs(build(n)) for build in (standard_cube, boundary_cube) for n in range(6)]
     data = [p.read_text() for p in sorted(DATA.glob("*.pcs"))]
@@ -368,7 +393,7 @@ def test_fast_route_refuses_exactly_the_files_with_an_error():
     plain = emitted + data
     sources = plain + [shuffled(text) for text in plain for _ in range(2)]
     sources += [variant for text in plain for variant in variants(text)]
-    assert all(pcsfile._tables(text) is not None for text in sources)
+    assert not any(isinstance(parse_outcome(text)[0], str) for text in sources)
     bounded = ["pcs 1\ncube a 1000000\ncube b 0\nface a 1 - b\n",
                "pcs 1\ncube a 500000\ncube b 0\nface a 1 - b\nface a 1 + b\n"]
     # an axis 0, read as a slot, would index a cube's list from its end
@@ -384,9 +409,9 @@ def test_fast_route_refuses_exactly_the_files_with_an_error():
             dims, faces = expected
             holes = sum(2 * dims[c] for c in {c for c, _, _ in faces}) - len(faces)
             refused = holes > core.MAX_CELLS
-        assert (pcsfile._tables(text) is None) == refused, text
-        taken += not refused
         got = parse_outcome(text)
+        assert isinstance(got[0], str) == refused, text
+        taken += not refused
         if not refused:
             # the reference's tables, cubes in file order, facets in the
             # order of each cube's first face
@@ -397,7 +422,7 @@ def test_fast_route_refuses_exactly_the_files_with_an_error():
             assert got == expected, text
         else:
             assert got == (core.SLOTS_ERROR, 0, 0), text
-    # the mutants reach both routes
+    # the mutants reach both outcomes
     assert taken > len(sources) + 100 and len(texts) - taken > 400, taken
 
 
